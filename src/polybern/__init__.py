@@ -32,15 +32,7 @@ from .families import (
     poly_bernoulli,
     type2_poly_bernoulli,
 )
-from .rationals import (
-    Rational,
-    decimal_string,
-    format_rational,
-    inv_pow,
-    parse_rational,
-    rat,
-    rat_arith,
-)
+from .rationals import decimal_string, format_rational, inv_pow, parse_rational
 from .series import TruncatedSeries, ValuationError
 from .special import (
     StirlingTable,
@@ -70,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FamilyQuery",
-    "Rational",
     "ReportRow",
     "ResidualRow",
     "SequenceResult",
@@ -94,8 +85,6 @@ __all__ = [
     "parse_rational",
     "poly_bernoulli",
     "polyexp",
-    "rat",
-    "rat_arith",
     "stirling_table",
     "type2_poly_bernoulli",
     "verify_addition",

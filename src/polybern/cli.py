@@ -12,9 +12,10 @@ All rational-valued flags take "p/q" or "p".  Truncation defaults (order
 self-describing.
 
 Exit codes: 0 success or verification pass (diagnostic runs count as
-success once they complete), 1 verification fail, 2 usage error, 3
-internal invariant violation (a valuation guard tripping means a bug in
-the math, not in the invocation).
+success once they complete), 1 verification fail, 2 usage or environment
+error (including an unwritable ``--output``), 3 internal error (a
+valuation guard tripping means a bug in the math, not in the invocation;
+any other unexpected exception is reported the same way).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
+# most of these are reached only by name, through the tables further down
 from .families import (
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
@@ -34,7 +36,6 @@ from .families import (
     type2_poly_bernoulli,
 )
 from .rationals import format_rational, parse_rational
-from .series import ValuationError
 from .special import (
     degenerate_exp,
     log1p_series,
@@ -85,6 +86,35 @@ def _ks_flag(text: str) -> tuple[int, ...]:
     return parts
 
 
+# One table per kind: CLI name -> (name of the function in this module, the
+# parameters it takes besides ``order``, each read from the flag of that
+# name).  The function is looked up at call time, so anything that replaces
+# the module attribute (a test seam, a tracer) sees every call.
+SERIES = {
+    "multi-polylog": ("multi_polylog", ("ks",)),
+    "polyexp": ("polyexp", ("k",)),
+    "one-minus-exp-neg": ("one_minus_exp_neg", ()),
+    "log1p": ("log1p_series", ()),
+    "degenerate-exp": ("degenerate_exp", ("x", "lam")),
+}
+FAMILIES = {
+    "degen-multi-poly": ("degenerate_multi_poly_bernoulli", ("ks", "lam", "x")),
+    "multi-poly": ("multi_poly_bernoulli", ("ks", "x")),
+    "poly": ("poly_bernoulli", ("k", "x")),
+    "type2-poly": ("type2_poly_bernoulli", ("k", "x")),
+    "carlitz": ("carlitz_degenerate", ("r", "lam", "x")),
+}
+IDENTITIES = {
+    "expansion": ("verify_polynomial_expansion", ("ks", "lam", "x")),
+    "li-ones": ("verify_li_ones", ("r",)),
+    "deriv": ("verify_deriv_recurrences", ("ks",)),
+    "chain-stirling": ("verify_chain_stirling", ("ks", "lam", "x")),
+    "resummation": ("verify_resummation", ("ks", "lam", "x", "m_truncation")),
+    "difference": ("verify_difference", ("ks", "lam", "x", "m_truncation")),
+    "addition": ("verify_addition", ("ks", "lam", "x", "y")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polybern",
@@ -98,38 +128,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p_series = sub.add_parser("series", help="coefficients of one named series")
-    p_series.add_argument("--name", required=True,
-                          choices=("multi-polylog", "polyexp", "one-minus-exp-neg",
-                                   "log1p", "degenerate-exp"))
+    p_series.add_argument("--name", required=True, choices=tuple(SERIES))
     p_series.add_argument("--ks", type=_ks_flag, default=None)
     p_series.add_argument("--k", type=int, default=None)
     p_series.add_argument("--x", type=_rational_flag, default=None)
     p_series.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_series.set_defaults(run=_cmd_series)
     common(p_series)
 
     p_numbers = sub.add_parser("numbers", help="value table of one family")
-    p_numbers.add_argument("--family", required=True,
-                           choices=("degen-multi-poly", "multi-poly", "poly",
-                                    "type2-poly", "carlitz"))
+    p_numbers.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_numbers.add_argument("--ks", type=_ks_flag, default=None)
     p_numbers.add_argument("--k", type=int, default=None)
     p_numbers.add_argument("--r", type=int, default=None)
     p_numbers.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
     p_numbers.add_argument("--x", type=_rational_flag, default=Fraction(0))
     p_numbers.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_numbers.set_defaults(run=_cmd_numbers)
     common(p_numbers)
 
     p_stirling = sub.add_parser("stirling", help="Stirling triangle")
     p_stirling.add_argument("--kind", required=True,
                             choices=("second", "first-unsigned", "first-signed"))
     p_stirling.add_argument("--max-n", type=int, required=True)
+    p_stirling.set_defaults(run=_cmd_stirling)
     common(p_stirling)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("--identity",
-                          choices=("expansion", "li-ones", "deriv", "chain-stirling",
-                                   "resummation", "difference", "addition"))
+    p_verify.add_argument("--identity", choices=tuple(IDENTITIES))
     p_verify.add_argument("--all", action="store_true", help="run the default sweep")
     p_verify.add_argument("--ks", type=_ks_flag, default=None)
     p_verify.add_argument("--r", type=int, default=None)
@@ -137,10 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x", type=_rational_flag, default=None)
     p_verify.add_argument("--y", type=_rational_flag, default=None)
     p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_verify.add_argument("--truncate", type=int, default=DEFAULT_M_TRUNCATION,
+    p_verify.add_argument("--truncate", dest="m_truncation", metavar="TRUNCATE", type=int,
+                          default=DEFAULT_M_TRUNCATION,
                           help="m-sum truncation for the diagnostic identities")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel workers for --all (results stay deterministic)")
+    p_verify.set_defaults(run=_cmd_verify)
     common(p_verify)
 
     return parser
@@ -151,93 +180,40 @@ def _require(condition: bool, message: str):
         raise UsageError(message)
 
 
-def _cmd_series(args) -> tuple[dict, str | None]:
-    name = args.name
-    order = args.order
-    _require(order >= 0, "order must be non-negative")
-    params: dict = {"order": order}
-    if name == "multi-polylog":
-        _require(args.ks is not None, "multi-polylog needs --ks")
-        series = multi_polylog(args.ks, order)
-        params["ks"] = list(args.ks)
-    elif name == "polyexp":
-        _require(args.k is not None, "polyexp needs --k")
-        series = polyexp(args.k, order)
-        params["k"] = args.k
-    elif name == "one-minus-exp-neg":
-        series = one_minus_exp_neg(order)
-    elif name == "log1p":
-        series = log1p_series(order)
-    else:  # degenerate-exp
-        _require(args.x is not None and args.lam is not None,
-                 "degenerate-exp needs --x and --lambda")
-        series = degenerate_exp(args.x, args.lam, order)
-        params["x"] = format_rational(args.x)
-        params["lambda"] = format_rational(args.lam)
-    payload = {"series": name, "params": params}
-    payload.update(series.to_json_dict())
-    return payload, None
+def _flag(param: str) -> str:
+    return "lambda" if param == "lam" else param
 
 
-def _cmd_numbers(args) -> tuple[dict, str | None]:
-    fam = args.family
-    order = args.order
-    _require(order >= 0, "order must be non-negative")
-    if fam == "degen-multi-poly":
-        _require(args.ks is not None and args.lam is not None,
-                 "degen-multi-poly needs --ks and --lambda")
-        result = degenerate_multi_poly_bernoulli(args.ks, args.lam, args.x, order)
-    elif fam == "multi-poly":
-        _require(args.ks is not None, "multi-poly needs --ks")
-        result = multi_poly_bernoulli(args.ks, args.x, order)
-    elif fam == "poly":
-        _require(args.k is not None, "poly needs --k")
-        result = poly_bernoulli(args.k, args.x, order)
-    elif fam == "type2-poly":
-        _require(args.k is not None, "type2-poly needs --k")
-        result = type2_poly_bernoulli(args.k, args.x, order)
-    else:  # carlitz
-        _require(args.r is not None and args.lam is not None,
-                 "carlitz needs --r and --lambda")
-        result = carlitz_degenerate(args.r, args.lam, args.x, order)
-    return result.to_json_dict(), result.to_csv()
+def _call(table: dict, name: str, kwargs: dict):
+    return globals()[table[name][0]](**kwargs)
 
 
-def _cmd_stirling(args) -> tuple[dict, str | None]:
-    kind = args.kind.replace("-", "_")
-    table = stirling_table(kind, args.max_n)
-    return table.to_json_dict(), table.to_csv()
+def _call_from_flags(table: dict, name: str, args):
+    """Check the flags ``name`` needs, then call its function with them."""
+    _require(args.order >= 0, "order must be non-negative")
+    params = table[name][1]
+    missing = [p for p in params if getattr(args, p) is None]
+    _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
+    return _call(table, name, {p: getattr(args, p) for p in params} | {"order": args.order})
 
 
-_VERIFY_NEEDS = {
-    "expansion": ("ks", "lam", "x"),
-    "li-ones": ("r",),
-    "deriv": ("ks",),
-    "chain-stirling": ("ks", "lam", "x"),
-    "resummation": ("ks", "lam", "x"),
-    "difference": ("ks", "lam", "x"),
-    "addition": ("ks", "lam", "x", "y"),
-}
+def _cmd_series(args) -> tuple[dict, str | None, int]:
+    series = _call_from_flags(SERIES, args.name, args)
+    params: dict = {"order": args.order}
+    for p in SERIES[args.name][1]:
+        value = getattr(args, p)
+        params[_flag(p)] = format_rational(value) if isinstance(value, Fraction) else value
+    return {"series": args.name, "params": params} | series.to_json_dict(), None, EXIT_OK
 
 
-def _run_verify(identity: str, kwargs: dict):
-    if identity == "expansion":
-        return verify_polynomial_expansion(kwargs["ks"], kwargs["lam"], kwargs["x"], kwargs["order"])
-    if identity == "li-ones":
-        return verify_li_ones(kwargs["r"], kwargs["order"])
-    if identity == "deriv":
-        return verify_deriv_recurrences(kwargs["ks"], kwargs["order"])
-    if identity == "chain-stirling":
-        return verify_chain_stirling(kwargs["ks"], kwargs["lam"], kwargs["x"], kwargs["order"])
-    if identity == "resummation":
-        return verify_resummation(kwargs["ks"], kwargs["lam"], kwargs["x"], kwargs["order"],
-                                  kwargs["m_truncation"])
-    if identity == "difference":
-        return verify_difference(kwargs["ks"], kwargs["lam"], kwargs["x"], kwargs["order"],
-                                 kwargs["m_truncation"])
-    if identity == "addition":
-        return verify_addition(kwargs["ks"], kwargs["lam"], kwargs["x"], kwargs["y"], kwargs["order"])
-    raise UsageError(f"unknown identity {identity!r}")
+def _cmd_numbers(args) -> tuple[dict, str | None, int]:
+    result = _call_from_flags(FAMILIES, args.family, args)
+    return result.to_json_dict(), result.to_csv(), EXIT_OK
+
+
+def _cmd_stirling(args) -> tuple[dict, str | None, int]:
+    table = stirling_table(args.kind.replace("-", "_"), args.max_n)
+    return table.to_json_dict(), table.to_csv(), EXIT_OK
 
 
 def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
@@ -265,15 +241,19 @@ def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
 
 
 def _sweep_worker(task: tuple[str, dict]) -> dict:
-    identity, kwargs = task
-    return _run_verify(identity, kwargs).to_json_dict()
+    return _call(IDENTITIES, *task).to_json_dict()
+
+
+def _worker_count(requested: int, tasks: int) -> int:
+    """Sweep pool size: never more processes than tasks or CPUs."""
+    return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
 def _cmd_verify(args) -> tuple[object, str | None, int]:
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
-        tasks = _sweep_tasks(args.order, args.truncate)
-        jobs = max(1, args.jobs)
+        tasks = _sweep_tasks(args.order, args.m_truncation)
+        jobs = _worker_count(args.jobs, len(tasks))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_sweep_worker, tasks))
@@ -284,13 +264,7 @@ def _cmd_verify(args) -> tuple[object, str | None, int]:
         return reports, None, code
 
     _require(args.identity is not None, "verify needs --identity or --all")
-    identity = args.identity
-    kwargs = {"order": args.order, "m_truncation": args.truncate}
-    for field in _VERIFY_NEEDS[identity]:
-        value = getattr(args, field)
-        _require(value is not None, f"{identity} needs --{'lambda' if field == 'lam' else field}")
-        kwargs[field] = value
-    report = _run_verify(identity, kwargs)
+    report = _call_from_flags(IDENTITIES, args.identity, args)
     code = EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
     return report.to_json_dict(), None, code
 
@@ -324,28 +298,18 @@ def main(argv=None) -> int:
             if env_format is not None and env_format not in ("json", "csv"):
                 raise UsageError(f"POLYBERN_FORMAT must be json or csv, got {env_format!r}")
             fmt = env_format or "json"
-
-        code = EXIT_OK
-        if args.verb == "series":
-            payload, csv_text = _cmd_series(args)
-        elif args.verb == "numbers":
-            payload, csv_text = _cmd_numbers(args)
-        elif args.verb == "stirling":
-            payload, csv_text = _cmd_stirling(args)
-        else:
-            payload, csv_text, code = _cmd_verify(args)
+        payload, csv_text, code = args.run(args)
         _emit(payload, csv_text, fmt, args.output)
         return code
-    except UsageError as exc:
+    except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except ValuationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a valuation guard tripping, or any other broken invariant
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

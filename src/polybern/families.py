@@ -22,7 +22,6 @@ this territory and the single scaling site is the defense.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -89,9 +88,6 @@ class SequenceResult:
         out.update(self.query.to_params_dict())
         out["values"] = [format_rational(v) for v in self.values]
         return out
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     def to_csv(self) -> str:
         lines = ["n,value"]

@@ -4,12 +4,11 @@ Every quantity here (series coefficients, family parameters, verification
 residuals) is an arbitrary-precision rational.  The standard library's
 ``fractions.Fraction`` already maintains the canonical form the rest of the
 package relies on: the denominator is always positive, numerator and
-denominator are coprime, and zero is stored as 0/1.  ``Rational`` is
-therefore an alias for ``Fraction``; this module adds only what Fraction
-does not ship, namely construction and arithmetic entry points with pinned
-error behaviour, the ``n**-k`` weights that appear in chain sums, the
-"p/q" wire format used by all serialization, and the rendering of exact
-values as rounded decimal strings for convergence diagnostics.
+denominator are coprime, and zero is stored as 0/1.  This module adds only
+what Fraction does not ship, namely a constructor with pinned error
+behaviour, the ``n**-k`` weights that appear in chain sums, the "p/q" wire
+format used by all serialization, and the rendering of exact values as
+rounded decimal strings for convergence diagnostics.
 
 Floating point never enters: decimal strings are derived from exact
 rationals at output time only.
@@ -17,19 +16,9 @@ rationals at output time only.
 
 from __future__ import annotations
 
-import operator
 import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-
-Rational = Fraction
-
-_ARITH_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -42,19 +31,6 @@ def rat(p: int, q: int = 1) -> Fraction:
     if q == 0:
         raise ZeroDivisionError("zero denominator")
     return Fraction(p, q)
-
-
-def rat_arith(op: str, a: Fraction, b: Fraction) -> Fraction:
-    """Apply one of the field operations "add", "sub", "mul", "div".
-
-    Division by zero raises ZeroDivisionError.  Results are canonical
-    because Fraction normalizes on every operation.
-    """
-    try:
-        fn = _ARITH_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(Fraction(a), Fraction(b))
 
 
 def inv_pow(base: int, k: int) -> Fraction:

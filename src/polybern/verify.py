@@ -30,6 +30,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .families import (
+    FamilyQuery,
     _egf_values,
     _exp_minus_one_over_t,
     carlitz_degenerate,
@@ -118,17 +119,6 @@ def _report(identity, params, rows, residuals=(), diagnostic=False) -> Verificat
     )
 
 
-def _family_params(ks, lam, x, order, **extra) -> dict:
-    params = {
-        "ks": list(ks),
-        "lambda": format_rational(Fraction(lam)),
-        "x": format_rational(Fraction(x)),
-        "order": order,
-    }
-    params.update(extra)
-    return params
-
-
 def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
@@ -161,7 +151,7 @@ def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> Verifi
         carl = carlitz_degenerate(len(ks), lam, x, order).values
         for n in range(order + 1):
             rows.append(_row("all-ones-reduction", n, polys[n], carl[n]))
-    return _report("expansion", _family_params(ks, lam, x, order), rows)
+    return _report("expansion", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
 
 
 def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationReport:
@@ -179,7 +169,7 @@ def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationRep
             Fraction(0),
         )
         rows.append(_row("argument-addition", n, shifted[n], rhs))
-    params = _family_params(ks, lam, x, order, y=format_rational(y))
+    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(y)}
     return _report("addition", params, rows)
 
 
@@ -284,7 +274,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     rhs = _egf_values(series * factorial(r))
 
     rows = [_row("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
-    return _report("chain-stirling", _family_params(ks, lam, x, order), rows)
+    return _report("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
 
 
 def _chains(length: int, top: int):
@@ -303,6 +293,40 @@ def _shifted_tail(ks: tuple[int, ...], m: int) -> tuple[int, ...]:
     """(k_1, ..., k_{r-2}, k_{r-1} - m): the depth-(r-1) vector whose last
     entry absorbed m powers from the binomial-series expansion."""
     return ks[:-2] + (ks[-2] - m,)
+
+
+def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, term) -> VerificationReport:
+    """The m-sum shared by the two identities below, checked against ``lhs``.
+
+    The m-th summand at n is (-1)^m C(k_r+m-1, m) * term(m, fam)[n], with
+    ``fam`` the family values of the shifted tail vector.  For k_r <= 0 the
+    binomial coefficient cuts the sum off after m = -k_r and the check is
+    exact; otherwise the partial sums up to m_truncation are reported with
+    their residuals against ``lhs`` for every n >= first_n.
+    """
+    k_r = ks[-1]
+    exact = k_r <= 0
+    m_top = -k_r if exact else m_truncation
+    if m_top < 0:
+        raise ValueError("m truncation must be non-negative")
+
+    term_by_m: list[list[Fraction]] = []
+    for m in range(m_top + 1):
+        fam = degenerate_multi_poly_bernoulli(_shifted_tail(ks, m), lam, x, order).values
+        coef = _sign(m) * generalized_binomial(k_r + m - 1, m)
+        term_by_m.append([coef * value for value in term(m, fam)])
+
+    rows = []
+    residuals = []
+    for n in range(first_n, order + 1):
+        partial = Fraction(0)
+        for m in range(m_top + 1):
+            partial += term_by_m[m][n]
+            if not exact:
+                residuals.append(ResidualRow(n=n, m_truncation=m, residual=abs(lhs[n] - partial)))
+        rows.append(_row("finite-binomial-branch" if exact else "partial-sum-at-M", n, lhs[n], partial))
+    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
+    return _report(identity, params, rows, residuals, diagnostic=not exact)
 
 
 def verify_resummation(
@@ -330,20 +354,14 @@ def verify_resummation(
     lam = Fraction(lam)
     x = Fraction(x)
     k_r = ks[-1]
-    exact = k_r <= 0
-    m_top = -k_r if exact else m_truncation
-    if m_top < 0:
-        raise ValueError("m truncation must be non-negative")
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     carlitz = carlitz_degenerate(1, lam, 0, order).values
     s2 = stirling_table("second", order + 1)
 
-    # T_m(k) = sum_{l<=k} C(k,l) g_m(l) fam_m(k-l), with g_m the EGF
-    # coefficients of the Stirling block after the shift by one order.
-    term_by_m: list[list[Fraction]] = []
-    for m in range(m_top + 1):
-        fam = degenerate_multi_poly_bernoulli(_shifted_tail(ks, m), lam, x, order).values
+    def term(m, fam):
+        # T_m(k) = sum_{l<=k} C(k,l) g_m(l) fam_m(k-l), with g_m the EGF
+        # coefficients of the Stirling block after the shift by one order.
         g = []
         for l in range(order + 1):
             acc = Fraction(0)
@@ -359,33 +377,12 @@ def verify_resummation(
             sum((comb(k, l) * g[l] * fam[k - l] for l in range(k + 1)), Fraction(0))
             for k in range(order + 1)
         ]
-        coef = _sign(m) * generalized_binomial(k_r + m - 1, m)
-        term_by_m.append(
-            [
-                r
-                * coef
-                * sum((comb(n, k) * carlitz[n - k] * t_of_k[k] for k in range(n + 1)), Fraction(0))
-                for n in range(order + 1)
-            ]
-        )
+        return [
+            r * sum((comb(n, k) * carlitz[n - k] * t_of_k[k] for k in range(n + 1)), Fraction(0))
+            for n in range(order + 1)
+        ]
 
-    params = _family_params(ks, lam, x, order, m_truncation=m_top)
-    if exact:
-        rows = []
-        for n in range(order + 1):
-            rhs = sum((term_by_m[m][n] for m in range(m_top + 1)), Fraction(0))
-            rows.append(_row("finite-binomial-branch", n, lhs[n], rhs))
-        return _report("resummation", params, rows)
-
-    rows = []
-    residuals = []
-    for n in range(order + 1):
-        partial = Fraction(0)
-        for m in range(m_top + 1):
-            partial += term_by_m[m][n]
-            residuals.append(ResidualRow(n=n, m_truncation=m, residual=abs(lhs[n] - partial)))
-        rows.append(_row("partial-sum-at-M", n, lhs[n], partial))
-    return _report("resummation", params, rows, residuals, diagnostic=True)
+    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, term)
 
 
 def verify_difference(
@@ -410,17 +407,13 @@ def verify_difference(
     lam = Fraction(lam)
     x = Fraction(x)
     k_r = ks[-1]
-    exact = k_r <= 0
-    m_top = -k_r if exact else m_truncation
 
     upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
     base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
     s2 = stirling_table("second", order)
 
-    term_by_m: list[list[Fraction]] = []
-    for m in range(m_top + 1):
-        fam = degenerate_multi_poly_bernoulli(_shifted_tail(ks, m), lam, x, order).values
+    def term(m, fam):
         h = [Fraction(0)]
         for l in range(1, order + 1):
             acc = Fraction(0)
@@ -432,29 +425,9 @@ def verify_difference(
                     * s2.value(l, n_r)
                 )
             h.append(acc)
-        coef = _sign(m) * generalized_binomial(k_r + m - 1, m)
-        term_by_m.append(
-            [
-                coef
-                * sum((comb(n, l) * h[l] * fam[n - l] for l in range(1, n + 1)), Fraction(0))
-                for n in range(order + 1)
-            ]
-        )
+        return [
+            sum((comb(n, l) * h[l] * fam[n - l] for l in range(1, n + 1)), Fraction(0))
+            for n in range(order + 1)
+        ]
 
-    params = _family_params(ks, lam, x, order, m_truncation=m_top)
-    if exact:
-        rows = []
-        for n in range(1, order + 1):
-            rhs = sum((term_by_m[m][n] for m in range(m_top + 1)), Fraction(0))
-            rows.append(_row("finite-binomial-branch", n, lhs[n], rhs))
-        return _report("difference", params, rows)
-
-    rows = []
-    residuals = []
-    for n in range(1, order + 1):
-        partial = Fraction(0)
-        for m in range(m_top + 1):
-            partial += term_by_m[m][n]
-            residuals.append(ResidualRow(n=n, m_truncation=m, residual=abs(lhs[n] - partial)))
-        rows.append(_row("partial-sum-at-M", n, lhs[n], partial))
-    return _report("difference", params, rows, residuals, diagnostic=True)
+    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, term)

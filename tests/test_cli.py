@@ -142,6 +142,11 @@ def test_usage_errors_exit_two(capsys):
     # malformed ks
     code, _, err = run(capsys, "numbers", "--family", "multi-poly", "--ks", "1,a")
     assert code == 2
+    # negative m truncation on an infinite m-series
+    code, out, err = run(capsys, "verify", "--identity", "difference", "--ks=2,1",
+                         "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1")
+    assert code == 2
+    assert out == ""
 
 
 def test_env_var_sets_default_format(capsys, monkeypatch):
@@ -161,6 +166,13 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["values"][2] == "1/6"
+    # an unwritable path is an environment error, not a failed verification
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "numbers", "--family", "poly", "--k", "1",
+                         "--order", "3", "--output", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_defaults_are_echoed(capsys):
@@ -225,3 +237,49 @@ def test_internal_invariant_violation_exits_three(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    import polybern.cli as cli
+
+    def boom(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "poly_bernoulli", boom)
+    code, out, err = run(capsys, "numbers", "--family", "poly", "--k", "1", "--order", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and len(err.splitlines()) == 1
+
+
+def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
+    import polybern.cli as cli
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count(500, 17) == 2
+    assert cli._worker_count(0, 17) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(500, 17) == 1
+
+    # the sweep sizes its pool by the clamp; the pool is replaced by an
+    # in-process recorder, so no worker process is started
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    code, _, _ = run(capsys, "verify", "--all", "--order", "3", "--truncate", "2", "--jobs", "500")
+    assert code == 0
+    assert requested == [len(cli._sweep_tasks(3, 2))]

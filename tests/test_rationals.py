@@ -12,7 +12,6 @@ from polybern.rationals import (
     inv_pow,
     parse_rational,
     rat,
-    rat_arith,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -27,17 +26,6 @@ def test_rat_normalizes_sign_and_gcd():
 def test_rat_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
-
-
-def test_rat_arith_basic():
-    assert rat_arith("add", rat(1, 2), rat(1, 3)) == Fraction(5, 6)
-    assert rat_arith("sub", rat(1, 2), rat(1, 3)) == Fraction(1, 6)
-    assert rat_arith("mul", rat(2, 3), rat(3, 2)) == Fraction(1)
-    assert rat_arith("div", rat(1, 2), rat(1, 4)) == Fraction(2)
-    with pytest.raises(ZeroDivisionError):
-        rat_arith("div", rat(1, 2), rat(0))
-    with pytest.raises(ValueError):
-        rat_arith("pow", rat(1), rat(1))
 
 
 def test_inv_pow_values():
@@ -55,7 +43,7 @@ def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     if a != 0:
-        assert rat_arith("div", Fraction(1), a) * a == 1
+        assert Fraction(1) / a * a == 1
 
 
 @given(a=rationals)

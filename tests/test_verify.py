@@ -168,6 +168,12 @@ def test_difference_usage_errors():
     with pytest.raises(ValueError):
         verify_difference((1, 1), HALF, 0, 0)
 
+def test_m_series_rejects_negative_truncation():
+    # k_r >= 1: the m-sum is infinite, so its truncation comes from the caller
+    for check in (verify_resummation, verify_difference):
+        with pytest.raises(ValueError):
+            check((2, 1), THIRD, 0, 2, m_truncation=-1)
+
 # -- addition law -----------------------------------------------------------------
 
 def test_addition_examples():
