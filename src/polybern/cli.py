@@ -13,7 +13,8 @@ self-describing.
 
 Exit codes: 0 success or verification pass (diagnostic runs count as
 success once they complete), 1 verification fail, 2 usage or environment
-error (including an unwritable ``--output``), 3 internal error (a
+error (including an unwritable ``--output``; the file is replaced
+atomically, so a failed write leaves its old content), 3 internal error (a
 valuation guard tripping means a bug in the math, not in the invocation;
 any other unexpected exception is reported the same way).
 """
@@ -21,8 +22,10 @@ any other unexpected exception is reported the same way).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -37,6 +40,7 @@ from .families import (
 )
 from .rationals import format_rational, parse_rational
 from .special import (
+    STIRLING_KINDS,
     degenerate_exp,
     log1p_series,
     multi_polylog,
@@ -150,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_stirling = sub.add_parser("stirling", help="Stirling triangle")
     p_stirling.add_argument("--kind", required=True,
-                            choices=("second", "first-unsigned", "first-signed"))
+                            choices=tuple(kind.replace("_", "-") for kind in STIRLING_KINDS))
     p_stirling.add_argument("--max-n", type=int, required=True)
     p_stirling.set_defaults(run=_cmd_stirling)
     common(p_stirling)
@@ -277,10 +281,27 @@ def _emit(payload, csv_text: str | None, fmt: str, output: str | None):
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomic(output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and a rename, so ``path`` holds either its old content or
+    all of the new.  The temporary file gets umask-default permissions,
+    as ``open`` would give, and is removed if anything fails."""
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ values beta_n are defined through
 
 where Li is the multiple polylogarithm and e_lam the degenerate
 exponential.  All families in this module run through one shared pipeline
-(compose, valuation shift, invert, multiply), so the thin specializations
+(compose, valuation shift, then one product with a cached factor holding
+everything that depends on lam and x), so the thin specializations
 cross-validate each other; the classical Carlitz family is the deliberate
 exception and is built directly from series inversion, giving an
 independent route for the all-ones reduction checks.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -138,12 +140,28 @@ def _pipeline_values(
     coefficients: the numerator has valuation r, and dividing by t^r eats
     exactly that many orders.  The valuation is asserted, not assumed; a
     violation raises ValuationError and means a math bug upstream.
+
+    Two steps: the numerator outer(inner(t)) / t^r, whose composition runs
+    on an integer power table of ``inner`` (see
+    :meth:`TruncatedSeries.compose`), times the cached factor
+    :func:`_lam_factor`, which carries everything that depends on lam, x
+    and r but not on ``outer``.
     """
-    numerator = outer.compose(inner)
-    shifted = numerator.div_tpow(r)
+    shifted = outer.compose(inner).div_tpow(r)
+    return _egf_values(shifted * _lam_factor(r, lam, x, order))
+
+
+@lru_cache(maxsize=8)
+def _lam_factor(r: int, lam, x, order: int) -> TruncatedSeries:
+    """r! * ((e_lam(t)-1)/t)^(-r) * e_lam^x(t) up to ``order``.
+
+    The part of the pipeline that depends on (r, lam, x, order) and not on
+    the index vector.  The m-series checks ask for it once per m with the
+    same key, so it is cached; one such check uses at most three keys.
+    Series are immutable, so every caller may share the cached value.
+    """
     unit = _exp_minus_one_over_t(lam, order)
-    series = shifted * (unit**r).invert() * degenerate_exp(x, lam, order)
-    return _egf_values(series * factorial(r))
+    return (unit**r).invert() * degenerate_exp(x, lam, order) * factorial(r)
 
 
 def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> SequenceResult:

@@ -14,13 +14,18 @@ Coefficients are ``fractions.Fraction``; integers are accepted and
 coerced, floats are rejected.  Values are immutable and safe to share.
 
 Representation is dense: these series are dense in practice and orders
-stay at desk scale, so the O(N^2) product and O(N^3) composition are the
-right trade against exactness (there is no useful FFT over rationals).
+stay at desk scale, so the O(N^2) product is the right trade against
+exactness (there is no useful FFT over rationals).  Composition does its
+O(N^3) inner work on Python ints, not Fractions: it builds the powers of
+the inner series in EGF form, scaled to integers, and divides once per
+coefficient at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Iterator, Union
 
 from .rationals import format_rational, parse_rational
@@ -183,20 +188,51 @@ class TruncatedSeries:
         return TruncatedSeries(b)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)) by Horner iteration.
+        """self(inner(t)) through an integer power table of ``inner``.
 
         ``inner`` must have zero constant term; then coefficient n of the
         result depends only on coefficients up to n of both operands, so
         the result is exact up to min(order, inner.order).
+
+        The powers u^m of the inner series u are built in EGF form over
+        the integers.  With U_k = d * k! * u_k, d the least common
+        denominator of the k! * u_k, the columns
+
+            P_m(n) = d^m * n! * [t^n] u^m
+                   = sum_{k=1}^{n-m+1} C(n,k) * U_k * P_{m-1}(n-k)
+
+        are plain ints, and coefficient n of the result is
+        sum_m (a_m / d^m) * P_m(n) / n!, summed over one common
+        denominator.  For 1 - e^{-t} and log(1+t), d = 1.
         """
         if inner._coeffs[0] != 0:
             raise ValueError("composition requires zero constant term")
         target = min(self.order, inner.order)
-        inner_t = inner.truncate(target)
-        result = TruncatedSeries.zero(target)
-        for j in range(target, -1, -1):
-            result = result * inner_t + self._coeffs[j]
-        return result
+        facts = [1]
+        for n in range(1, target + 1):
+            facts.append(facts[-1] * n)
+        scaled = [facts[k] * inner._coeffs[k] for k in range(target + 1)]
+        d = lcm(*(c.denominator for c in scaled))
+        units = [c.numerator * (d // c.denominator) for c in scaled]
+        # weights[n][k] = C(n,k) * U_k, the row that turns P_{m-1} into P_m
+        weights = [[comb(n, k) * units[k] for k in range(n + 1)] for n in range(target + 1)]
+
+        outer = [a / d**m for m, a in enumerate(self._coeffs[: target + 1])]
+        common = lcm(*(a.denominator for a in outer))
+        scaled_outer = [a.numerator * (common // a.denominator) for a in outer]
+
+        totals = [scaled_outer[0]] + [0] * target
+        column = [1] + [0] * target  # P_0
+        for m in range(1, target + 1):
+            prev = column
+            column = [0] * (target + 1)
+            for n in range(m, target + 1):
+                column[n] = sum(map(mul, weights[n][1 : n - m + 2], reversed(prev[m - 1 : n])))
+            a_m = scaled_outer[m]
+            if a_m:
+                for n in range(m, target + 1):
+                    totals[n] += a_m * column[n]
+        return TruncatedSeries(Fraction(totals[n], common * facts[n]) for n in range(target + 1))
 
     def div_tpow(self, r: int) -> "TruncatedSeries":
         """Exact division by t**r, dropping the order by r.

@@ -1,6 +1,8 @@
 """Command-line contract: dispatch, formats, exit codes, round trips."""
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 from polybern.cli import main
@@ -283,3 +285,41 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--all", "--order", "3", "--truncate", "2", "--jobs", "500")
     assert code == 0
     assert requested == [len(cli._sweep_tasks(3, 2))]
+
+
+def test_output_is_replaced_atomically(tmp_path, capsys):
+    target = tmp_path / "table.json"
+    target.write_text("old\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    code, out, _ = run(capsys, "numbers", "--family=poly", "--k=1", "--order=3", f"--output={target}")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["values"][2] == "1/6"
+    assert os.listdir(tmp_path) == ["table.json"]
+    fresh = tmp_path / "fresh.json"
+    assert run(capsys, "stirling", "--kind=second", "--max-n=3", f"--output={fresh}")[0] == 0
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
+def test_failed_output_rename_keeps_old_content(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "table.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, "numbers", "--family=poly", "--k=1", "--order=3", f"--output={target}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["table.json"]
+
+
+def test_stirling_kind_choices_follow_the_special_module(capsys):
+    from polybern.special import STIRLING_KINDS
+
+    assert main(["stirling", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "{" + ",".join(k.replace("_", "-") for k in STIRLING_KINDS) + "}" in usage

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, brute_compose, convolve
 from polybern.series import TruncatedSeries, ValuationError
+from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 
 coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -120,6 +121,42 @@ def test_compose_with_identity_is_identity():
 def test_compose_requires_zero_constant():
     with pytest.raises(ValueError, match="zero constant"):
         TruncatedSeries([1, 1]).compose(TruncatedSeries([1, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    outer=series_strategy(max_order=10),
+    inner=series_strategy(max_order=10, zero_const=True),
+)
+@example(outer=TruncatedSeries([3]), inner=TruncatedSeries([0]))
+@example(outer=TruncatedSeries([2, Fraction(5, 3)]), inner=TruncatedSeries([0, Fraction(1, 7)]))
+@example(
+    # k! * u_k = 1/2, 2/3, 30/7: the inner scale d is 42
+    outer=TruncatedSeries([1, -1, Fraction(1, 5), Fraction(-7, 9)]),
+    inner=TruncatedSeries([0, Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)]),
+)
+def test_compose_matches_brute_force(outer, inner):
+    target = min(outer.order, inner.order)
+    composed = outer.compose(inner)
+    assert composed.order == target
+    assert list(composed.coeffs) == brute_compose(list(outer), list(inner), target)
+
+
+def test_compose_powers_of_the_inner_series_are_stirling_columns():
+    # (1-e^{-t})^m = m! sum_n (-1)^(n-m) S2(n,m) t^n/n!  and
+    # log(1+t)^m = m! sum_n s1(n,m) t^n/n!, with s1 signed
+    order = 40
+    second = stirling_table("second", order)
+    first = stirling_table("first_signed", order)
+    u = one_minus_exp_neg(order)
+    log1p = log1p_series(order)
+    for m in range(order + 1):
+        power = TruncatedSeries.monomial(m, order)
+        expected_u = [Fraction((-1) ** (n + m) * factorial(m) * second.value(n, m), factorial(n))
+                      for n in range(order + 1)]
+        expected_log = [Fraction(factorial(m) * first.value(n, m), factorial(n)) for n in range(order + 1)]
+        assert list(power.compose(u).coeffs) == expected_u, m
+        assert list(power.compose(log1p).coeffs) == expected_log, m
 
 
 def test_div_tpow():
