@@ -13,7 +13,7 @@ self-describing.
 
 Exit codes: 0 success or verification pass (diagnostic runs count as
 success once they complete), 1 verification fail, 2 usage or environment
-error (including an unwritable ``--output``; the file is replaced
+error (including an unwritable ``--output``; a regular file is replaced
 atomically, so a failed write leaves its old content), 3 internal error (a
 valuation guard tripping means a bug in the math, not in the invocation;
 any other unexpected exception is reported the same way).
@@ -25,7 +25,7 @@ import argparse
 import contextlib
 import json
 import os
-import secrets
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -281,27 +281,63 @@ def _emit(payload, csv_text: str | None, fmt: str, output: str | None):
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if output:
-        _write_atomic(output, text)
+        _write_output(output, text)
     else:
         sys.stdout.write(text)
 
 
-def _write_atomic(path: str, text: str):
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory and a rename, so ``path`` holds either its old content or
-    all of the new.  The temporary file gets umask-default permissions,
-    as ``open`` would give, and is removed if anything fails."""
-    directory, name = os.path.split(os.path.abspath(path))
-    temp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _write_output(path: str, text: str):
+    """Write ``text`` to ``path``, replacing a regular file atomically.
+
+    A missing or regular target (symlinks followed) is replaced through
+    :func:`_replace_file`, so it holds either its old content or all of the
+    new.  Anything else (``/dev/null``, ``/dev/stdout``, a FIFO) is written
+    in place, and so is a file in a directory that takes no new file or
+    whose owner a new file cannot take.
+    """
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        if _replace_file(os.path.realpath(path), old, text):
+            return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _replace_file(target: str, old: os.stat_result | None, text: str) -> bool:
+    """Write ``text`` to a temporary file next to ``target``, give it the
+    owner, group and mode of ``old`` (umask-default mode when there is no
+    old file, as ``open`` would give), flush it to disk and rename it over
+    ``target``.  False, with nothing changed, when the temporary file may
+    not be made or may not take the owner; it is removed if anything
+    fails."""
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except PermissionError:
+        return False
+    replaced = False
     try:
         with open(fd, "w", encoding="utf-8") as handle:
+            if old is not None:
+                try:
+                    os.fchown(fd, old.st_uid, old.st_gid)
+                except PermissionError:
+                    return False
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
+            handle.flush()
+            os.fsync(fd)
+        os.replace(temp, target)
+        replaced = True
+    finally:
+        if not replaced:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+    return True
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,10 @@
 import json
 import os
 import stat
+import threading
 from fractions import Fraction
+
+import pytest
 
 from polybern.cli import main
 from polybern.families import degenerate_multi_poly_bernoulli
@@ -317,9 +320,52 @@ def test_failed_output_rename_keeps_old_content(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["table.json"]
 
 
-def test_stirling_kind_choices_follow_the_special_module(capsys):
-    from polybern.special import STIRLING_KINDS
 
-    assert main(["stirling", "--help"]) == 0
-    usage = capsys.readouterr().out
-    assert "{" + ",".join(k.replace("_", "-") for k in STIRLING_KINDS) + "}" in usage
+POLY_TABLE = ("numbers", "--family=poly", "--k=1", "--order=3")
+
+
+def test_output_through_a_symlink_updates_its_target(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    real = data / "table.json"
+    real.write_text("old\n")
+    real.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    assert run(capsys, *POLY_TABLE, f"--output={link}")[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["values"][2] == "1/6"
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert os.listdir(data) == ["table.json"]
+
+
+def test_output_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = run(capsys, *POLY_TABLE, f"--output={fifo}")[0]
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert code == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert json.loads(received[0])["values"][2] == "1/6"
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.parametrize("refused", ["open", "fchown"])
+def test_output_is_written_in_place_when_no_replacement_is_allowed(tmp_path, capsys, monkeypatch, refused):
+    # a directory that takes no new file, or an owner the new file may not take
+    target = tmp_path / "table.json"
+    target.write_text("old\n")
+    inode = target.stat().st_ino
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, refused, refuse)
+    assert run(capsys, *POLY_TABLE, f"--output={target}")[0] == 0
+    assert target.stat().st_ino == inode
+    assert json.loads(target.read_text())["values"][2] == "1/6"
+    assert os.listdir(tmp_path) == ["table.json"]
