@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +61,13 @@ from .verify import (
 
 DEFAULT_ORDER = 16
 DEFAULT_M_TRUNCATION = 32
+
+# The largest accepted --order, --truncate and --max-n.  A larger value is a
+# usage error, refused before any work; README.md gives the time and memory
+# of the costliest call these admit.
+MAX_ORDER = 128
+MAX_M_TRUNCATION = 160
+MAX_STIRLING_N = 256
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -192,9 +200,14 @@ def _call(table: dict, name: str, kwargs: dict):
     return globals()[table[name][0]](**kwargs)
 
 
+def _check_order(order: int):
+    _require(order >= 0, "order must be non-negative")
+    _require(order <= MAX_ORDER, f"order must be at most {MAX_ORDER}")
+
+
 def _call_from_flags(table: dict, name: str, args):
     """Check the flags ``name`` needs, then call its function with them."""
-    _require(args.order >= 0, "order must be non-negative")
+    _check_order(args.order)
     params = table[name][1]
     missing = [p for p in params if getattr(args, p) is None]
     _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
@@ -216,6 +229,7 @@ def _cmd_numbers(args) -> tuple[dict, str | None, int]:
 
 
 def _cmd_stirling(args) -> tuple[dict, str | None, int]:
+    _require(args.max_n <= MAX_STIRLING_N, f"max-n must be at most {MAX_STIRLING_N}")
     table = stirling_table(args.kind.replace("-", "_"), args.max_n)
     return table.to_json_dict(), table.to_csv(), EXIT_OK
 
@@ -254,8 +268,10 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 
 def _cmd_verify(args) -> tuple[object, str | None, int]:
+    _require(args.m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
+        _check_order(args.order)
         tasks = _sweep_tasks(args.order, args.m_truncation)
         jobs = _worker_count(args.jobs, len(tasks))
         if jobs > 1:
@@ -340,10 +356,28 @@ def _replace_file(target: str, old: os.stat_result | None, text: str) -> bool:
     return True
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Spell ``--flag -1/3`` as ``--flag=-1/3``.
+
+    argparse takes a word that starts with ``-`` for a flag unless it reads
+    as a plain negative number, so ``--lambda -1/3`` or ``--ks -1,2`` would
+    lose their value.  No flag starts with ``-`` and a digit, so such a word
+    after a ``--flag`` can only be that flag's value.
+    """
+    words: list[str] = []
+    for word in argv:
+        prev = words[-1] if words else ""
+        if prev.startswith("--") and "=" not in prev and re.match(r"-[0-9]", word):
+            words[-1] = f"{prev}={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 for --help; pass both through
         return int(exc.code or 0)

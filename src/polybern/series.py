@@ -15,10 +15,12 @@ coerced, floats are rejected.  Values are immutable and safe to share.
 
 Representation is dense: these series are dense in practice and orders
 stay at desk scale, so the O(N^2) product is the right trade against
-exactness (there is no useful FFT over rationals).  Composition does its
-O(N^3) inner work on Python ints, not Fractions: it builds the powers of
-the inner series in EGF form, scaled to integers, and divides once per
-coefficient at the end.
+exactness (there is no useful FFT over rationals).  The inner work of
+products, inversion and composition runs on Python ints, not Fractions:
+each operand is scaled over one common denominator (:func:`_over_common`),
+the sums are taken over the integers, and one Fraction is built per output
+coefficient.  Composition builds the powers of the inner series in EGF
+form, scaled to integers, the same way.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def _coeff(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"series coefficients must be exact rationals, got {type(value).__name__}")
+
+
+def _over_common(coeffs) -> tuple[list[int], int]:
+    """The ints c * d for the Fractions c, and d, the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class TruncatedSeries:
@@ -145,13 +153,11 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            a, b = self._coeffs, other._coeffs
-            out = []
-            for k in range(n + 1):
-                lo = max(0, k - other.order)
-                hi = min(k, self.order)
-                out.append(sum((a[i] * b[k - i] for i in range(lo, hi + 1)), Fraction(0)))
-            return TruncatedSeries(out)
+            a, da = _over_common(self._coeffs[: n + 1])
+            b, db = _over_common(other._coeffs[: n + 1])
+            rb = b[::-1]
+            den = da * db
+            return TruncatedSeries(Fraction(sum(map(mul, a[: k + 1], rb[n - k :])), den) for k in range(n + 1))
         c = _coeff(other)
         return TruncatedSeries([c * ci for ci in self._coeffs])
 
@@ -160,31 +166,41 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer (invert first for negative powers)")
-        result = TruncatedSeries.one(self.order)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return TruncatedSeries.one(self.order) if result is None else result
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the same order.
 
-        Standard recurrence b0 = 1/a0, b_n = -(1/a0) * sum a_i b_{n-i}.
-        Requires a unit series (nonzero constant term).
+        Standard recurrence b0 = 1/a0, b_n = -(1/a0) * sum a_i b_{n-i},
+        with the sum taken over ints: a is held as A_i / da over its common
+        denominator, and the b_j found so far as B_j / db over their running
+        common denominator, so b_n = -(sum A_i B_{n-i}) / (A_0 * db).  When
+        b_n brings a denominator that does not divide db, the B_j are
+        multiplied up once.  Requires a unit series (nonzero constant term).
         """
-        a = self._coeffs
-        if a[0] == 0:
+        if self._coeffs[0] == 0:
             raise ValueError("non-unit series")
-        inv0 = Fraction(1) / a[0]
-        b = [inv0]
+        a, da = _over_common(self._coeffs)
+        b = [Fraction(da, a[0])]
+        scaled, db = [b[0].numerator], b[0].denominator
         for n in range(1, self.order + 1):
-            acc = sum((a[i] * b[n - i] for i in range(1, n + 1)), Fraction(0))
-            b.append(-inv0 * acc)
+            bn = Fraction(-sum(map(mul, a[n:0:-1], scaled)), a[0] * db)
+            b.append(bn)
+            q = bn.denominator
+            if db % q:
+                grown = lcm(db, q)
+                scaled = [s * (grown // db) for s in scaled]
+                db = grown
+            scaled.append(bn.numerator * (db // q))
         return TruncatedSeries(b)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -211,15 +227,11 @@ class TruncatedSeries:
         facts = [1]
         for n in range(1, target + 1):
             facts.append(facts[-1] * n)
-        scaled = [facts[k] * inner._coeffs[k] for k in range(target + 1)]
-        d = lcm(*(c.denominator for c in scaled))
-        units = [c.numerator * (d // c.denominator) for c in scaled]
+        units, d = _over_common([facts[k] * inner._coeffs[k] for k in range(target + 1)])
         # weights[n][k] = C(n,k) * U_k, the row that turns P_{m-1} into P_m
         weights = [[comb(n, k) * units[k] for k in range(n + 1)] for n in range(target + 1)]
 
-        outer = [a / d**m for m, a in enumerate(self._coeffs[: target + 1])]
-        common = lcm(*(a.denominator for a in outer))
-        scaled_outer = [a.numerator * (common // a.denominator) for a in outer]
+        scaled_outer, common = _over_common([a / d**m for m, a in enumerate(self._coeffs[: target + 1])])
 
         totals = [scaled_outer[0]] + [0] * target
         column = [1] + [0] * target  # P_0

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from polybern import cli
 from polybern.cli import main
 from polybern.families import degenerate_multi_poly_bernoulli
 from polybern.rationals import parse_rational
@@ -369,3 +370,60 @@ def test_output_is_written_in_place_when_no_replacement_is_allowed(tmp_path, cap
     assert target.stat().st_ino == inode
     assert json.loads(target.read_text())["values"][2] == "1/6"
     assert os.listdir(tmp_path) == ["table.json"]
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (("numbers", "--family", "degen-multi-poly", "--ks", "-1,2", "--lambda", "-1/3", "--x", "-1/2",
+      "--order", "5"),
+     ("numbers", "--family", "degen-multi-poly", "--ks=-1,2", "--lambda=-1/3", "--x=-1/2",
+      "--order", "5")),
+    (("verify", "--identity", "addition", "--ks", "2,-1", "--lambda", "-1/3", "--x", "-1/2",
+      "--y", "-2", "--order", "4"),
+     ("verify", "--identity", "addition", "--ks", "2,-1", "--lambda=-1/3", "--x=-1/2",
+      "--y=-2", "--order", "4")),
+    (("series", "--name", "polyexp", "--k", "-2", "--order", "5"),
+     ("series", "--name", "polyexp", "--k=-2", "--order", "5")),
+    (("numbers", "--family", "poly", "--k", "-2", "--x", "-1/3", "--order", "4", "--format", "csv"),
+     ("numbers", "--family", "poly", "--k=-2", "--x=-1/3", "--order", "4", "--format", "csv")),
+])
+def test_negative_values_as_separate_words(capsys, separate, joined):
+    code, out, err = run(capsys, *separate)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *joined)
+
+
+def _refused(err):
+    first, *rest = err.splitlines()
+    return first.startswith("error: ") and not any("error" in line for line in rest)
+
+
+def test_order_cap(capsys):
+    code, out, _ = run(capsys, "series", "--name=one-minus-exp-neg", f"--order={cli.MAX_ORDER}")
+    assert code == 0
+    assert json.loads(out)["order"] == cli.MAX_ORDER
+    for argv in (("series", "--name=one-minus-exp-neg"), ("numbers", "--family=poly", "--k=1"),
+                 ("verify", "--identity=li-ones", "--r=2"), ("verify", "--all")):
+        code, out, err = run(capsys, *argv, f"--order={cli.MAX_ORDER + 1}")
+        assert (code, out) == (2, ""), argv
+        assert _refused(err) and f"order must be at most {cli.MAX_ORDER}" in err
+
+
+def test_truncate_cap(capsys):
+    # k_r <= 0 ends the m-sum on its own, so the call at the cap is cheap
+    exact = ("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2")
+    code, out, _ = run(capsys, *exact, f"--truncate={cli.MAX_M_TRUNCATION}")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    for argv in (exact, ("verify", "--all")):
+        code, out, err = run(capsys, *argv, f"--truncate={cli.MAX_M_TRUNCATION + 1}")
+        assert (code, out) == (2, ""), argv
+        assert _refused(err) and f"truncate must be at most {cli.MAX_M_TRUNCATION}" in err
+
+
+def test_max_n_cap(capsys):
+    code, out, _ = run(capsys, "stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N}")
+    assert code == 0
+    assert json.loads(out)["max_n"] == cli.MAX_STIRLING_N
+    code, out, err = run(capsys, "stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N + 1}")
+    assert (code, out) == (2, "")
+    assert _refused(err) and f"max-n must be at most {cli.MAX_STIRLING_N}" in err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_numbers, brute_compose, convolve
+from oracles import bernoulli_numbers, brute_compose, convolve, long_divide
 from polybern.series import TruncatedSeries, ValuationError
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 
@@ -231,6 +231,66 @@ def test_product_rule(a, b):
 @given(a=series_strategy(), r=st.integers(min_value=0, max_value=4))
 def test_mul_then_div_tpow_round_trips(a, r):
     assert a.mul_tpow(r).div_tpow(r) == a
+
+
+# Products and inversion run on ints over a common denominator; the oracles
+# below work Fraction by Fraction and share no code with them.
+wide_coefficients = st.one_of(
+    coefficients,
+    st.integers(min_value=-10**12, max_value=10**12).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-10**30, max_value=10**30),
+              st.integers(min_value=1, max_value=10**30)),
+)
+
+
+def wide_series(max_order=10, unit=False):
+    def build(cs):
+        if unit and cs[0] == 0:
+            cs[0] = Fraction(-3, 5)
+        return TruncatedSeries(cs)
+
+    return st.lists(wide_coefficients, min_size=1, max_size=max_order + 1).map(build)
+
+
+def inverse_factorials(order, sign=1):
+    return TruncatedSeries([Fraction(sign, factorial(n)) for n in range(order + 1)])
+
+
+def geometric(p, q, order):
+    return TruncatedSeries([Fraction(p, q) ** n for n in range(order + 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=wide_series(), b=wide_series())
+@example(a=TruncatedSeries([Fraction(-3, 7)]), b=TruncatedSeries([Fraction(5, 2), 1]))
+@example(a=TruncatedSeries([1, -2, 3, 4]), b=TruncatedSeries([5, -6, 7]))
+@example(a=inverse_factorials(12), b=geometric(-7, 11, 9))
+@example(a=geometric(13, 17, 10), b=geometric(-19, 23, 10))
+def test_mul_matches_convolution_oracle(a, b):
+    n = min(a.order, b.order)
+    product = a * b
+    assert product.order == n
+    assert list(product.coeffs) == convolve(list(a), list(b), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=wide_series(unit=True))
+@example(a=TruncatedSeries([Fraction(-3, 5)]))
+@example(a=TruncatedSeries([-2, 3, 0, 5, -7]))
+@example(a=inverse_factorials(14, sign=-1))
+@example(a=TruncatedSeries([Fraction(-3, 5)] + list(geometric(13, 17, 10))[1:]))
+@example(a=TruncatedSeries([Fraction(-4, 9)] + [Fraction(1, factorial(n + 1)) for n in range(1, 12)]))
+def test_invert_matches_long_division_oracle(a):
+    inverse = a.invert()
+    assert inverse.order == a.order
+    assert list(inverse.coeffs) == long_divide([Fraction(1)], list(a), a.order)
+
+
+@pytest.mark.parametrize("order", [0, 7])
+def test_pow_zero_and_one(order):
+    s = TruncatedSeries([Fraction(-3, 5)] + [Fraction(n, n + 2) for n in range(1, order + 1)])
+    assert s**0 == TruncatedSeries.one(order)
+    assert s**1 == s
 
 
 def test_json_round_trip():
