@@ -30,6 +30,7 @@ import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import comb
 
 # most of these are reached only by name, through the tables further down
 from .families import (
@@ -68,6 +69,15 @@ DEFAULT_M_TRUNCATION = 32
 MAX_ORDER = 128
 MAX_M_TRUNCATION = 160
 MAX_STIRLING_N = 256
+# Identity calls the caps above leave unbounded, refused the same way.
+# chain-stirling enumerates C(order + r - 1, r - 1) chains and builds powers
+# of 1 - e^{-t} to order + r: neither may pass what depth 2 takes at
+# MAX_ORDER.  The m-series identities carry n_r^-(k_r+m) for every m they
+# sum, and the digits of their exact values grow with the order times the
+# largest such exponent, max(-k_r, k_r + truncate).
+MAX_CHAINS = comb(MAX_ORDER + 1, 1)
+MAX_CHAIN_WORK = MAX_ORDER + 2
+MAX_M_SERIES_SIZE = 48 * 128
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -205,13 +215,35 @@ def _check_order(order: int):
     _require(order <= MAX_ORDER, f"order must be at most {MAX_ORDER}")
 
 
-def _call_from_flags(table: dict, name: str, args):
-    """Check the flags ``name`` needs, then call its function with them."""
+def _kwargs_from_flags(table: dict, name: str, args) -> dict:
+    """Check the flags ``name`` needs and return them as its arguments."""
     _check_order(args.order)
     params = table[name][1]
     missing = [p for p in params if getattr(args, p) is None]
     _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
-    return _call(table, name, {p: getattr(args, p) for p in params} | {"order": args.order})
+    return {p: getattr(args, p) for p in params} | {"order": args.order}
+
+
+def _call_from_flags(table: dict, name: str, args):
+    return _call(table, name, _kwargs_from_flags(table, name, args))
+
+
+def _check_identity_size(identity: str, kwargs: dict):
+    """Refuse the identity calls whose cost the order and truncation caps
+    alone do not bound (see ``MAX_CHAINS`` and ``MAX_M_SERIES_SIZE``)."""
+    order = kwargs["order"]
+    if identity == "chain-stirling":
+        r = len(kwargs["ks"])
+        _require(order + r <= MAX_CHAIN_WORK and comb(order + r - 1, r - 1) <= MAX_CHAINS,
+                 f"chain-stirling needs order + r at most {MAX_CHAIN_WORK} "
+                 f"and C(order + r - 1, r - 1) at most {MAX_CHAINS}")
+    elif identity in ("resummation", "difference"):
+        k_r = kwargs["ks"][-1]
+        _require(-k_r <= MAX_M_TRUNCATION,
+                 f"{identity} with k_r <= 0 sums -k_r + 1 terms; -k_r must be at most {MAX_M_TRUNCATION}")
+        exponent = -k_r if k_r <= 0 else k_r + kwargs["m_truncation"]
+        _require(order * exponent <= MAX_M_SERIES_SIZE,
+                 f"{identity} needs order * max(-k_r, k_r + truncate) at most {MAX_M_SERIES_SIZE}")
 
 
 def _cmd_series(args) -> tuple[dict, str | None, int]:
@@ -284,7 +316,9 @@ def _cmd_verify(args) -> tuple[object, str | None, int]:
         return reports, None, code
 
     _require(args.identity is not None, "verify needs --identity or --all")
-    report = _call_from_flags(IDENTITIES, args.identity, args)
+    kwargs = _kwargs_from_flags(IDENTITIES, args.identity, args)
+    _check_identity_size(args.identity, kwargs)
+    report = _call(IDENTITIES, args.identity, kwargs)
     code = EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
     return report.to_json_dict(), None, code
 

@@ -16,6 +16,12 @@ When k_r <= 0 the binomial coefficient cuts the m-sum off after -k_r + 1
 terms, every interchange is finite, and the same functions perform an
 exact check with status "pass"/"fail".
 
+Only the factor n_r^-(k_r+m) and the family of the shifted tail vector in
+an m-series summand depend on m.  Each of the two checks therefore builds
+everything else once per call, as a weight table A[n_r][j] of ints over
+one common denominator, and ``_m_series`` is left with one power vector,
+one family and one integer binomial convolution per m.
+
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
 """
@@ -26,7 +32,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .families import (
@@ -37,11 +44,10 @@ from .families import (
     degenerate_multi_poly_bernoulli,
 )
 from .rationals import decimal_string, format_rational, inv_pow
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _over_common
 from .special import (
     degenerate_exp,
     falling_factorial,
-    generalized_binomial,
     index_vector,
     multi_polylog,
     stirling_table,
@@ -295,14 +301,27 @@ def _shifted_tail(ks: tuple[int, ...], m: int) -> tuple[int, ...]:
     return ks[:-2] + (ks[-2] - m,)
 
 
-def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, term) -> VerificationReport:
+def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, table_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
-    The m-th summand at n is (-1)^m C(k_r+m-1, m) * term(m, fam)[n], with
-    ``fam`` the family values of the shifted tail vector.  For k_r <= 0 the
-    binomial coefficient cuts the sum off after m = -k_r and the check is
-    exact; otherwise the partial sums up to m_truncation are reported with
-    their residuals against ``lhs`` for every n >= first_n.
+    The identity comes in as its weight table: the part of every summand
+    that does not depend on m, built once per call.  ``table[n_r - 1][j]``
+    over ``table_den`` is A[n_r][j] for j = 0..order, and the m-th summand
+    at n is
+
+        (-1)^m C(k_r+m-1, m) * sum_j C(n, j) G_m[j] fam_m[n-j],
+        G_m[j] = sum_{n_r} A[n_r][j] n_r^-(k_r+m),
+
+    with ``fam_m`` the family values of the shifted tail vector.  The
+    weights n_r^-(k_r+m) are held as the ints (L/n_r)^(k_r+m) over
+    L^(k_r+m), L = lcm(1..n_r max), and ``fam_m`` as ints over its common
+    denominator (``series._over_common``), so a summand is one integer sum
+    and one Fraction per coefficient.  The powers and the signed binomial
+    coefficient are carried from one m to the next.
+
+    For k_r <= 0 the binomial coefficient cuts the sum off after m = -k_r
+    and the check is exact; otherwise the partial sums up to m_truncation
+    are reported with their residuals against ``lhs`` for every n >= first_n.
     """
     k_r = ks[-1]
     exact = k_r <= 0
@@ -310,11 +329,35 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, term) -> 
     if m_top < 0:
         raise ValueError("m truncation must be non-negative")
 
+    width = order + 1
+    columns = list(zip(*table))
+    bases = range(1, len(table) + 1)
+    top = lcm(*bases)
+    # n_r^-e is power[n_r - 1] / scale: (L/n_r)^e over L^e, L = top, for
+    # e >= 0, and the integer n_r^-e over 1 for e < 0
+    e = k_r
+    power = [n**-e if e < 0 else (top // n) ** e for n in bases]
+    scale = top ** max(e, 0)
+    binomials = [[comb(n, j) for j in range(n + 1)] for n in range(width)]
+    signed_binomial = 1  # (-1)^m C(k_r+m-1, m) at m = 0
+
     term_by_m: list[list[Fraction]] = []
     for m in range(m_top + 1):
         fam = degenerate_multi_poly_bernoulli(_shifted_tail(ks, m), lam, x, order).values
-        coef = _sign(m) * generalized_binomial(k_r + m - 1, m)
-        term_by_m.append([coef * value for value in term(m, fam)])
+        fam_ints, fam_den = _over_common(fam)
+        g = [sum(map(mul, column, power)) for column in columns]
+        den = table_den * scale * fam_den
+        term_by_m.append([
+            Fraction(signed_binomial * sum(c * g[j] * fam_ints[n - j] for j, c in enumerate(binomials[n])), den)
+            for n in range(width)
+        ])
+        signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
+        if e < 0:
+            power = [p // n for p, n in zip(power, bases)]
+        else:
+            power = [p * (top // n) for p, n in zip(power, bases)]
+            scale *= top
+        e += 1
 
     rows = []
     residuals = []
@@ -339,13 +382,17 @@ def verify_resummation(
         * n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1) * n_r^(-k_r-m)
         * beta_{n-k,lam} * beta_{k-l,lam}^{(k_1..k_{r-1}-m)}(x)
 
-    with beta_{n,lam} the order-1 Carlitz numbers.  For k_r <= 0 the m-sum
-    has exactly -k_r + 1 nonzero terms and the identity is checked
-    exactly.  For k_r >= 1 the m-sum is an infinite binomial series whose
-    ordinary convergence is unestablished (at n = 0 its partial sums
-    provably oscillate), so the report is a diagnostic: exact partial sums
-    for every M' <= m_truncation, with residuals against the exact
-    left-hand side.
+    with beta_{n,lam} the order-1 Carlitz numbers.  The sums over k and l
+    are binomial (EGF) convolutions, so the Carlitz one is taken once into
+    the weight table A[n_r] = r * carlitz conv w_{n_r}, with
+    w_{n_r}[l] = n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1).
+
+    For k_r <= 0 the m-sum has exactly -k_r + 1 nonzero terms and the
+    identity is checked exactly.  For k_r >= 1 the m-sum is an infinite
+    binomial series whose ordinary convergence is unestablished (at n = 0
+    its partial sums provably oscillate), so the report is a diagnostic:
+    exact partial sums for every M' <= m_truncation, with residuals
+    against the exact left-hand side.
     """
     ks = index_vector(ks)
     r = len(ks)
@@ -353,36 +400,21 @@ def verify_resummation(
         raise ValueError("resummation check needs depth r >= 2")
     lam = Fraction(lam)
     x = Fraction(x)
-    k_r = ks[-1]
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    carlitz = carlitz_degenerate(1, lam, 0, order).values
+    carlitz, carlitz_den = _over_common(carlitz_degenerate(1, lam, 0, order).values)
+    # r * C(n, l) * carlitz[n-l], and the 1/(l+1) of w over their lcm
+    scaled = [[r * comb(n, l) * carlitz[n - l] for l in range(n + 1)] for n in range(order + 1)]
+    top = lcm(*range(1, order + 2))
     s2 = stirling_table("second", order + 1)
-
-    def term(m, fam):
-        # T_m(k) = sum_{l<=k} C(k,l) g_m(l) fam_m(k-l), with g_m the EGF
-        # coefficients of the Stirling block after the shift by one order.
-        g = []
-        for l in range(order + 1):
-            acc = Fraction(0)
-            for n_r in range(1, l + 2):
-                acc += (
-                    factorial(n_r)
-                    * _sign(l - n_r - 1)
-                    * s2.value(l + 1, n_r)
-                    * inv_pow(n_r, k_r + m)
-                )
-            g.append(acc / (l + 1))
-        t_of_k = [
-            sum((comb(k, l) * g[l] * fam[k - l] for l in range(k + 1)), Fraction(0))
-            for k in range(order + 1)
+    table = []
+    for n_r in range(1, order + 2):
+        w = [
+            factorial(n_r) * _sign(l - n_r - 1) * s2.value(l + 1, n_r) * (top // (l + 1))
+            for l in range(order + 1)
         ]
-        return [
-            r * sum((comb(n, k) * carlitz[n - k] * t_of_k[k] for k in range(n + 1)), Fraction(0))
-            for n in range(order + 1)
-        ]
-
-    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, term)
+        table.append([sum(map(mul, row, w)) for row in scaled])
+    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, table, carlitz_den * top)
 
 
 def verify_difference(
@@ -394,9 +426,10 @@ def verify_difference(
         sum_{l=1..n} sum_{n_r=1..l} C(n,l) n_r^(-k_r-m) n_r!
         (-1)^(l-n_r) S2(l, n_r) beta_{n-l,lam}^{(k_1..k_{r-1}-m)}(x)
 
-    for n >= 1.  Same exact/diagnostic split as the resummation check:
-    k_r <= 0 terminates the m-sum and is verified exactly, k_r >= 1 emits
-    a partial-sum residual table.
+    for n >= 1, with the weight table A[n_r][l] = n_r! (-1)^(l-n_r) S2(l, n_r).
+    Same exact/diagnostic split as the resummation check: k_r <= 0
+    terminates the m-sum and is verified exactly, k_r >= 1 emits a
+    partial-sum residual table.
     """
     ks = index_vector(ks)
     r = len(ks)
@@ -406,28 +439,13 @@ def verify_difference(
         raise ValueError("difference check needs order >= 1")
     lam = Fraction(lam)
     x = Fraction(x)
-    k_r = ks[-1]
 
     upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
     base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
     s2 = stirling_table("second", order)
-
-    def term(m, fam):
-        h = [Fraction(0)]
-        for l in range(1, order + 1):
-            acc = Fraction(0)
-            for n_r in range(1, l + 1):
-                acc += (
-                    inv_pow(n_r, k_r + m)
-                    * factorial(n_r)
-                    * _sign(l - n_r)
-                    * s2.value(l, n_r)
-                )
-            h.append(acc)
-        return [
-            sum((comb(n, l) * h[l] * fam[n - l] for l in range(1, n + 1)), Fraction(0))
-            for n in range(order + 1)
-        ]
-
-    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, term)
+    table = [
+        [factorial(n_r) * _sign(l - n_r) * s2.value(l, n_r) for l in range(order + 1)]
+        for n_r in range(1, order + 1)
+    ]
+    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, table, 1)

@@ -176,3 +176,91 @@ def classical_multi_poly_values(ks: tuple[int, ...], x: Fraction, order: int) ->
     ext = [x**m / factorial(m) for m in range(order + 1)]
     series = convolve(quotient, ext, order)
     return [factorial(n) * series[n] for n in range(order + 1)]
+
+
+# -- the summands of the two m-series identities, one m at a time ------------
+#
+# The bodies of ``resummation_term`` and ``difference_term`` are the per-m
+# closures the package used before it built its m-independent weight table
+# once per call: every m rebuilds the Stirling, factorial and 1/n^k weights
+# over Fractions.  They return the m-th summand before its factor
+# (-1)^m C(k_r+m-1, m); ``fam`` holds the family values of the shifted tail.
+
+
+def inv_pow(base: int, k: int) -> Fraction:
+    return Fraction(1, base**k) if k >= 0 else Fraction(base ** (-k))
+
+
+def _sign(exponent: int) -> int:
+    return 1 if exponent % 2 == 0 else -1
+
+
+class _SecondKindStirling:
+    def value(self, n: int, k: int) -> int:
+        return count_set_partitions(n, k)
+
+
+def resummation_term(m, fam, *, r, k_r, order, carlitz):
+    """``carlitz`` holds the order-1 Carlitz numbers at the family's lam."""
+    s2 = _SecondKindStirling()
+    # T_m(k) = sum_{l<=k} C(k,l) g_m(l) fam_m(k-l), with g_m the EGF
+    # coefficients of the Stirling block after the shift by one order.
+    g = []
+    for l in range(order + 1):
+        acc = Fraction(0)
+        for n_r in range(1, l + 2):
+            acc += (
+                factorial(n_r)
+                * _sign(l - n_r - 1)
+                * s2.value(l + 1, n_r)
+                * inv_pow(n_r, k_r + m)
+            )
+        g.append(acc / (l + 1))
+    t_of_k = [
+        sum((comb(k, l) * g[l] * fam[k - l] for l in range(k + 1)), Fraction(0))
+        for k in range(order + 1)
+    ]
+    return [
+        r * sum((comb(n, k) * carlitz[n - k] * t_of_k[k] for k in range(n + 1)), Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def difference_term(m, fam, *, k_r, order):
+    s2 = _SecondKindStirling()
+    h = [Fraction(0)]
+    for l in range(1, order + 1):
+        acc = Fraction(0)
+        for n_r in range(1, l + 1):
+            acc += (
+                inv_pow(n_r, k_r + m)
+                * factorial(n_r)
+                * _sign(l - n_r)
+                * s2.value(l, n_r)
+            )
+        h.append(acc)
+    return [
+        sum((comb(n, l) * h[l] * fam[n - l] for l in range(1, n + 1)), Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def m_series_partial_sums(lhs, term_by_m, k_r, first_n, order):
+    """(n, partial sum at the last m) for each n >= first_n, and the
+    (n, M', |lhs - partial sum at M'|) residual triples when k_r >= 1."""
+    signed = []
+    for m, term in enumerate(term_by_m):
+        binom = 1
+        for i in range(m):
+            binom *= k_r + m - 1 - i
+        signed.append([(-1) ** m * (binom // factorial(m)) * value for value in term])
+    rows = []
+    residuals = []
+    for n in range(first_n, order + 1):
+        partial = Fraction(0)
+        for m, term in enumerate(signed):
+            partial += term[n]
+            if k_r >= 1:
+                residuals.append((n, m, abs(lhs[n] - partial)))
+        rows.append((n, partial))
+    return rows, residuals

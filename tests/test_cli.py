@@ -427,3 +427,54 @@ def test_max_n_cap(capsys):
     code, out, err = run(capsys, "stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N + 1}")
     assert (code, out) == (2, "")
     assert _refused(err) and f"max-n must be at most {cli.MAX_STIRLING_N}" in err
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("a refused call must do no work")
+
+
+def test_m_series_exact_branch_cap(capsys, monkeypatch):
+    # k_r <= 0 sums -k_r + 1 terms whatever --truncate says
+    for identity in ("resummation", "difference"):
+        exact = ("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=1")
+        code, out, _ = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION}")
+        assert code == 0
+        assert json.loads(out)["params"]["m_truncation"] == cli.MAX_M_TRUNCATION
+        monkeypatch.setattr(cli, f"verify_{identity}", _fail_if_called)
+        code, out, err = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION + 1}")
+        assert (code, out) == (2, ""), identity
+        assert _refused(err) and f"-k_r must be at most {cli.MAX_M_TRUNCATION}" in err
+
+
+def test_m_series_size_bound(capsys, monkeypatch):
+    check = cli._check_identity_size
+    # order * max(-k_r, k_r + truncate) may reach the bound, not pass it
+    check("resummation", {"ks": (2, 1), "order": 48, "m_truncation": 127})
+    check("difference", {"ks": (2, -128), "order": 48, "m_truncation": 0})
+    for identity, ks, truncate in (("resummation", (2, 1), 128), ("difference", (2, -129), 0)):
+        with pytest.raises(cli.UsageError, match=str(cli.MAX_M_SERIES_SIZE)):
+            check(identity, {"ks": ks, "order": 48, "m_truncation": truncate})
+    for identity in ("resummation", "difference"):
+        monkeypatch.setattr(cli, f"verify_{identity}", _fail_if_called)
+        code, out, err = run(capsys, "verify", f"--identity={identity}", "--ks=2,2,1", "--lambda=1/3",
+                             "--x=0", "--order=64", "--truncate=160")
+        assert (code, out) == (2, ""), identity
+        assert _refused(err) and f"at most {cli.MAX_M_SERIES_SIZE}" in err
+
+
+def test_chain_stirling_size_bound(capsys, monkeypatch):
+    check = cli._check_identity_size
+    # depth 2 at the order cap is the costliest call the bound admits
+    check("chain-stirling", {"ks": (2, 1), "order": cli.MAX_ORDER})
+    check("chain-stirling", {"ks": (3, 2, 1), "order": 14})  # C(16, 2) = 120 chains
+    monkeypatch.setattr(cli, "verify_chain_stirling", _fail_if_called)
+    for ks, order in (("3,2,1", 15), ("3,2,1", cli.MAX_ORDER), (",".join(["1"] * 131), 0)):
+        code, out, err = run(capsys, "verify", "--identity=chain-stirling", f"--ks={ks}",
+                             "--lambda=1/3", "--x=0", f"--order={order}")
+        assert (code, out) == (2, ""), (ks, order)
+        assert _refused(err) and f"at most {cli.MAX_CHAINS}" in err
+
+
+def test_size_bounds_admit_the_sweep_at_the_caps():
+    for task in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
+        cli._check_identity_size(*task)

@@ -51,6 +51,11 @@ CASES = {
     "verify-difference-diagnostic": ["verify", "--identity", "difference", "--ks", "1,1",
                                      "--lambda", "1/2", "--x", "0", "--order", "5",
                                      "--truncate", "8"],
+    # depth 3, k_r = 2, negative lambda: the m-series weight table at depth > 2
+    "verify-resummation-depth3": ["verify", "--identity", "resummation", "--ks", "1,3,2",
+                                  "--lambda=-2/5", "--x", "1/3", "--order", "5", "--truncate", "40"],
+    "verify-difference-depth3": ["verify", "--identity", "difference", "--ks", "2,-1,2",
+                                 "--lambda=-3/7", "--x", "1/2", "--order", "5", "--truncate", "40"],
     "verify-addition": ["verify", "--identity", "addition", "--ks", "2,1", "--lambda", "1/3",
                         "--x", "1/2", "--y", "1/3", "--order", "8"],
     # each Stirling kind

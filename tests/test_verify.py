@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polybern.families import degenerate_multi_poly_bernoulli
+import oracles
+from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
 from polybern.rationals import decimal_string
 from polybern.special import generalized_binomial
 from polybern.verify import (
@@ -228,3 +231,41 @@ def test_residual_rows_render_as_decimals():
     entry = report.residuals[0].to_json_dict()
     assert set(entry) == {"n", "M", "residual_decimal"}
     assert entry["residual_decimal"] == decimal_string(report.residuals[0].residual)
+
+# -- m-series summands against the per-m oracle ---------------------------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=2),
+    k_r=st.integers(min_value=-3, max_value=3),
+    lam=small_rationals,
+    x=small_rationals,
+    order=st.integers(min_value=1, max_value=6),
+    m_truncation=st.integers(min_value=0, max_value=12),
+)
+def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncation):
+    ks = tuple(head) + (k_r,)
+    r = len(ks)
+    m_top = -k_r if k_r <= 0 else m_truncation
+    fams = [degenerate_multi_poly_bernoulli(ks[:-2] + (ks[-2] - m,), lam, x, order).values
+            for m in range(m_top + 1)]
+    carlitz = carlitz_degenerate(1, lam, 0, order).values
+    upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
+    base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
+    cases = [
+        (verify_resummation, base, 0,
+         [oracles.resummation_term(m, fam, r=r, k_r=k_r, order=order, carlitz=carlitz)
+          for m, fam in enumerate(fams)]),
+        (verify_difference, [(u - b) / r for u, b in zip(upper, base)], 1,
+         [oracles.difference_term(m, fam, k_r=k_r, order=order) for m, fam in enumerate(fams)]),
+    ]
+    for check, lhs, first_n, term_by_m in cases:
+        report = check(ks, lam, x, order, m_truncation)
+        rows, residuals = oracles.m_series_partial_sums(lhs, term_by_m, k_r, first_n, order)
+        assert [(row.n, row.lhs, row.rhs) for row in report.rows] == \
+            [(n, lhs[n], partial) for n, partial in rows]
+        assert [(res.n, res.m_truncation, res.residual) for res in report.residuals] == residuals
+        assert report.params["m_truncation"] == m_top
