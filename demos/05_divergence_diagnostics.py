@@ -6,9 +6,11 @@ infinite sum over m.  When the last index k_r is <= 0 that series cuts off
 after -k_r + 1 terms, every manipulation is finite, and the identities
 check out exactly, which is strong evidence the algebra is right.
 
-When k_r >= 1 the m-series does not converge in the ordinary sense: at
-n = 0 its partial sums oscillate between 2*beta_0 and 0 (the series is
-Abel/Cesaro summable to the exact value instead).  Rather than hard-code a
+When k_r >= 1 the m-series does not converge in the ordinary sense.  At
+n = 0 and depth 2 with k_r = 1 its partial sums oscillate between 2*beta_0
+and 0 (the series is Abel/Cesaro summable to the exact value instead); at
+depth 3 the n = 0 partial sums diverge geometrically, with residual 2^M
+for ks = (2, 2, 1).  Rather than hard-code a
 verdict, the harness emits the exact partial sums so the behaviour can be
 inspected.  This script prints both branches.
 """

@@ -78,6 +78,13 @@ MAX_STIRLING_N = 256
 MAX_CHAINS = comb(MAX_ORDER + 1, 1)
 MAX_CHAIN_WORK = MAX_ORDER + 2
 MAX_M_SERIES_SIZE = 48 * 128
+# Every verb: the depth (length of --ks, or --r) and the weight of the
+# indices (|k_1| + ... + |k_r|, or |k|).  A positive index k brings about
+# lcm(1..order)^k into the denominators, so the digits of the exact values
+# grow with the weight; the work grows with the depth.  The m-series
+# identities bound their last index k_r by the rules above instead.
+MAX_DEPTH = 16
+MAX_INDEX_WEIGHT = 32
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -225,7 +232,19 @@ def _kwargs_from_flags(table: dict, name: str, args) -> dict:
 
 
 def _call_from_flags(table: dict, name: str, args):
-    return _call(table, name, _kwargs_from_flags(table, name, args))
+    kwargs = _kwargs_from_flags(table, name, args)
+    _check_indices(name, kwargs)
+    return _call(table, name, kwargs)
+
+
+def _check_indices(name: str, kwargs: dict):
+    """Refuse an index vector past ``MAX_DEPTH`` or ``MAX_INDEX_WEIGHT``."""
+    ks = kwargs.get("ks", ())
+    _require(kwargs.get("r", len(ks)) <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
+    if name in ("resummation", "difference"):
+        ks = ks[:-1]
+    _require(sum(map(abs, ks)) + abs(kwargs.get("k", 0)) <= MAX_INDEX_WEIGHT,
+             f"index weight (sum of |k_i| or |k|) must be at most {MAX_INDEX_WEIGHT}")
 
 
 def _check_identity_size(identity: str, kwargs: dict):
@@ -318,6 +337,7 @@ def _cmd_verify(args) -> tuple[object, str | None, int]:
     _require(args.identity is not None, "verify needs --identity or --all")
     kwargs = _kwargs_from_flags(IDENTITIES, args.identity, args)
     _check_identity_size(args.identity, kwargs)
+    _check_indices(args.identity, kwargs)
     report = _call(IDENTITIES, args.identity, kwargs)
     code = EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
     return report.to_json_dict(), None, code

@@ -9,11 +9,15 @@ values beta_n are defined through
 
 where Li is the multiple polylogarithm and e_lam the degenerate
 exponential.  All families in this module run through one shared pipeline
-(compose, valuation shift, then one product with a cached factor holding
+(compose, valuation shift, then one product with a factor holding
 everything that depends on lam and x), so the thin specializations
 cross-validate each other; the classical Carlitz family is the deliberate
 exception and is built directly from series inversion, giving an
 independent route for the all-ones reduction checks.
+
+The pipeline is linear in the polylog, so the m-series identities take the
+families of every shifted tail from one integer basis
+(:func:`shifted_tail_basis`).
 
 Every family is defined by an exponential generating function, so values
 are n! times series coefficients.  That scaling happens in exactly one
@@ -25,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import Sequence
 
 from .rationals import format_rational
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _over_common
 from .special import (
     degenerate_exp,
     index_vector,
@@ -143,22 +147,19 @@ def _pipeline_values(
 
     Two steps: the numerator outer(inner(t)) / t^r, whose composition runs
     on an integer power table of ``inner`` (see
-    :meth:`TruncatedSeries.compose`), times the cached factor
-    :func:`_lam_factor`, which carries everything that depends on lam, x
-    and r but not on ``outer``.
+    :meth:`TruncatedSeries.compose`), times the factor :func:`_lam_factor`,
+    which carries everything that depends on lam, x and r but not on
+    ``outer``.
     """
     shifted = outer.compose(inner).div_tpow(r)
     return _egf_values(shifted * _lam_factor(r, lam, x, order))
 
 
-@lru_cache(maxsize=8)
 def _lam_factor(r: int, lam, x, order: int) -> TruncatedSeries:
     """r! * ((e_lam(t)-1)/t)^(-r) * e_lam^x(t) up to ``order``.
 
     The part of the pipeline that depends on (r, lam, x, order) and not on
-    the index vector.  The m-series checks ask for it once per m with the
-    same key, so it is cached; one such check uses at most three keys.
-    Series are immutable, so every caller may share the cached value.
+    the index vector.
     """
     unit = _exp_minus_one_over_t(lam, order)
     return (unit**r).invert() * degenerate_exp(x, lam, order) * factorial(r)
@@ -189,6 +190,36 @@ def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> Se
         order,
     )
     return SequenceResult("degen-multi-poly", query, values)
+
+
+def shifted_tail_basis(ks: Sequence[int], lam, x, order: int) -> tuple[list[list[int]], int]:
+    """The ints B[n][p] and their common denominator d such that the
+    family values of (k_1, ..., k_{s-1}, k_s - m) are
+
+        beta_n = sum_p p^m * B[n][p] / d      (n <= order, p <= order + s)
+
+    for every m >= 0, with s = len(ks) >= 1.  Lowering k_s by m multiplies
+    the polylog coefficient Li_ks[p] by p^m, and the pipeline of
+    :func:`degenerate_multi_poly_bernoulli` is linear in the polylog.
+
+    Column p is that pipeline run on Li_ks[p] alone: the EGF values of
+    Li_ks[p] * u^p / t^s times the lam factor, with u = 1 - e^{-t}; the
+    columns p < s are zero, as the coefficients are.  The EGF values of
+    u^p / t^s times the factor are held as ints over one denominator, and
+    one more factor u is the integer EGF convolution with k! u_k =
+    (-1)^(k+1), carried from one p to the next.
+    """
+    ks = index_vector(ks)
+    s = len(ks)
+    li, li_den = _over_common(multi_polylog(ks, order + s).coeffs)
+    u = one_minus_exp_neg(order + s)
+    column, den = _over_common(_egf_values((u**s).div_tpow(s) * _lam_factor(s, lam, x, order)))
+    weights = [[(-1) ** (k + 1) * comb(n, k) for k in range(1, n + 1)] for n in range(order + 1)]
+    columns = [[0] * (order + 1)] * s
+    for p in range(s, order + s + 1):
+        columns.append([li[p] * c for c in column])
+        column = [sum(map(mul, weights[n], reversed(column[:n]))) for n in range(order + 1)]
+    return [list(row) for row in zip(*columns)], li_den * den
 
 
 def multi_poly_bernoulli(ks: Sequence[int], x, order: int) -> SequenceResult:

@@ -8,10 +8,13 @@ Two identities (the resummed explicit formula and the forward-difference
 formula) contain a genuinely infinite binomial-series sum over m whenever
 the last index k_r is positive.  Whether that sum converges in the
 ordinary sense is an open question this tool is designed to gather
-evidence on; the partial sums at n = 0 demonstrably oscillate (they are
-Abel/Cesaro summable to the left-hand side, not convergent).  Those runs
-therefore return status "diagnostic" with a residual-versus-M table,
-decimal-rendered from exact rationals, instead of a fabricated pass/fail.
+evidence on.  At n = 0 and depth 2 with k_r = 1 the partial sums
+demonstrably oscillate (they are Abel/Cesaro summable to the left-hand
+side, not convergent); at depth 3 the n = 0 summands grow like 2^m, and
+for ks = (2, 2, 1) the n = 0 residual at truncation M is exactly 2^M.
+Those runs therefore return status "diagnostic" with a residual-versus-M
+table, decimal-rendered from exact rationals, instead of a fabricated
+pass/fail.
 When k_r <= 0 the binomial coefficient cuts the m-sum off after -k_r + 1
 terms, every interchange is finite, and the same functions perform an
 exact check with status "pass"/"fail".
@@ -19,8 +22,11 @@ exact check with status "pass"/"fail".
 Only the factor n_r^-(k_r+m) and the family of the shifted tail vector in
 an m-series summand depend on m.  Each of the two checks therefore builds
 everything else once per call, as a weight table A[n_r][j] of ints over
-one common denominator, and ``_m_series`` is left with one power vector,
-one family and one integer binomial convolution per m.
+one common denominator.  The shifted-tail family is linear in the vector
+of the p^m, so it too comes from one integer basis per call
+(:func:`~polybern.families.shifted_tail_basis`).  Per m, ``_m_series`` is
+left with two power vectors, two integer matrix-vector products and one
+integer binomial convolution, and calls no family function.
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -32,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -42,6 +48,7 @@ from .families import (
     _exp_minus_one_over_t,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
+    shifted_tail_basis,
 )
 from .rationals import decimal_string, format_rational, inv_pow
 from .series import TruncatedSeries, _over_common
@@ -265,8 +272,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         upow.append(TruncatedSeries(coeffs))
 
     numerator = TruncatedSeries.zero(work)
-    for chain in _chains(r - 1, work - 1):
-        anchor = chain[-1] if chain else 0
+    for chain in combinations(range(1, work), r - 1):
+        anchor = chain[-1]
         weight = Fraction(1)
         for k_i, n_i in zip(ks, chain):
             weight *= inv_pow(n_i, k_i)
@@ -283,22 +290,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     return _report("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
 
 
-def _chains(length: int, top: int):
-    """All strictly increasing integer chains 0 < n_1 < ... < n_length <= top."""
-    if length == 0:
-        yield ()
-        return
-    yield from combinations(range(1, top + 1), length)
-
-
 # ---------------------------------------------------------------------------
 # identities with an infinite binomial m-sum
-
-
-def _shifted_tail(ks: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """(k_1, ..., k_{r-2}, k_{r-1} - m): the depth-(r-1) vector whose last
-    entry absorbed m powers from the binomial-series expansion."""
-    return ks[:-2] + (ks[-2] - m,)
 
 
 def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, table_den) -> VerificationReport:
@@ -312,12 +305,15 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
         (-1)^m C(k_r+m-1, m) * sum_j C(n, j) G_m[j] fam_m[n-j],
         G_m[j] = sum_{n_r} A[n_r][j] n_r^-(k_r+m),
 
-    with ``fam_m`` the family values of the shifted tail vector.  The
-    weights n_r^-(k_r+m) are held as the ints (L/n_r)^(k_r+m) over
-    L^(k_r+m), L = lcm(1..n_r max), and ``fam_m`` as ints over its common
-    denominator (``series._over_common``), so a summand is one integer sum
-    and one Fraction per coefficient.  The powers and the signed binomial
-    coefficient are carried from one m to the next.
+    with ``fam_m`` the family values of the shifted tail vector
+    (k_1, ..., k_{r-2}, k_{r-1} - m).  The weights n_r^-(k_r+m) are held as
+    the ints (L/n_r)^(k_r+m) over L^(k_r+m), L = lcm(1..n_r max), and
+    ``fam_m`` as the ints sum_p p^m B[n][p] over the common denominator of
+    the basis B from :func:`~polybern.families.shifted_tail_basis`, built
+    once per call.  So a summand is two integer matrix-vector products, one
+    integer convolution and one Fraction per coefficient.  The powers n_r^e
+    and p^m and the signed binomial coefficient are carried from one m to
+    the next.
 
     For k_r <= 0 the binomial coefficient cuts the sum off after m = -k_r
     and the check is exact; otherwise the partial sums up to m_truncation
@@ -341,17 +337,23 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     binomials = [[comb(n, j) for j in range(n + 1)] for n in range(width)]
     signed_binomial = 1  # (-1)^m C(k_r+m-1, m) at m = 0
 
+    basis, basis_den = shifted_tail_basis(ks[:-1], lam, x, order)
+    p_power = [1] * len(basis[0])  # p^m at m = 0
+
     term_by_m: list[list[Fraction]] = []
     for m in range(m_top + 1):
-        fam = degenerate_multi_poly_bernoulli(_shifted_tail(ks, m), lam, x, order).values
-        fam_ints, fam_den = _over_common(fam)
+        fam_ints = [sum(map(mul, row, p_power)) for row in basis]
+        # the p^m cancel much of the basis denominator as m grows
+        common = gcd(basis_den, *fam_ints)
+        fam_ints = [f // common for f in fam_ints]
         g = [sum(map(mul, column, power)) for column in columns]
-        den = table_den * scale * fam_den
+        den = table_den * scale * (basis_den // common)
         term_by_m.append([
             Fraction(signed_binomial * sum(c * g[j] * fam_ints[n - j] for j, c in enumerate(binomials[n])), den)
             for n in range(width)
         ])
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
+        p_power = [q * p for p, q in enumerate(p_power)]
         if e < 0:
             power = [p // n for p, n in zip(power, bases)]
         else:
@@ -390,7 +392,8 @@ def verify_resummation(
     For k_r <= 0 the m-sum has exactly -k_r + 1 nonzero terms and the
     identity is checked exactly.  For k_r >= 1 the m-sum is an infinite
     binomial series whose ordinary convergence is unestablished (at n = 0
-    its partial sums provably oscillate), so the report is a diagnostic:
+    its partial sums oscillate at depth 2 with k_r = 1 and diverge like
+    2^M at depth 3), so the report is a diagnostic:
     exact partial sums for every M' <= m_truncation, with residuals
     against the exact left-hand side.
     """

@@ -7,8 +7,9 @@ so a ``pytest -s`` run yields a readable scorecard.  Budgets are wall-clock
 upper bounds and are asserted.
 
 The two resummed identities with positive last index contain an infinite
-binomial sum whose ordinary convergence is an open question (their n = 0
-partial sums provably oscillate between 2*beta_0 and 0).  Criterion 8
+binomial sum whose ordinary convergence is an open question (at depth 2
+with k_r = 1 their n = 0 partial sums oscillate between 2*beta_0 and 0; at
+depth 3 they diverge geometrically).  Criterion 8
 therefore asserts completion, byte-level determinism, and the exactness of
 the reported n = 0 row against an independent closed form, not numerical
 convergence.

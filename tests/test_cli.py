@@ -408,6 +408,48 @@ def test_order_cap(capsys):
         assert _refused(err) and f"order must be at most {cli.MAX_ORDER}" in err
 
 
+def test_depth_cap(capsys, monkeypatch):
+    d = cli.MAX_DEPTH
+    ones, more = ",".join(["1"] * d), ",".join(["1"] * (d + 1))
+    cases = [(("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"), f"--ks={ones}", f"--ks={more}"),
+             (("series", "--name=multi-polylog", "--order=2"), f"--ks={ones}", f"--ks={more}"),
+             (("verify", "--identity=deriv", "--order=2"), f"--ks={ones}", f"--ks={more}"),
+             (("numbers", "--family=carlitz", "--lambda=1/3", "--order=2"), f"--r={d}", f"--r={d + 1}"),
+             (("verify", "--identity=li-ones", "--order=2"), f"--r={d}", f"--r={d + 1}")]
+    for argv, admitted, _ in cases:
+        assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
+    for name in ("degenerate_multi_poly_bernoulli", "multi_polylog", "verify_deriv_recurrences",
+                 "carlitz_degenerate", "verify_li_ones"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    for argv, _, refused in cases:
+        code, out, err = run(capsys, *argv, refused)
+        assert (code, out) == (2, ""), (argv, refused)
+        assert _refused(err) and f"depth (--ks length or --r) must be at most {d}" in err
+
+
+def test_index_weight_cap(capsys, monkeypatch):
+    w = cli.MAX_INDEX_WEIGHT
+    half = w // 2
+    # the weight is the sum of |k_i| (or |k|), whatever the signs; the last
+    # index of the m-series identities has its own bound and is not counted
+    cases = [(("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"),
+              f"--ks={half},-{w - half}", f"--ks={half},-{w - half + 1}"),
+             (("series", "--name=polyexp", "--order=2"), f"--k={w}", f"--k={w + 1}"),
+             (("numbers", "--family=type2-poly", "--order=2"), f"--k=-{w}", f"--k=-{w + 1}"),
+             (("verify", "--identity=deriv", "--order=2"), f"--ks=1,{w - 1}", f"--ks=1,{w}"),
+             (("verify", "--identity=resummation", "--lambda=1/3", "--x=0", "--order=1"),
+              f"--ks={w},-{cli.MAX_M_TRUNCATION}", f"--ks={w + 1},-1")]
+    for argv, admitted, _ in cases:
+        assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
+    for name in ("degenerate_multi_poly_bernoulli", "polyexp", "type2_poly_bernoulli",
+                 "verify_deriv_recurrences", "verify_resummation"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    for argv, _, refused in cases:
+        code, out, err = run(capsys, *argv, refused)
+        assert (code, out) == (2, ""), (argv, refused)
+        assert _refused(err) and f"index weight (sum of |k_i| or |k|) must be at most {w}" in err
+
+
 def test_truncate_cap(capsys):
     # k_r <= 0 ends the m-sum on its own, so the call at the cap is cheap
     exact = ("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2")

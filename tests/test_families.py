@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from oracles import bernoulli_numbers, bernoulli_polynomial, classical_multi_poly_values
 from polybern.families import (
     FamilyQuery,
-    _lam_factor,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     falling_factorial_expansion,
     multi_poly_bernoulli,
     poly_bernoulli,
+    shifted_tail_basis,
     type2_poly_bernoulli,
 )
 from polybern.special import falling_factorial
-from polybern.verify import verify_chain_stirling, verify_resummation
+from polybern.verify import verify_chain_stirling
 
 
 def beta0_closed_form(ks):
@@ -207,40 +207,6 @@ def test_sequence_result_json_and_csv():
     assert csv_text.splitlines()[1] == "0,1/2"
 
 
-# -- the cached lam factor ----------------------------------------------------
-
-
-def test_lam_factor_cache_gives_the_values_of_a_fresh_recompute():
-    third, half = Fraction(1, 3), Fraction(1, 2)
-    # eleven distinct (lam, x, r, order) keys against a cache of eight,
-    # interleaved so that entries are both hit and evicted
-    queries = [((2, 1), third, half, 6), ((1, 1, 1), third, half, 6), ((2,), third, half, 6),
-               ((2, 1), -half, 0, 6), ((2, 1), third, half, 5), ((0, 2), third, -2, 6),
-               ((1,), 0, third, 7), ((3, -1), Fraction(2, 5), 1, 4), ((1, 2, 1), -third, half, 3),
-               ((2, 2), 1, third, 5), ((-1,), Fraction(1, 4), 0, 6)]
-    order_of_calls = queries + queries[::-2] + queries[1::3] + queries
-    _lam_factor.cache_clear()
-    cached = [degenerate_multi_poly_bernoulli(*q).values for q in order_of_calls]
-    assert _lam_factor.cache_info().hits > 0
-    for query, values in zip(order_of_calls, cached):
-        _lam_factor.cache_clear()
-        assert degenerate_multi_poly_bernoulli(*query).values == values, query
-
-
-def test_one_resummation_check_hits_the_lam_factor_cache():
-    _lam_factor.cache_clear()
-    verify_resummation((2, 1), Fraction(1, 3), 0, 4, m_truncation=5)
-    info = _lam_factor.cache_info()
-    assert info.hits >= 5 and info.currsize <= 3
-
-
-def test_carlitz_route_leaves_the_lam_factor_cache_alone():
-    degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), 0, 5)
-    before = _lam_factor.cache_info()
-    carlitz_degenerate(2, Fraction(1, 3), 0, 5)
-    assert _lam_factor.cache_info() == before
-
-
 # -- cross-route property ----------------------------------------------------
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -257,3 +223,20 @@ def test_pipeline_agrees_with_the_chain_route_and_the_classical_oracle(ks, lam, 
     assert verify_chain_stirling(ks, lam, x, order).status == "pass"
     assert list(degenerate_multi_poly_bernoulli(ks, 0, x, order).values) == \
         classical_multi_poly_values(ks, x, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tail=st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3).map(tuple),
+    lam=small_rationals,
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=6),
+)
+def test_shifted_tail_basis_gives_the_family_of_every_shifted_tail(tail, lam, x, order):
+    # tails of depth 1..3: what the m-series identities of depth 2..4 shift
+    basis, den = shifted_tail_basis(tail, lam, x, order)
+    assert len(basis) == order + 1 and all(len(row) == order + len(tail) + 1 for row in basis)
+    for m in range(13):
+        shifted = tail[:-1] + (tail[-1] - m,)
+        assert [Fraction(sum(p**m * b for p, b in enumerate(row)), den) for row in basis] == \
+            list(degenerate_multi_poly_bernoulli(shifted, lam, x, order).values), m

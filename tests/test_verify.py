@@ -140,6 +140,13 @@ def test_resummation_n0_row_matches_closed_form():
     n0_residuals = [r.residual for r in report.residuals if r.n == 0]
     assert all(res == 1 for res in n0_residuals)
 
+def test_resummation_n0_residual_doubles_at_depth_three():
+    # at depth 3 the n = 0 summands grow like 2^m: the partial sums diverge
+    # geometrically instead of oscillating as they do at depth 2
+    report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=12)
+    n0 = [(r.m_truncation, r.residual) for r in report.residuals if r.n == 0]
+    assert n0 == [(m, 2**m) for m in range(13)]
+
 def test_resummation_usage_errors():
     with pytest.raises(ValueError):
         verify_resummation((2,), HALF, 0, 4)
