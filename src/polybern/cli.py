@@ -7,7 +7,8 @@ triangle, and ``verify`` runs one identity check (or a whole sweep with
 tables only (numbers, stirling).  The POLYBERN_FORMAT environment variable
 changes the default format.
 
-All rational-valued flags take "p/q" or "p".  Truncation defaults (order
+All rational-valued flags take "p/q" or "p", with |p| and q at most
+``MAX_RATIONAL_TERM``.  Truncation defaults (order
 16, m-truncation 32) are echoed into every output so results are
 self-describing.
 
@@ -85,6 +86,9 @@ MAX_M_SERIES_SIZE = 48 * 128
 # identities bound their last index k_r by the rules above instead.
 MAX_DEPTH = 16
 MAX_INDEX_WEIGHT = 32
+# |numerator| and denominator of --lambda, --x and --y: the values carry
+# powers of lam, x, x + y and x + 1, whose digits grow with these sizes.
+MAX_RATIONAL_TERM = 2**8
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -228,7 +232,12 @@ def _kwargs_from_flags(table: dict, name: str, args) -> dict:
     params = table[name][1]
     missing = [p for p in params if getattr(args, p) is None]
     _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
-    return {p: getattr(args, p) for p in params} | {"order": args.order}
+    kwargs = {p: getattr(args, p) for p in params}
+    for p, value in kwargs.items():
+        if isinstance(value, Fraction):
+            _require(max(abs(value.numerator), value.denominator) <= MAX_RATIONAL_TERM,
+                     f"--{_flag(p)} needs |numerator| and denominator at most {MAX_RATIONAL_TERM}")
+    return kwargs | {"order": args.order}
 
 
 def _call_from_flags(table: dict, name: str, args):
@@ -319,6 +328,7 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 
 def _cmd_verify(args) -> tuple[object, str | None, int]:
+    _require(args.m_truncation >= 0, "truncate must be non-negative")
     _require(args.m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")

@@ -72,10 +72,6 @@ class TruncatedSeries:
         self._coeffs = cs
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls([Fraction(1)] + [Fraction(0)] * order)
 

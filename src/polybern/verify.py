@@ -19,14 +19,11 @@ When k_r <= 0 the binomial coefficient cuts the m-sum off after -k_r + 1
 terms, every interchange is finite, and the same functions perform an
 exact check with status "pass"/"fail".
 
-Only the factor n_r^-(k_r+m) and the family of the shifted tail vector in
-an m-series summand depend on m.  Each of the two checks therefore builds
-everything else once per call, as a weight table A[n_r][j] of ints over
-one common denominator.  The shifted-tail family is linear in the vector
-of the p^m, so it too comes from one integer basis per call
-(:func:`~polybern.families.shifted_tail_basis`).  Per m, ``_m_series`` is
-left with two power vectors, two integer matrix-vector products and one
-integer binomial convolution, and calls no family function.
+Every right-hand side takes its EGF (binomial) products from one integer
+convolution, :func:`_binomial_convolution`, on common denominators.  The
+expansion over the numbers is the addition theorem at base x = 0, so the
+two share one route, :func:`_addition_rows`.  The m-series checks build
+all that does not depend on m once per call (see :func:`_m_series`).
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -37,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, gcd, lcm
-from operator import mul
+from itertools import accumulate, combinations
+from math import factorial, gcd, lcm, prod
+from operator import add, mul
 from typing import Sequence
 
 from .families import (
@@ -54,7 +51,6 @@ from .rationals import decimal_string, format_rational, inv_pow
 from .series import TruncatedSeries, _over_common
 from .special import (
     degenerate_exp,
-    falling_factorial,
     index_vector,
     multi_polylog,
     stirling_table,
@@ -140,48 +136,61 @@ def _sign(exponent: int) -> int:
 # exact identities
 
 
+def _binomial_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The ints sum_l C(n, l) a[l] b[n-l] for n < min(len(a), len(b)).
+
+    When a and b are the values (n! times the coefficients) of two
+    exponential generating functions, these are the values of their
+    product.
+    """
+    out = []
+    row = [1]  # C(n, 0..n), carried by Pascal's rule
+    for n in range(min(len(a), len(b))):
+        if n:
+            row = [1, *map(add, row, row[1:]), 1]
+        out.append(sum(map(mul, map(mul, row, a), b[n::-1])))
+    return out
+
+
+def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
+    """beta_n(x+y) against sum_l C(n,l) beta_l(x) (y)_{n-l,lam}, n <= order.
+
+    The falling products (y)_{j,lam} = y (y - lam) ... (y - (j-1) lam) come
+    from their own recurrence, not from the degenerate exponential the
+    family pipeline takes them from, and the sum is one integer binomial
+    convolution over common denominators.
+    """
+    ks = index_vector(ks)
+    lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
+    shifted = degenerate_multi_poly_bernoulli(ks, lam, x + y, order).values
+    base, base_den = _over_common(degenerate_multi_poly_bernoulli(ks, lam, x, order).values)
+    falling = accumulate((y - j * lam for j in range(order)), mul, initial=Fraction(1))
+    falling, falling_den = _over_common(list(falling))
+    den = base_den * falling_den
+    rhs = _binomial_convolution(base, falling)
+    return [_row(check, n, shifted[n], Fraction(rhs[n], den)) for n in range(order + 1)]
+
+
 def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> VerificationReport:
     """Polynomial values from number values.
 
     Checks beta_n(x) = sum_l C(n,l) (x)_{n-l,lam} beta_l exactly for
-    n <= order, and, when every index equals 1, that the family reduces
-    termwise to the directly-built Carlitz values (an independent route
-    with no polylog composition in it).
+    n <= order, the addition theorem at base 0, and, when every index
+    equals 1, that the family reduces termwise to the directly-built
+    Carlitz values (an independent route with no polylog composition in
+    it).
     """
-    ks = index_vector(ks)
-    lam = Fraction(lam)
-    x = Fraction(x)
-    numbers = degenerate_multi_poly_bernoulli(ks, lam, 0, order).values
-    polys = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    rows = []
-    for n in range(order + 1):
-        rhs = sum(
-            (comb(n, l) * falling_factorial(x, n - l, lam) * numbers[l] for l in range(n + 1)),
-            Fraction(0),
-        )
-        rows.append(_row("number-expansion", n, polys[n], rhs))
+    rows = _addition_rows("number-expansion", ks, lam, 0, x, order)
     if all(k == 1 for k in ks):
+        polys = [row.lhs for row in rows]
         carl = carlitz_degenerate(len(ks), lam, x, order).values
-        for n in range(order + 1):
-            rows.append(_row("all-ones-reduction", n, polys[n], carl[n]))
+        rows += [_row("all-ones-reduction", n, polys[n], carl[n]) for n in range(order + 1)]
     return _report("expansion", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
 
 
 def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationReport:
     """Argument addition: beta_n(x+y) = sum_l C(n,l) beta_l(x) (y)_{n-l,lam}."""
-    ks = index_vector(ks)
-    lam = Fraction(lam)
-    x = Fraction(x)
-    y = Fraction(y)
-    shifted = degenerate_multi_poly_bernoulli(ks, lam, x + y, order).values
-    base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    rows = []
-    for n in range(order + 1):
-        rhs = sum(
-            (comb(n, l) * base[l] * falling_factorial(y, n - l, lam) for l in range(n + 1)),
-            Fraction(0),
-        )
-        rows.append(_row("argument-addition", n, shifted[n], rhs))
+    rows = _addition_rows("argument-addition", ks, lam, x, y, order)
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(y)}
     return _report("addition", params, rows)
 
@@ -198,14 +207,9 @@ def verify_li_ones(r: int, order: int) -> VerificationReport:
     neg_log = TruncatedSeries([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
     log_power = (neg_log**r) * Fraction(1, factorial(r))
     table = stirling_table("first_unsigned", order)
-    stirling_egf = TruncatedSeries(
-        [Fraction(table.value(l, r), factorial(l)) for l in range(order + 1)]
-    )
-    rows = []
-    for n in range(order + 1):
-        rows.append(_row("log-power", n, dp[n], log_power[n]))
-    for n in range(order + 1):
-        rows.append(_row("stirling-egf", n, dp[n], stirling_egf[n]))
+    stirling_egf = [Fraction(table.value(l, r), factorial(l)) for l in range(order + 1)]
+    rows = [_row("log-power", n, dp[n], log_power[n]) for n in range(order + 1)]
+    rows += [_row("stirling-egf", n, dp[n], stirling_egf[n]) for n in range(order + 1)]
     return _report("li-ones", {"r": r, "order": order}, rows)
 
 
@@ -221,20 +225,17 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     ks = index_vector(ks)
     if order < 1:
         raise ValueError("order must be at least 1")
-    rows = []
     li = multi_polylog(ks, order)
     lowered = multi_polylog(ks[:-1] + (ks[-1] - 1,), order)
     lhs10 = li.derive().mul_tpow(1)
-    for n in range(order + 1):
-        rows.append(_row("x-derivative", n, lhs10[n], lowered[n]))
+    rows = [_row("x-derivative", n, lhs10[n], lowered[n]) for n in range(order + 1)]
     if len(ks) >= 2:
         tail_one = ks[:-1] + (1,)
         d = multi_polylog(tail_one, order).derive()
         one_minus_x = TruncatedSeries([1, -1] + [0] * (order - 2)) if order >= 2 else TruncatedSeries([1])
         lhs11 = d * one_minus_x
         dropped = multi_polylog(ks[:-1], order)
-        for n in range(order):
-            rows.append(_row("one-minus-x-derivative", n, lhs11[n], dropped[n]))
+        rows += [_row("one-minus-x-derivative", n, lhs11[n], dropped[n]) for n in range(order)]
     return _report("deriv", {"ks": list(ks), "order": order}, rows)
 
 
@@ -247,7 +248,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     kind.  At fixed truncation order every inner sum is finite because u^m
     has valuation m.  This route shares no polylog or composition code
     with the pipeline, so agreement checks the main family computation
-    end to end.
+    end to end.  The u-powers are held as EGF ints, and the inner sums and
+    the products u^anchor * inner run over ints on common denominators.
     """
     ks = index_vector(ks)
     r = len(ks)
@@ -260,27 +262,24 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
 
     work = order + r
     s2 = stirling_table("second", work)
-    # u^m exactly to order `work`, straight from the Stirling expansion
-    upow = []
-    for m in range(work + 1):
-        coeffs = [
-            Fraction(_sign(l - m) * factorial(m) * s2.value(l, m), factorial(l))
-            if l >= m
-            else Fraction(0)
-            for l in range(work + 1)
-        ]
-        upow.append(TruncatedSeries(coeffs))
+    # u^m exactly to order `work`, straight from the Stirling expansion, as
+    # the EGF ints upow[m][l] = l! [t^l] u^m = (-1)^(l-m) m! S2(l, m)
+    upow = [[_sign(l - m) * factorial(m) * s2.value(l, m) for l in range(work + 1)] for m in range(work + 1)]
+    by_l = list(zip(*upow))
+    # n^-k_r for n = 1..work, and the chain weights, over common denominators
+    last, last_den = _over_common([inv_pow(n, ks[-1]) for n in range(1, work + 1)])
+    chains = list(combinations(range(1, work), r - 1))
+    weights, weight_den = _over_common([prod(map(inv_pow, chain, ks)) for chain in chains])
 
-    numerator = TruncatedSeries.zero(work)
-    for chain in combinations(range(1, work), r - 1):
+    total = [0] * (work + 1)
+    for chain, weight in zip(chains, weights):
         anchor = chain[-1]
-        weight = Fraction(1)
-        for k_i, n_i in zip(ks, chain):
-            weight *= inv_pow(n_i, k_i)
-        inner = TruncatedSeries.zero(work)
-        for n_r in range(1, work - anchor + 1):
-            inner = inner + upow[n_r] * inv_pow(n_r + anchor, ks[-1])
-        numerator = numerator + (upow[anchor] * inner) * weight
+        # inner = sum_{n_r} u^{n_r} (n_r + anchor)^-k_r, over last_den
+        inner = [sum(map(mul, row[1 : work - anchor + 1], last[anchor:])) for row in by_l]
+        product = _binomial_convolution(upow[anchor], inner)
+        total = [t + weight * p for t, p in zip(total, product)]
+    den = last_den * weight_den
+    numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
 
     unit = _exp_minus_one_over_t(lam, order)
     series = numerator.div_tpow(r) * (unit**r).invert() * degenerate_exp(x, lam, order)
@@ -325,7 +324,6 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     if m_top < 0:
         raise ValueError("m truncation must be non-negative")
 
-    width = order + 1
     columns = list(zip(*table))
     bases = range(1, len(table) + 1)
     top = lcm(*bases)
@@ -334,7 +332,6 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     e = k_r
     power = [n**-e if e < 0 else (top // n) ** e for n in bases]
     scale = top ** max(e, 0)
-    binomials = [[comb(n, j) for j in range(n + 1)] for n in range(width)]
     signed_binomial = 1  # (-1)^m C(k_r+m-1, m) at m = 0
 
     basis, basis_den = shifted_tail_basis(ks[:-1], lam, x, order)
@@ -348,10 +345,7 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
         fam_ints = [f // common for f in fam_ints]
         g = [sum(map(mul, column, power)) for column in columns]
         den = table_den * scale * (basis_den // common)
-        term_by_m.append([
-            Fraction(signed_binomial * sum(c * g[j] * fam_ints[n - j] for j, c in enumerate(binomials[n])), den)
-            for n in range(width)
-        ])
+        term_by_m.append([Fraction(signed_binomial * v, den) for v in _binomial_convolution(g, fam_ints)])
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
         p_power = [q * p for p, q in enumerate(p_power)]
         if e < 0:
@@ -406,17 +400,16 @@ def verify_resummation(
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     carlitz, carlitz_den = _over_common(carlitz_degenerate(1, lam, 0, order).values)
-    # r * C(n, l) * carlitz[n-l], and the 1/(l+1) of w over their lcm
-    scaled = [[r * comb(n, l) * carlitz[n - l] for l in range(n + 1)] for n in range(order + 1)]
+    # r * w_{n_r}, with the 1/(l+1) of w over their lcm
     top = lcm(*range(1, order + 2))
     s2 = stirling_table("second", order + 1)
     table = []
     for n_r in range(1, order + 2):
         w = [
-            factorial(n_r) * _sign(l - n_r - 1) * s2.value(l + 1, n_r) * (top // (l + 1))
+            r * factorial(n_r) * _sign(l - n_r - 1) * s2.value(l + 1, n_r) * (top // (l + 1))
             for l in range(order + 1)
         ]
-        table.append([sum(map(mul, row, w)) for row in scaled])
+        table.append(_binomial_convolution(w, carlitz))
     return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, table, carlitz_den * top)
 
 

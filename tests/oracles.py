@@ -178,6 +178,57 @@ def classical_multi_poly_values(ks: tuple[int, ...], x: Fraction, order: int) ->
     return [factorial(n) * series[n] for n in range(order + 1)]
 
 
+# -- the chain-sum/Stirling right-hand side, over Fraction series -----------
+
+
+def stirling_second(n: int, k: int) -> int:
+    """S2(n, k) by inclusion-exclusion over the surjections onto k blocks."""
+    if k > n:
+        return 0
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+
+def chain_stirling_rhs(ks: tuple[int, ...], lam: Fraction, x: Fraction, order: int) -> list[Fraction]:
+    """The chain-stirling route as the package computed it on Fraction
+    series before it summed over ints: r! times the sum over chains
+    0 < n_1 < ... < n_{r-1} = a of prod n_i^-k_i * u^a * sum_{n_r}
+    u^{n_r} (n_r + a)^-k_r, with u = 1 - e^{-t} and each u^m expanded
+    through S2, divided by t^r and by ((e_lam(t) - 1)/t)^r, times
+    e_lam^x(t); then n! times each coefficient."""
+    r = len(ks)
+    work = order + r
+    upow = [[Fraction((-1) ** (l - m) * factorial(m) * stirling_second(l, m), factorial(l)) if l >= m
+             else Fraction(0) for l in range(work + 1)] for m in range(work + 1)]
+    numerator = [Fraction(0)] * (work + 1)
+    for chain in combinations(range(1, work), r - 1):
+        anchor = chain[-1]
+        weight = Fraction(1)
+        for k_i, n_i in zip(ks, chain):
+            weight *= inv_pow(n_i, k_i)
+        inner = [Fraction(0)] * (work + 1)
+        for n_r in range(1, work - anchor + 1):
+            inner = [c + u * inv_pow(n_r + anchor, ks[-1]) for c, u in zip(inner, upow[n_r])]
+        product = convolve(upow[anchor], inner, work)
+        numerator = [c + weight * p for c, p in zip(numerator, product)]
+    assert not any(numerator[:r])
+    numerator = numerator[r:]
+    lam = Fraction(lam)
+    # (e_lam(t) - 1)/t: coefficient n is (1)_{n+1,lam} / (n+1)!
+    falling_one = [Fraction(1)]
+    for j in range(order + 1):
+        falling_one.append(falling_one[-1] * (1 - j * lam))
+    unit = [falling_one[n + 1] / factorial(n + 1) for n in range(order + 1)]
+    den = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(r):
+        den = convolve(den, unit, order)
+    falling_x = [Fraction(1)]
+    for j in range(order):
+        falling_x.append(falling_x[-1] * (Fraction(x) - j * lam))
+    ext = [falling_x[n] / factorial(n) for n in range(order + 1)]
+    series = convolve(long_divide(numerator, den, order), ext, order)
+    return [factorial(r) * factorial(n) * series[n] for n in range(order + 1)]
+
+
 # -- the summands of the two m-series identities, one m at a time ------------
 #
 # The bodies of ``resummation_term`` and ``difference_term`` are the per-m

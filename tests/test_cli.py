@@ -450,16 +450,53 @@ def test_index_weight_cap(capsys, monkeypatch):
         assert _refused(err) and f"index weight (sum of |k_i| or |k|) must be at most {w}" in err
 
 
-def test_truncate_cap(capsys):
+def test_truncate_cap(capsys, monkeypatch):
     # k_r <= 0 ends the m-sum on its own, so the call at the cap is cheap
     exact = ("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2")
     code, out, _ = run(capsys, *exact, f"--truncate={cli.MAX_M_TRUNCATION}")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+    assert run(capsys, *exact, "--truncate=0")[0] == 0
     for argv in (exact, ("verify", "--all")):
         code, out, err = run(capsys, *argv, f"--truncate={cli.MAX_M_TRUNCATION + 1}")
         assert (code, out) == (2, ""), argv
         assert _refused(err) and f"truncate must be at most {cli.MAX_M_TRUNCATION}" in err
+    # a negative truncation is refused before any work, also where k_r <= 0
+    # would ignore it and where --all would only meet it after other tasks
+    for name in cli.IDENTITIES.values():
+        monkeypatch.setattr(cli, name[0], _fail_if_called)
+    for argv in (exact, ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2"),
+                 ("verify", "--all", "--order=128")):
+        code, out, err = run(capsys, *argv, "--truncate=-1")
+        assert (code, out) == (2, ""), argv
+        assert _refused(err) and "truncate must be non-negative" in err
+
+
+def test_rational_flag_bound(capsys, monkeypatch):
+    b = cli.MAX_RATIONAL_TERM
+    # (argv, flag): each flag at the bound is admitted, past it refused,
+    # whether its numerator or its denominator is too large
+    cases = [(("series", "--name=degenerate-exp", "--x=1/2", "--order=2"), "lambda"),
+             (("series", "--name=degenerate-exp", "--lambda=1/2", "--order=2"), "x"),
+             (("numbers", "--family=degen-multi-poly", "--ks=1,2", "--x=1/2", "--order=2"), "lambda"),
+             (("numbers", "--family=type2-poly", "--k=2", "--order=2"), "x"),
+             (("numbers", "--family=carlitz", "--r=2", "--lambda=1/3", "--order=2"), "x"),
+             (("verify", "--identity=expansion", "--ks=2,1", "--lambda=1/3", "--order=2"), "x"),
+             (("verify", "--identity=addition", "--ks=2,1", "--lambda=1/3", "--x=1/2", "--order=2"), "y"),
+             (("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--order=2"), "x"),
+             (("verify", "--identity=chain-stirling", "--ks=2,1", "--x=1/2", "--order=2"), "lambda")]
+    for argv, flag in cases:
+        for value in (b, -b, f"{b - 1}/{b}", f"-1/{b}"):
+            assert run(capsys, *argv, f"--{flag}={value}")[0] == 0, (argv, flag, value)
+    for name in ("degenerate_exp", "degenerate_multi_poly_bernoulli", "type2_poly_bernoulli",
+                 "carlitz_degenerate", "verify_polynomial_expansion", "verify_addition",
+                 "verify_difference", "verify_chain_stirling"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    for argv, flag in cases:
+        for value in (b + 1, -b - 1, f"1/{b + 1}", f"-{b + 1}/{b}"):
+            code, out, err = run(capsys, *argv, f"--{flag}={value}")
+            assert (code, out) == (2, ""), (argv, flag, value)
+            assert _refused(err) and f"--{flag} needs |numerator| and denominator at most {b}" in err
 
 
 def test_max_n_cap(capsys):

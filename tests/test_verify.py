@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from math import factorial
 
 import oracles
 from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
@@ -13,6 +14,7 @@ from polybern.special import generalized_binomial
 from polybern.verify import (
     ReportRow,
     VerificationReport,
+    _binomial_convolution,
     verify_addition,
     verify_chain_stirling,
     verify_deriv_recurrences,
@@ -98,6 +100,30 @@ def test_chain_stirling_base_row():
 def test_chain_stirling_needs_depth_two():
     with pytest.raises(ValueError):
         verify_chain_stirling((3,), HALF, 0, 6)
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ks=st.lists(st.integers(min_value=-1, max_value=3), min_size=2, max_size=3),
+    lam=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    x=st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    order=st.integers(min_value=0, max_value=8),
+)
+def test_chain_stirling_rhs_matches_the_fraction_series_oracle(ks, lam, x, order):
+    report = verify_chain_stirling(ks, lam, x, order)
+    assert [row.rhs for row in report.rows] == oracles.chain_stirling_rhs(tuple(ks), lam, x, order)
+
+# -- the one EGF convolution ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=12),
+    b=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=12),
+)
+def test_binomial_convolution_is_the_egf_product(a, b):
+    order = min(len(a), len(b)) - 1
+    product = oracles.convolve([Fraction(v, factorial(n)) for n, v in enumerate(a)],
+                               [Fraction(v, factorial(n)) for n, v in enumerate(b)], order)
+    assert _binomial_convolution(a, b) == [factorial(n) * c for n, c in enumerate(product)]
 
 # -- resummation formula -----------------------------------------------------------
 
