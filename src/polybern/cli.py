@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -35,6 +36,7 @@ from math import comb
 
 # most of these are reached only by name, through the tables further down
 from .families import (
+    SequenceResult,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     multi_poly_bernoulli,
@@ -44,6 +46,7 @@ from .families import (
 from .rationals import format_rational, parse_rational
 from .special import (
     STIRLING_KINDS,
+    StirlingTable,
     degenerate_exp,
     log1p_series,
     multi_polylog,
@@ -148,7 +151,12 @@ IDENTITIES = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``polybern`` parser, built on the first call and shared by every
+    later ``main`` call in the process.  Parsing leaves it unchanged: each
+    call gets a new namespace, and the verb runs ``_cmd_<verb>``, looked up
+    at call time like the functions of the tables above."""
     parser = argparse.ArgumentParser(
         prog="polybern",
         description="Exact Bernoulli-type sequence tables and identity verification.",
@@ -167,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--x", type=_rational_flag, default=None)
     p_series.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_series.set_defaults(run=_cmd_series)
     common(p_series)
 
     p_numbers = sub.add_parser("numbers", help="value table of one family")
@@ -178,14 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_numbers.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
     p_numbers.add_argument("--x", type=_rational_flag, default=Fraction(0))
     p_numbers.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_numbers.set_defaults(run=_cmd_numbers)
     common(p_numbers)
 
     p_stirling = sub.add_parser("stirling", help="Stirling triangle")
     p_stirling.add_argument("--kind", required=True,
                             choices=tuple(kind.replace("_", "-") for kind in STIRLING_KINDS))
     p_stirling.add_argument("--max-n", type=int, required=True)
-    p_stirling.set_defaults(run=_cmd_stirling)
     common(p_stirling)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
@@ -202,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="m-sum truncation for the diagnostic identities")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="parallel workers for --all (results stay deterministic)")
-    p_verify.set_defaults(run=_cmd_verify)
     common(p_verify)
 
     return parser
@@ -274,24 +278,22 @@ def _check_identity_size(identity: str, kwargs: dict):
                  f"{identity} needs order * max(-k_r, k_r + truncate) at most {MAX_M_SERIES_SIZE}")
 
 
-def _cmd_series(args) -> tuple[dict, str | None, int]:
+def _cmd_series(args) -> tuple[dict, int]:
     series = _call_from_flags(SERIES, args.name, args)
     params: dict = {"order": args.order}
     for p in SERIES[args.name][1]:
         value = getattr(args, p)
         params[_flag(p)] = format_rational(value) if isinstance(value, Fraction) else value
-    return {"series": args.name, "params": params} | series.to_json_dict(), None, EXIT_OK
+    return {"series": args.name, "params": params} | series.to_json_dict(), EXIT_OK
 
 
-def _cmd_numbers(args) -> tuple[dict, str | None, int]:
-    result = _call_from_flags(FAMILIES, args.family, args)
-    return result.to_json_dict(), result.to_csv(), EXIT_OK
+def _cmd_numbers(args) -> tuple[SequenceResult, int]:
+    return _call_from_flags(FAMILIES, args.family, args), EXIT_OK
 
 
-def _cmd_stirling(args) -> tuple[dict, str | None, int]:
+def _cmd_stirling(args) -> tuple[StirlingTable, int]:
     _require(args.max_n <= MAX_STIRLING_N, f"max-n must be at most {MAX_STIRLING_N}")
-    table = stirling_table(args.kind.replace("-", "_"), args.max_n)
-    return table.to_json_dict(), table.to_csv(), EXIT_OK
+    return stirling_table(args.kind.replace("-", "_"), args.max_n), EXIT_OK
 
 
 def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
@@ -327,7 +329,7 @@ def _worker_count(requested: int, tasks: int) -> int:
     return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
-def _cmd_verify(args) -> tuple[object, str | None, int]:
+def _cmd_verify(args) -> tuple[dict | list[dict], int]:
     _require(args.m_truncation >= 0, "truncate must be non-negative")
     _require(args.m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     if args.all:
@@ -342,7 +344,7 @@ def _cmd_verify(args) -> tuple[object, str | None, int]:
             reports = [_sweep_worker(t) for t in tasks]
         reports.sort(key=lambda rep: (rep["identity"], json.dumps(rep["params"], sort_keys=True)))
         code = EXIT_VERIFY_FAIL if any(rep["status"] == "fail" for rep in reports) else EXIT_OK
-        return reports, None, code
+        return reports, code
 
     _require(args.identity is not None, "verify needs --identity or --all")
     kwargs = _kwargs_from_flags(IDENTITIES, args.identity, args)
@@ -350,16 +352,23 @@ def _cmd_verify(args) -> tuple[object, str | None, int]:
     _check_indices(args.identity, kwargs)
     report = _call(IDENTITIES, args.identity, kwargs)
     code = EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
-    return report.to_json_dict(), None, code
+    return report.to_json_dict(), code
 
 
-def _emit(payload, csv_text: str | None, fmt: str, output: str | None):
+def _emit(result: dict | list[dict] | SequenceResult | StirlingTable, fmt: str, output: str | None):
+    """Write ``result`` to ``output`` (stdout when None) in ``fmt`` alone.
+
+    A flat table (``numbers``, ``stirling``) is rendered only in the format
+    asked for: ``to_csv`` for CSV, ``to_json_dict`` for JSON.  Any other
+    result is already its JSON value and has no CSV form.
+    """
+    table = isinstance(result, (SequenceResult, StirlingTable))
     if fmt == "csv":
-        if csv_text is None:
+        if not table:
             raise UsageError("CSV output is only available for flat tables (numbers, stirling)")
-        text = csv_text
+        text = result.to_csv()
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(result.to_json_dict() if table else result, indent=2) + "\n"
     if output:
         _write_output(output, text)
     else:
@@ -453,8 +462,8 @@ def main(argv=None) -> int:
             if env_format is not None and env_format not in ("json", "csv"):
                 raise UsageError(f"POLYBERN_FORMAT must be json or csv, got {env_format!r}")
             fmt = env_format or "json"
-        payload, csv_text, code = args.run(args)
-        _emit(payload, csv_text, fmt, args.output)
+        result, code = globals()[f"_cmd_{args.verb}"](args)
+        _emit(result, fmt, args.output)
         return code
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import stat
+import sys
 import threading
 from fractions import Fraction
 
@@ -557,3 +559,15 @@ def test_chain_stirling_size_bound(capsys, monkeypatch):
 def test_size_bounds_admit_the_sweep_at_the_caps():
     for task in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
         cli._check_identity_size(*task)
+
+
+def test_largest_admitted_value_fits_the_int_string_limit(capsys):
+    # the most digits seen at the caps and bounds: every integer of the
+    # report must stay below Python's int-to-string limit, else the call
+    # would compute and then exit 2
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    code, out, err = run(capsys, "verify", "--identity=resummation", "--ks=32,48", "--truncate=0",
+                         f"--order={cli.MAX_ORDER}", f"--lambda=-{cli.MAX_RATIONAL_TERM}",
+                         f"--x=-{cli.MAX_RATIONAL_TERM}/251")
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) < limit

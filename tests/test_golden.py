@@ -4,6 +4,8 @@ Each case runs ``main(argv)`` and compares its stdout, byte for byte, with
 ``tests/golden/<name>.out`` and its exit code with
 ``tests/golden/exit_codes.json``.  The golden files were captured once
 from a known-good build; a refactor that changes any report fails here.
+The ``help*.out`` files hold the ``--help`` text of the command and of
+each verb at 80 columns.
 """
 
 import json
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from polybern import cli
 from polybern.cli import main
+from polybern.families import SequenceResult
+from polybern.special import StirlingTable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -69,6 +74,10 @@ CASES = {
 }
 
 
+def _golden(name):
+    return (GOLDEN / f"{name}.out").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, capsys, monkeypatch):
     monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
@@ -76,4 +85,68 @@ def test_golden_output(name, capsys, monkeypatch):
     out = capsys.readouterr().out.encode("utf-8")
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
-    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert out == _golden(name)
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(capsys, monkeypatch):
+    # every case forward, then in reverse, then each one right after a case
+    # of another verb, all in one process: each output must still be its
+    # golden file, and the parser must have been built once for all of them
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    names = sorted(CASES)
+    interleaved = []
+    for i, name in enumerate(names):
+        other = next(n for n in names[i + 1:] + names[:i] if CASES[n][0] != CASES[name][0])
+        interleaved += [other, name]
+    cli._build_parser.cache_clear()
+    for name in names + names[::-1] + interleaved:
+        code = main(CASES[name])
+        out = capsys.readouterr().out.encode("utf-8")
+        assert (code, out) == (expected_codes[name], _golden(name)), name
+    assert cli._build_parser.cache_info().misses == 1
+
+
+HELP = {
+    "help": [],
+    "help-series": ["series"],
+    "help-numbers": ["numbers"],
+    "help-stirling": ["stirling"],
+    "help-verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_golden_output(name, capsys, monkeypatch):
+    # argparse wraps help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert main(HELP[name] + ["--help"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == _golden(name)
+
+
+def _refuse(self):
+    raise AssertionError("built a format that was not asked for")
+
+
+def test_only_the_requested_format_is_built(capsys, monkeypatch):
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(SequenceResult, "to_csv", _refuse)
+        patch.setattr(StirlingTable, "to_csv", _refuse)
+        for name in ("numbers-degen-multi-poly", "stirling-second"):
+            assert main(CASES[name]) == 0, name
+            assert capsys.readouterr().out.encode("utf-8") == _golden(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(SequenceResult, "to_json_dict", _refuse)
+        patch.setattr(StirlingTable, "to_json_dict", _refuse)
+        for name in ("numbers-csv", "stirling-csv"):
+            assert main(CASES[name]) == 0, name
+            assert capsys.readouterr().out.encode("utf-8") == _golden(name)
+    # the nested reports have no CSV form
+    for name in ("series-log1p", "verify-li-ones"):
+        assert main(CASES[name] + ["--format", "csv"]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: CSV output is only available for flat tables (numbers, stirling)"]
