@@ -360,14 +360,13 @@ def _emit(result: dict | list[dict] | SequenceResult | StirlingTable, fmt: str, 
 
     A flat table (``numbers``, ``stirling``) is rendered only in the format
     asked for: ``to_csv`` for CSV, ``to_json_dict`` for JSON.  Any other
-    result is already its JSON value and has no CSV form.
+    result is already its JSON value; ``main`` refuses CSV for it before
+    the verb runs.
     """
-    table = isinstance(result, (SequenceResult, StirlingTable))
     if fmt == "csv":
-        if not table:
-            raise UsageError("CSV output is only available for flat tables (numbers, stirling)")
         text = result.to_csv()
     else:
+        table = isinstance(result, (SequenceResult, StirlingTable))
         text = json.dumps(result.to_json_dict() if table else result, indent=2) + "\n"
     if output:
         _write_output(output, text)
@@ -462,6 +461,9 @@ def main(argv=None) -> int:
             if env_format is not None and env_format not in ("json", "csv"):
                 raise UsageError(f"POLYBERN_FORMAT must be json or csv, got {env_format!r}")
             fmt = env_format or "json"
+        # only the flat tables have a CSV form; refuse the rest before any work
+        if fmt == "csv" and args.verb not in ("numbers", "stirling"):
+            raise UsageError("CSV output is only available for flat tables (numbers, stirling)")
         result, code = globals()[f"_cmd_{args.verb}"](args)
         _emit(result, fmt, args.output)
         return code

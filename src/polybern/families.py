@@ -8,20 +8,23 @@ values beta_n are defined through
         = sum_n beta_n * t^n / n!
 
 where Li is the multiple polylogarithm and e_lam the degenerate
-exponential.  All families in this module run through one shared pipeline
-(compose, valuation shift, then one product with a factor holding
-everything that depends on lam and x), so the thin specializations
-cross-validate each other; the classical Carlitz family is the deliberate
-exception and is built directly from series inversion, giving an
-independent route for the all-ones reduction checks.
+exponential.  Every family in this module, and every right-hand side in
+:mod:`polybern.verify` that needs one, runs through one pipeline,
+:func:`_gf_values`: a caller passes only the numerator of its generating
+function (here Li_{k_1,...,k_r}(1 - e^{-t})), which must have valuation r.
+The pipeline divides by t^r (the valuation is asserted), multiplies by
+the inverse of the unit power ((e_lam(t) - 1)/t)^r and by e_lam^x(t), and
+scales.  The numerators are what the identities test, and they stay on
+separate routes: the Carlitz family passes t^r / r!, which the all-ones
+index vector must reproduce through the polylog composition.
 
-The pipeline is linear in the polylog, so the m-series identities take the
-families of every shifted tail from one integer basis
+The pipeline is linear in the numerator, so the m-series identities take
+the families of every shifted tail from one integer basis
 (:func:`shifted_tail_basis`).
 
 Every family is defined by an exponential generating function, so values
 are n! times series coefficients.  That scaling happens in exactly one
-place (:func:`_egf_values`); double-n! mistakes are the most common bug in
+place (:func:`_gf_values`); double-n! mistakes are the most common bug in
 this territory and the single scaling site is the defense.
 """
 
@@ -101,94 +104,64 @@ class SequenceResult:
         return "\n".join(lines) + "\n"
 
 
-def _egf_values(series: TruncatedSeries) -> tuple[Fraction, ...]:
-    """n! * coefficient(n): the only place the EGF convention is applied."""
+def _gf_values(numerator: TruncatedSeries, r: int, lam, x, order: int) -> tuple[Fraction, ...]:
+    """The generating-function pipeline every family runs through.
+
+    Computes n! [t^n] of  r! * numerator(t) / (e_lam(t)-1)^r * e_lam^x(t)
+    for n <= order.  ``numerator`` must carry order + r coefficients: it
+    has valuation r, and dividing by t^r eats exactly that many orders.
+    The valuation is asserted, not assumed; a violation raises
+    ValuationError and means a math bug upstream.
+
+    The quotient by t^r is multiplied by the inverse of the unit power
+    ((e_lam(t)-1)/t)^r and by e_lam^x(t); the values are then r! n! times
+    the coefficients.  This is the only place the EGF convention is
+    applied.
+    """
+    unit = (degenerate_exp(1, lam, order + 1) - 1).div_tpow(1)
+    factor = (unit**r).invert() * degenerate_exp(x, lam, order)
+    series = numerator.div_tpow(r) * factor
     values = []
-    fact = 1
+    scale = factorial(r)
     for n, c in enumerate(series.coeffs):
         if n:
-            fact *= n
-        values.append(fact * c)
+            scale *= n
+        values.append(scale * c)
     return tuple(values)
-
-
-def _exp_minus_one_over_t(lam, order: int) -> TruncatedSeries:
-    """(e_lam(t) - 1)/t, a unit series (constant term 1)."""
-    return (degenerate_exp(1, lam, order + 1) - 1).div_tpow(1)
 
 
 def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
     """Higher-order degenerate Bernoulli polynomials.
 
-    Generating function (t/(e_lam(t)-1))^r * e_lam^x(t), realized directly
-    by inverting the unit series ((e_lam(t)-1)/t)^r.  Kept independent of
-    the polylog pipeline on purpose: the all-ones index vector of the main
-    family must reproduce these values, and the two routes share no
-    composition code.
+    Generating function (t/(e_lam(t)-1))^r * e_lam^x(t): the pipeline on
+    the numerator t^r / r!.  It has no polylog and no composition in it,
+    so the all-ones index vector of the main family, whose numerator
+    Li_{1,...,1}(1 - e^{-t}) equals t^r / r!, must reproduce these values
+    through a numerator built on a different route.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)
-    unit = _exp_minus_one_over_t(query.lam, order)
-    series = (unit**r).invert() * degenerate_exp(query.x, query.lam, order)
-    return SequenceResult("carlitz", query, _egf_values(series))
-
-
-def _pipeline_values(
-    outer: TruncatedSeries, inner: TruncatedSeries, r: int, lam, x, order: int
-) -> tuple[Fraction, ...]:
-    """Shared generating-function pipeline.
-
-    Computes n! [t^n] of  r! * outer(inner(t)) / (e_lam(t)-1)^r * e_lam^x(t)
-    for n <= order.  ``outer`` and ``inner`` must carry order + r
-    coefficients: the numerator has valuation r, and dividing by t^r eats
-    exactly that many orders.  The valuation is asserted, not assumed; a
-    violation raises ValuationError and means a math bug upstream.
-
-    Two steps: the numerator outer(inner(t)) / t^r, whose composition runs
-    on an integer power table of ``inner`` (see
-    :meth:`TruncatedSeries.compose`), times the factor :func:`_lam_factor`,
-    which carries everything that depends on lam, x and r but not on
-    ``outer``.
-    """
-    shifted = outer.compose(inner).div_tpow(r)
-    return _egf_values(shifted * _lam_factor(r, lam, x, order))
-
-
-def _lam_factor(r: int, lam, x, order: int) -> TruncatedSeries:
-    """r! * ((e_lam(t)-1)/t)^(-r) * e_lam^x(t) up to ``order``.
-
-    The part of the pipeline that depends on (r, lam, x, order) and not on
-    the index vector.
-    """
-    unit = _exp_minus_one_over_t(lam, order)
-    return (unit**r).invert() * degenerate_exp(x, lam, order) * factorial(r)
+    numerator = TruncatedSeries.monomial(r, order + r, Fraction(1, factorial(r)))
+    return SequenceResult("carlitz", query, _gf_values(numerator, r, query.lam, query.x, order))
 
 
 def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> SequenceResult:
     """The degenerate multi-poly-Bernoulli polynomial values beta_n(x).
 
-    Pipeline: multiple polylog in x, composed with 1 - e^{-t}, divided by
-    t^r (exact valuation), then by the unit power ((e_lam(t)-1)/t)^r, then
-    multiplied by r! and e_lam^x(t); finally the EGF scaling.
-
-    An empty ``ks`` selects the order-0 family (values (x)_{n,lam}), see
-    :class:`FamilyQuery`.
+    The numerator of :func:`_gf_values` is the multiple polylog in x
+    composed with 1 - e^{-t}.  An empty ``ks`` selects the order-0 family
+    (values (x)_{n,lam}, see :class:`FamilyQuery`), whose numerator is the
+    empty chain sum 1.
     """
     query = FamilyQuery(ks=tuple(ks), lam=lam, x=x, order=order)
-    if not query.ks:
-        series = degenerate_exp(query.x, query.lam, order)
-        return SequenceResult("degen-multi-poly", query, _egf_values(series))
     r = len(query.ks)
     work = order + r
-    values = _pipeline_values(
-        multi_polylog(query.ks, work),
-        one_minus_exp_neg(work),
-        r,
-        query.lam,
-        query.x,
-        order,
-    )
+    if r:
+        numerator = multi_polylog(query.ks, work).compose(one_minus_exp_neg(work))
+    else:
+        numerator = TruncatedSeries.one(order)
+    values = _gf_values(numerator, r, query.lam, query.x, order)
     return SequenceResult("degen-multi-poly", query, values)
 
 
@@ -202,18 +175,18 @@ def shifted_tail_basis(ks: Sequence[int], lam, x, order: int) -> tuple[list[list
     the polylog coefficient Li_ks[p] by p^m, and the pipeline of
     :func:`degenerate_multi_poly_bernoulli` is linear in the polylog.
 
-    Column p is that pipeline run on Li_ks[p] alone: the EGF values of
-    Li_ks[p] * u^p / t^s times the lam factor, with u = 1 - e^{-t}; the
-    columns p < s are zero, as the coefficients are.  The EGF values of
-    u^p / t^s times the factor are held as ints over one denominator, and
-    one more factor u is the integer EGF convolution with k! u_k =
-    (-1)^(k+1), carried from one p to the next.
+    Column p is that pipeline run on the numerator Li_ks[p] * u^p alone,
+    with u = 1 - e^{-t}; the columns p < s are zero, as the coefficients
+    are.  The values of the numerator u^p are held as ints over one
+    denominator: :func:`_gf_values` gives them at p = s, and one more
+    factor u is the integer EGF convolution with k! u_k = (-1)^(k+1),
+    carried from one p to the next.
     """
     ks = index_vector(ks)
     s = len(ks)
     li, li_den = _over_common(multi_polylog(ks, order + s).coeffs)
     u = one_minus_exp_neg(order + s)
-    column, den = _over_common(_egf_values((u**s).div_tpow(s) * _lam_factor(s, lam, x, order)))
+    column, den = _over_common(_gf_values(u**s, s, lam, x, order))
     weights = [[(-1) ** (k + 1) * comb(n, k) for k in range(1, n + 1)] for n in range(order + 1)]
     columns = [[0] * (order + 1)] * s
     for p in range(s, order + s + 1):
@@ -239,13 +212,13 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     """Type-2 poly-Bernoulli polynomials.
 
     Generating function  Ei_k(log(1+t)) / (e^t - 1) * e^{xt}  with Ei the
-    polyexponential; runs through the same pipeline with r = 1 and lam = 0.
+    polyexponential: the pipeline on the numerator Ei_k(log(1+t)) with
+    r = 1 and lam = 0.
     k = 1 again gives the ordinary Bernoulli polynomials.
     """
     work = order + 1
-    values = _pipeline_values(
-        polyexp(k, work), log1p_series(work), 1, Fraction(0), Fraction(x), order
-    )
+    numerator = polyexp(k, work).compose(log1p_series(work))
+    values = _gf_values(numerator, 1, Fraction(0), Fraction(x), order)
     query = FamilyQuery(ks=(k,), lam=Fraction(0), x=Fraction(x), order=order)
     return SequenceResult("type2-poly", query, values)
 

@@ -41,20 +41,14 @@ from typing import Sequence
 
 from .families import (
     FamilyQuery,
-    _egf_values,
-    _exp_minus_one_over_t,
+    _gf_values,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     shifted_tail_basis,
 )
 from .rationals import decimal_string, format_rational, inv_pow
 from .series import TruncatedSeries, _over_common
-from .special import (
-    degenerate_exp,
-    index_vector,
-    multi_polylog,
-    stirling_table,
-)
+from .special import index_vector, multi_polylog, stirling_table
 
 
 @dataclass(frozen=True)
@@ -246,10 +240,13 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     sum over chains 0 < n_1 < ... < n_{r-1} of powers of u = 1 - e^{-t},
     with each u-power expanded through the Stirling triangle of the second
     kind.  At fixed truncation order every inner sum is finite because u^m
-    has valuation m.  This route shares no polylog or composition code
-    with the pipeline, so agreement checks the main family computation
-    end to end.  The u-powers are held as EGF ints, and the inner sums and
-    the products u^anchor * inner run over ints on common denominators.
+    has valuation m.  This numerator shares no polylog or composition code
+    with the family's, so agreement checks the main family computation end
+    to end; only the denominator and the scaling, which both sides carry by
+    construction, come from the one pipeline
+    :func:`~polybern.families._gf_values`.  The u-powers are held as EGF
+    ints, and the inner sums and the products u^anchor * inner run over
+    ints on common denominators.
     """
     ks = index_vector(ks)
     r = len(ks)
@@ -280,10 +277,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         total = [t + weight * p for t, p in zip(total, product)]
     den = last_den * weight_den
     numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
-
-    unit = _exp_minus_one_over_t(lam, order)
-    series = numerator.div_tpow(r) * (unit**r).invert() * degenerate_exp(x, lam, order)
-    rhs = _egf_values(series * factorial(r))
+    rhs = _gf_values(numerator, r, lam, x, order)
 
     rows = [_row("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
     return _report("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)

@@ -155,11 +155,22 @@ def bernoulli_polynomial(n: int, x: Fraction, numbers: list[Fraction] | None = N
     return sum((comb(n, k) * numbers[k] * x ** (n - k) for k in range(n + 1)), Fraction(0))
 
 
-# -- a classical (non-degenerate) family pipeline, from scratch --------------
+# -- the family pipeline, from scratch ---------------------------------------
 
 
-def classical_multi_poly_values(ks: tuple[int, ...], x: Fraction, order: int) -> list[Fraction]:
-    """Values of the non-degenerate family r! Li_ks(1-e^{-t})/(e^t-1)^r e^{xt}
+def falling_egf(base: Fraction, lam: Fraction, order: int) -> list[Fraction]:
+    """Coefficients (base)_{n,lam} / n! of e_lam^base(t), n <= order, the
+    falling products base (base - lam) ... (base - (n-1) lam) by their own
+    loop; at lam = 0 they are base^n / n!."""
+    coeffs, falling = [], Fraction(1)
+    for n in range(order + 1):
+        coeffs.append(falling / factorial(n))
+        falling *= base - n * lam
+    return coeffs
+
+
+def multi_poly_values(ks: tuple[int, ...], lam: Fraction, x: Fraction, order: int) -> list[Fraction]:
+    """Values of the family r! Li_ks(1-e^{-t})/(e_lam(t)-1)^r e_lam^x(t)
     built entirely from list arithmetic and brute-force chain sums."""
     r = len(ks)
     work = order + r
@@ -167,14 +178,12 @@ def classical_multi_poly_values(ks: tuple[int, ...], x: Fraction, order: int) ->
     u = [Fraction(0)] + [Fraction((-1) ** (m + 1), factorial(m)) for m in range(1, work + 1)]
     numerator = brute_compose(li, u, work)
     numerator = [c * factorial(r) for c in numerator]
-    expm1 = [Fraction(0)] + [Fraction(1, factorial(m)) for m in range(1, work + 1)]
+    expm1 = [Fraction(0)] + falling_egf(Fraction(1), lam, work)[1:]
     den = [Fraction(1)] + [Fraction(0)] * work
     for _ in range(r):
         den = convolve(den, expm1, work)
     quotient = long_divide(numerator, den, order)
-    x = Fraction(x)
-    ext = [x**m / factorial(m) for m in range(order + 1)]
-    series = convolve(quotient, ext, order)
+    series = convolve(quotient, falling_egf(Fraction(x), lam, order), order)
     return [factorial(n) * series[n] for n in range(order + 1)]
 
 

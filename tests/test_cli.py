@@ -514,6 +514,24 @@ def _fail_if_called(*args, **kwargs):
     raise AssertionError("a refused call must do no work")
 
 
+def test_csv_for_nested_output_is_refused_before_any_work(capsys, monkeypatch):
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    calls = [("series", "--name=log1p", "--order=4"),
+             ("verify", "--identity=li-ones", "--r=2", "--order=4"),
+             ("verify", "--all", f"--order={cli.MAX_ORDER}")]
+    monkeypatch.setattr(cli, "_cmd_series", _fail_if_called)
+    monkeypatch.setattr(cli, "_cmd_verify", _fail_if_called)
+    # the flag, then the environment variable
+    for flag, env in ((("--format=csv",), None), ((), "csv")):
+        if env:
+            monkeypatch.setenv("POLYBERN_FORMAT", env)
+        for argv in calls:
+            code, out, err = run(capsys, *argv, *flag)
+            assert (code, out) == (2, ""), (argv, flag, env)
+            assert _refused(err) and \
+                "error: CSV output is only available for flat tables (numbers, stirling)" in err
+
+
 def test_m_series_exact_branch_cap(capsys, monkeypatch):
     # k_r <= 0 sums -k_r + 1 terms whatever --truncate says
     for identity in ("resummation", "difference"):

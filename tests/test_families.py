@@ -5,12 +5,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_numbers, bernoulli_polynomial, classical_multi_poly_values
+from oracles import bernoulli_numbers, bernoulli_polynomial, multi_poly_values
+from polybern import families
 from polybern.families import (
     FamilyQuery,
+    _gf_values,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     falling_factorial_expansion,
@@ -19,7 +21,8 @@ from polybern.families import (
     shifted_tail_basis,
     type2_poly_bernoulli,
 )
-from polybern.special import falling_factorial
+from polybern.series import TruncatedSeries, ValuationError
+from polybern.special import falling_factorial, multi_polylog
 from polybern.verify import verify_chain_stirling
 
 
@@ -88,7 +91,7 @@ def test_lam_zero_matches_independent_classical_pipeline():
     for ks in ((1,), (2, 1), (1, -1), (0, 2, 1)):
         for x in (Fraction(0), Fraction(1, 2), Fraction(-2, 3)):
             ours = multi_poly_bernoulli(ks, x, 8).values
-            oracle = classical_multi_poly_values(ks, x, 8)
+            oracle = multi_poly_values(ks, 0, x, 8)
             assert list(ours) == oracle, (ks, x)
 
 
@@ -222,7 +225,7 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def test_pipeline_agrees_with_the_chain_route_and_the_classical_oracle(ks, lam, x, order):
     assert verify_chain_stirling(ks, lam, x, order).status == "pass"
     assert list(degenerate_multi_poly_bernoulli(ks, 0, x, order).values) == \
-        classical_multi_poly_values(ks, x, order)
+        multi_poly_values(ks, 0, x, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,3 +243,46 @@ def test_shifted_tail_basis_gives_the_family_of_every_shifted_tail(tail, lam, x,
         shifted = tail[:-1] + (tail[-1] - m,)
         assert [Fraction(sum(p**m * b for p, b in enumerate(row)), den) for row in basis] == \
             list(degenerate_multi_poly_bernoulli(shifted, lam, x, order).values), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ks=st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=3).map(tuple),
+    lam=small_rationals,
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=8),
+)
+@example(ks=(2, -1, 3), lam=Fraction(0), x=Fraction(1, 2), order=8)
+@example(ks=(3, 1), lam=Fraction(-5, 2), x=Fraction(-2, 3), order=8)
+def test_family_pipeline_agrees_with_an_oracle_only_route(ks, lam, x, order):
+    # the oracle shares no package code with the pipeline: the numerator,
+    # the denominator, the division and the scaling are each built apart
+    assert list(degenerate_multi_poly_bernoulli(ks, lam, x, order).values) == \
+        multi_poly_values(ks, lam, x, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=3),
+    lam=small_rationals,
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=8),
+)
+@example(r=2, lam=Fraction(0), x=Fraction(1, 3), order=8)
+@example(r=3, lam=Fraction(-3, 4), x=Fraction(-1, 2), order=8)
+def test_carlitz_agrees_with_the_oracle_route_at_all_ones(r, lam, x, order):
+    assert list(carlitz_degenerate(r, lam, x, order).values) == \
+        multi_poly_values((1,) * r, lam, x, order)
+
+
+def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):
+    lam, x, order = Fraction(1, 3), Fraction(1, 2), 4
+    for r in (1, 2, 3):
+        for low in range(r):
+            bad = TruncatedSeries.monomial(low, order + r) + TruncatedSeries.monomial(r, order + r)
+            with pytest.raises(ValuationError, match="valuation too small"):
+                _gf_values(bad, r, lam, x, order)
+    # through a family: a polylog one index short has valuation r - 1 < r
+    monkeypatch.setattr(families, "multi_polylog", lambda ks, work: multi_polylog(ks[:-1], work))
+    with pytest.raises(ValuationError, match="valuation too small"):
+        degenerate_multi_poly_bernoulli((2, 1), lam, x, order)
