@@ -3,14 +3,15 @@
 Four verbs: ``series`` prints the exact coefficients of one named series,
 ``numbers`` prints a family's value table, ``stirling`` prints a Stirling
 triangle, and ``verify`` runs one identity check (or a whole sweep with
-``--all``).  Output is JSON by default; CSV is available for the flat
-tables only (numbers, stirling).  The POLYBERN_FORMAT environment variable
-changes the default format.
+``--all``, which takes none of the per-identity flags).  Output is JSON by
+default; CSV is available for the flat tables only (numbers, stirling).
+The POLYBERN_FORMAT environment variable changes the default format.
+Each series, family and identity is one ``Entry`` of a table, from which
+its flag checks, size refusals and ``--all`` points are derived.
 
 All rational-valued flags take "p/q" or "p", with |p| and q at most
-``MAX_RATIONAL_TERM``.  Truncation defaults (order
-16, m-truncation 32) are echoed into every output so results are
-self-describing.
+``MAX_RATIONAL_TERM``.  Truncation defaults (order 16, m-truncation 32)
+are echoed into every output so results are self-describing.
 
 Exit codes: 0 success or verification pass (diagnostic runs count as
 success once they complete), 1 verification fail, 2 usage or environment
@@ -33,6 +34,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 # most of these are reached only by name, through the tables further down
 from .families import (
@@ -114,40 +116,56 @@ def _rational_flag(text: str) -> Fraction:
 
 def _ks_flag(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p.strip()) for p in text.split(","))
+        return tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"ks must be comma-separated integers, got {text!r}") from None
-    if not parts:
-        raise argparse.ArgumentTypeError("ks must be non-empty")
-    return parts
 
 
-# One table per kind: CLI name -> (name of the function in this module, the
-# parameters it takes besides ``order``, each read from the flag of that
-# name).  The function is looked up at call time, so anything that replaces
-# the module attribute (a test seam, a tracer) sees every call.
+class Entry(NamedTuple):
+    """One CLI name: its function's name in this module, looked up at call
+    time so that a test seam or tracer replacing it sees every call; the
+    parameters besides ``order``, in signature order, each read from its
+    flag; the :func:`_check_identity_size` rule (``"m-series"`` also frees
+    k_r from the weight bound); the least order; and the ``verify --all``
+    points: (largest order, every parameter but ``m_truncation``)."""
+
+    function: str
+    params: tuple[str, ...]
+    size: str | None = None
+    least_order: int = 0
+    sweep: tuple[tuple[int, dict], ...] = ()
+
+
 SERIES = {
-    "multi-polylog": ("multi_polylog", ("ks",)),
-    "polyexp": ("polyexp", ("k",)),
-    "one-minus-exp-neg": ("one_minus_exp_neg", ()),
-    "log1p": ("log1p_series", ()),
-    "degenerate-exp": ("degenerate_exp", ("x", "lam")),
+    "multi-polylog": Entry("multi_polylog", ("ks",)),
+    "polyexp": Entry("polyexp", ("k",)),
+    "one-minus-exp-neg": Entry("one_minus_exp_neg", ()),
+    "log1p": Entry("log1p_series", ()),
+    "degenerate-exp": Entry("degenerate_exp", ("x", "lam")),
 }
 FAMILIES = {
-    "degen-multi-poly": ("degenerate_multi_poly_bernoulli", ("ks", "lam", "x")),
-    "multi-poly": ("multi_poly_bernoulli", ("ks", "x")),
-    "poly": ("poly_bernoulli", ("k", "x")),
-    "type2-poly": ("type2_poly_bernoulli", ("k", "x")),
-    "carlitz": ("carlitz_degenerate", ("r", "lam", "x")),
+    "degen-multi-poly": Entry("degenerate_multi_poly_bernoulli", ("ks", "lam", "x")),
+    "multi-poly": Entry("multi_poly_bernoulli", ("ks", "x")),
+    "poly": Entry("poly_bernoulli", ("k", "x")),
+    "type2-poly": Entry("type2_poly_bernoulli", ("k", "x")),
+    "carlitz": Entry("carlitz_degenerate", ("r", "lam", "x")),
 }
+_HALF, _THIRD, _ZERO = Fraction(1, 2), Fraction(1, 3), Fraction(0)
 IDENTITIES = {
-    "expansion": ("verify_polynomial_expansion", ("ks", "lam", "x")),
-    "li-ones": ("verify_li_ones", ("r",)),
-    "deriv": ("verify_deriv_recurrences", ("ks",)),
-    "chain-stirling": ("verify_chain_stirling", ("ks", "lam", "x")),
-    "resummation": ("verify_resummation", ("ks", "lam", "x", "m_truncation")),
-    "difference": ("verify_difference", ("ks", "lam", "x", "m_truncation")),
-    "addition": ("verify_addition", ("ks", "lam", "x", "y")),
+    "expansion": Entry("verify_polynomial_expansion", ("ks", "lam", "x"), sweep=tuple(
+        (MAX_ORDER, {"ks": ks, "lam": _THIRD, "x": Fraction(2, 3)}) for ks in ((1, 2), (2, 1), (1, 1, 1)))),
+    "li-ones": Entry("verify_li_ones", ("r",), sweep=tuple((MAX_ORDER, {"r": r}) for r in (1, 2, 3, 4))),
+    "deriv": Entry("verify_deriv_recurrences", ("ks",), least_order=1,
+                   sweep=tuple((MAX_ORDER, {"ks": ks}) for ks in ((2,), (2, 1), (3, 2)))),
+    "chain-stirling": Entry("verify_chain_stirling", ("ks", "lam", "x"), size="chains", sweep=tuple(
+        (10, {"ks": ks, "lam": _HALF, "x": _ZERO}) for ks in ((1, 1), (2, 1)))),
+    "resummation": Entry("verify_resummation", ("ks", "lam", "x", "m_truncation"), size="m-series", sweep=(
+        (6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}), (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
+    "difference": Entry("verify_difference", ("ks", "lam", "x", "m_truncation"), size="m-series",
+                        least_order=1, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
+                                              (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
+    "addition": Entry("verify_addition", ("ks", "lam", "x", "y"),
+                      sweep=((MAX_ORDER, {"ks": (2, 1), "lam": _THIRD, "x": _HALF, "y": _THIRD}),)),
 }
 
 
@@ -222,39 +240,37 @@ def _flag(param: str) -> str:
 
 
 def _call(table: dict, name: str, kwargs: dict):
-    return globals()[table[name][0]](**kwargs)
+    return globals()[table[name].function](**kwargs)
 
 
-def _check_order(order: int):
-    _require(order >= 0, "order must be non-negative")
+def _check_order(order: int, least: int, who: str):
+    _require(order >= least, f"{who} needs order at least {least}" if least else "order must be non-negative")
     _require(order <= MAX_ORDER, f"order must be at most {MAX_ORDER}")
 
 
-def _kwargs_from_flags(table: dict, name: str, args) -> dict:
-    """Check the flags ``name`` needs and return them as its arguments."""
-    _check_order(args.order)
-    params = table[name][1]
-    missing = [p for p in params if getattr(args, p) is None]
+def _call_from_flags(table: dict, name: str, args):
+    """Check the flags ``name`` needs, refuse a call past any cap or bound, and make it."""
+    entry = table[name]
+    _check_order(args.order, entry.least_order, name)
+    missing = [p for p in entry.params if getattr(args, p) is None]
     _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
-    kwargs = {p: getattr(args, p) for p in params}
+    kwargs = {p: getattr(args, p) for p in entry.params}
     for p, value in kwargs.items():
         if isinstance(value, Fraction):
             _require(max(abs(value.numerator), value.denominator) <= MAX_RATIONAL_TERM,
                      f"--{_flag(p)} needs |numerator| and denominator at most {MAX_RATIONAL_TERM}")
-    return kwargs | {"order": args.order}
-
-
-def _call_from_flags(table: dict, name: str, args):
-    kwargs = _kwargs_from_flags(table, name, args)
-    _check_indices(name, kwargs)
+    kwargs["order"] = args.order
+    if entry.size:
+        _check_identity_size(name, kwargs)
+    _check_indices(entry, kwargs)
     return _call(table, name, kwargs)
 
 
-def _check_indices(name: str, kwargs: dict):
+def _check_indices(entry: Entry, kwargs: dict):
     """Refuse an index vector past ``MAX_DEPTH`` or ``MAX_INDEX_WEIGHT``."""
     ks = kwargs.get("ks", ())
     _require(kwargs.get("r", len(ks)) <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
-    if name in ("resummation", "difference"):
+    if entry.size == "m-series":
         ks = ks[:-1]
     _require(sum(map(abs, ks)) + abs(kwargs.get("k", 0)) <= MAX_INDEX_WEIGHT,
              f"index weight (sum of |k_i| or |k|) must be at most {MAX_INDEX_WEIGHT}")
@@ -264,12 +280,13 @@ def _check_identity_size(identity: str, kwargs: dict):
     """Refuse the identity calls whose cost the order and truncation caps
     alone do not bound (see ``MAX_CHAINS`` and ``MAX_M_SERIES_SIZE``)."""
     order = kwargs["order"]
-    if identity == "chain-stirling":
+    rule = IDENTITIES[identity].size
+    if rule == "chains":
         r = len(kwargs["ks"])
         _require(order + r <= MAX_CHAIN_WORK and comb(order + r - 1, r - 1) <= MAX_CHAINS,
-                 f"chain-stirling needs order + r at most {MAX_CHAIN_WORK} "
+                 f"{identity} needs order + r at most {MAX_CHAIN_WORK} "
                  f"and C(order + r - 1, r - 1) at most {MAX_CHAINS}")
-    elif identity in ("resummation", "difference"):
+    elif rule == "m-series":
         k_r = kwargs["ks"][-1]
         _require(-k_r <= MAX_M_TRUNCATION,
                  f"{identity} with k_r <= 0 sums -k_r + 1 terms; -k_r must be at most {MAX_M_TRUNCATION}")
@@ -281,7 +298,7 @@ def _check_identity_size(identity: str, kwargs: dict):
 def _cmd_series(args) -> tuple[dict, int]:
     series = _call_from_flags(SERIES, args.name, args)
     params: dict = {"order": args.order}
-    for p in SERIES[args.name][1]:
+    for p in SERIES[args.name].params:
         value = getattr(args, p)
         params[_flag(p)] = format_rational(value) if isinstance(value, Fraction) else value
     return {"series": args.name, "params": params} | series.to_json_dict(), EXIT_OK
@@ -297,27 +314,9 @@ def _cmd_stirling(args) -> tuple[StirlingTable, int]:
 
 
 def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    tasks: list[tuple[str, dict]] = []
-    for r in (1, 2, 3, 4):
-        tasks.append(("li-ones", {"r": r, "order": order}))
-    for ks in ((1, 2), (2, 1), (1, 1, 1)):
-        tasks.append(("expansion", {"ks": ks, "lam": third, "x": Fraction(2, 3), "order": order}))
-    for ks in ((2,), (2, 1), (3, 2)):
-        tasks.append(("deriv", {"ks": ks, "order": order}))
-    for ks in ((1, 1), (2, 1)):
-        tasks.append(("chain-stirling", {"ks": ks, "lam": half, "x": Fraction(0), "order": min(order, 10)}))
-    tasks.append(("resummation", {"ks": (2, 1), "lam": third, "x": Fraction(0),
-                                  "order": min(order, 6), "m_truncation": m_truncation}))
-    tasks.append(("resummation", {"ks": (1, -2), "lam": third, "x": Fraction(0),
-                                  "order": min(order, 8), "m_truncation": m_truncation}))
-    tasks.append(("difference", {"ks": (1, 1), "lam": half, "x": Fraction(0),
-                                 "order": min(order, 6), "m_truncation": m_truncation}))
-    tasks.append(("difference", {"ks": (1, -1), "lam": Fraction(1, 4), "x": Fraction(0),
-                                 "order": min(order, 8), "m_truncation": m_truncation}))
-    tasks.append(("addition", {"ks": (2, 1), "lam": third, "x": half, "y": third, "order": order}))
-    return tasks
+    """The ``verify --all`` calls: every sweep point of ``IDENTITIES``."""
+    return [(identity, {p: point.get(p, m_truncation) for p in entry.params} | {"order": min(order, top)})
+            for identity, entry in IDENTITIES.items() for top, point in entry.sweep]
 
 
 def _sweep_worker(task: tuple[str, dict]) -> dict:
@@ -334,8 +333,12 @@ def _cmd_verify(args) -> tuple[dict | list[dict], int]:
     _require(args.m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
-        _check_order(args.order)
+        params = dict.fromkeys(p for entry in IDENTITIES.values() for p in entry.params if p != "m_truncation")
+        given = [f"--{_flag(p)}" for p in params if getattr(args, p) is not None]
+        _require(not given, "--all runs its own points and takes no " + " or ".join(given))
         tasks = _sweep_tasks(args.order, args.m_truncation)
+        for identity, _ in tasks:
+            _check_order(args.order, IDENTITIES[identity].least_order, f"--all (through {identity})")
         jobs = _worker_count(args.jobs, len(tasks))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -343,16 +346,11 @@ def _cmd_verify(args) -> tuple[dict | list[dict], int]:
         else:
             reports = [_sweep_worker(t) for t in tasks]
         reports.sort(key=lambda rep: (rep["identity"], json.dumps(rep["params"], sort_keys=True)))
-        code = EXIT_VERIFY_FAIL if any(rep["status"] == "fail" for rep in reports) else EXIT_OK
-        return reports, code
+        return reports, EXIT_VERIFY_FAIL if any(rep["status"] == "fail" for rep in reports) else EXIT_OK
 
     _require(args.identity is not None, "verify needs --identity or --all")
-    kwargs = _kwargs_from_flags(IDENTITIES, args.identity, args)
-    _check_identity_size(args.identity, kwargs)
-    _check_indices(args.identity, kwargs)
-    report = _call(IDENTITIES, args.identity, kwargs)
-    code = EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
-    return report.to_json_dict(), code
+    report = _call_from_flags(IDENTITIES, args.identity, args)
+    return report.to_json_dict(), EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
 
 
 def _emit(result: dict | list[dict] | SequenceResult | StirlingTable, fmt: str, output: str | None):

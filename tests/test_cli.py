@@ -1,5 +1,6 @@
 """Command-line contract: dispatch, formats, exit codes, round trips."""
 
+import inspect
 import json
 import os
 import re
@@ -147,9 +148,11 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "verify", "--identity", "li-ones", "--r", "2",
                        "--order", "4", "--format", "csv")
     assert code == 2
-    # malformed ks
-    code, _, err = run(capsys, "numbers", "--family", "multi-poly", "--ks", "1,a")
-    assert code == 2
+    # malformed ks, an empty one included
+    for ks in ("1,a", "", ","):
+        code, _, err = run(capsys, "numbers", "--family", "multi-poly", f"--ks={ks}")
+        assert code == 2, ks
+        assert "ks must be comma-separated integers" in err
     # negative m truncation on an infinite m-series
     code, out, err = run(capsys, "verify", "--identity", "difference", "--ks=2,1",
                          "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1")
@@ -410,6 +413,36 @@ def test_order_cap(capsys):
         assert _refused(err) and f"order must be at most {cli.MAX_ORDER}" in err
 
 
+def test_least_order_is_refused_before_any_work(capsys, monkeypatch):
+    # deriv and difference need order >= 1, and --all runs deriv
+    assert run(capsys, "verify", "--all", "--order=1")[0] == 0
+    for entry in cli.IDENTITIES.values():
+        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
+    cases = [(("verify", "--all", "--order=0"), "--all (through deriv) needs order at least 1"),
+             (("verify", "--all", "--order=0", "--jobs=2"), "--all (through deriv) needs order at least 1"),
+             (("verify", "--identity=deriv", "--ks=2", "--order=0"), "deriv needs order at least 1"),
+             (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=0"),
+              "difference needs order at least 1")]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert _refused(err) and message in err
+
+
+def test_verify_all_refuses_the_flags_it_would_ignore(capsys, monkeypatch):
+    # --all runs its own points: every per-identity flag but --truncate
+    for entry in cli.IDENTITIES.values():
+        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
+    for flags, named in ((("--ks=1,2",), "--ks"), (("--r=2",), "--r"), (("--lambda=1/3",), "--lambda"),
+                         (("--x=0",), "--x"), (("--y=1/2", "--jobs=2"), "--y"),
+                         (("--x=0", "--ks=2,1"), "--ks or --x")):
+        code, out, err = run(capsys, "verify", "--all", *flags)
+        assert (code, out) == (2, ""), flags
+        assert _refused(err) and f"--all runs its own points and takes no {named}" in err
+
+
 def test_depth_cap(capsys, monkeypatch):
     d = cli.MAX_DEPTH
     ones, more = ",".join(["1"] * d), ",".join(["1"] * (d + 1))
@@ -577,6 +610,19 @@ def test_chain_stirling_size_bound(capsys, monkeypatch):
 def test_size_bounds_admit_the_sweep_at_the_caps():
     for task in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
         cli._check_identity_size(*task)
+        cli._check_indices(cli.IDENTITIES[task[0]], task[1])
+
+
+def test_tables_match_the_functions():
+    # params follow the signature: their order is that of the echoed params
+    # and of the missing-flag message; a sweep point sets every one of them
+    # but m_truncation, which --all takes from --truncate
+    for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES):
+        for name, entry in table.items():
+            signature = inspect.signature(getattr(cli, entry.function))
+            assert entry.params == tuple(p for p in signature.parameters if p != "order"), name
+            for _, point in entry.sweep:
+                assert set(point) == set(entry.params) - {"m_truncation"}, (name, point)
 
 
 def test_largest_admitted_value_fits_the_int_string_limit(capsys):
