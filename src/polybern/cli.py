@@ -68,6 +68,9 @@ from .verify import (
 
 DEFAULT_ORDER = 16
 DEFAULT_M_TRUNCATION = 32
+# The flags verify --all takes besides --order: parsed with default None so a
+# call that does not take one can refuse it, and given its value where taken
+FLAG_DEFAULTS = {"m_truncation": DEFAULT_M_TRUNCATION, "jobs": 1}
 
 # The largest accepted --order, --truncate and --max-n.  A larger value is a
 # usage error, refused before any work; README.md gives the time and memory
@@ -220,10 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x", type=_rational_flag, default=None)
     p_verify.add_argument("--y", type=_rational_flag, default=None)
     p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p_verify.add_argument("--truncate", dest="m_truncation", metavar="TRUNCATE", type=int,
-                          default=DEFAULT_M_TRUNCATION,
+    p_verify.add_argument("--truncate", dest="m_truncation", metavar="TRUNCATE", type=int, default=None,
                           help="m-sum truncation for the diagnostic identities")
-    p_verify.add_argument("--jobs", type=int, default=1,
+    p_verify.add_argument("--jobs", type=int, default=None,
                           help="parallel workers for --all (results stay deterministic)")
     common(p_verify)
 
@@ -236,7 +238,20 @@ def _require(condition: bool, message: str):
 
 
 def _flag(param: str) -> str:
-    return "lambda" if param == "lam" else param
+    return {"lam": "lambda", "m_truncation": "truncate"}.get(param, param)
+
+
+def _value(args, param: str):
+    """The flag's value, or its ``FLAG_DEFAULTS`` value when not given."""
+    value = getattr(args, param, None)
+    return FLAG_DEFAULTS.get(param) if value is None else value
+
+
+def _refuse_flags(table: dict, taken, args, who: str):
+    """Refuse each given flag not in ``taken``: any parameter of ``table`` or ``FLAG_DEFAULTS``."""
+    flags = dict.fromkeys(p for entry in table.values() for p in entry.params) | FLAG_DEFAULTS
+    ignored = [f"--{_flag(p)}" for p in flags if p not in taken and getattr(args, p, None) is not None]
+    _require(not ignored, f"{who} takes no " + " or ".join(ignored))
 
 
 def _call(table: dict, name: str, kwargs: dict):
@@ -249,12 +264,13 @@ def _check_order(order: int, least: int, who: str):
 
 
 def _call_from_flags(table: dict, name: str, args):
-    """Check the flags ``name`` needs, refuse a call past any cap or bound, and make it."""
+    """Check the flags ``name`` takes and needs, refuse a call past any cap or bound, and make it."""
     entry = table[name]
     _check_order(args.order, entry.least_order, name)
-    missing = [p for p in entry.params if getattr(args, p) is None]
+    _refuse_flags(table, entry.params, args, name)
+    kwargs = {p: _value(args, p) for p in entry.params}
+    missing = [p for p, value in kwargs.items() if value is None]
     _require(not missing, f"{name} needs " + " and ".join(f"--{_flag(p)}" for p in missing))
-    kwargs = {p: getattr(args, p) for p in entry.params}
     for p, value in kwargs.items():
         if isinstance(value, Fraction):
             _require(max(abs(value.numerator), value.denominator) <= MAX_RATIONAL_TERM,
@@ -329,17 +345,16 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 
 def _cmd_verify(args) -> tuple[dict | list[dict], int]:
-    _require(args.m_truncation >= 0, "truncate must be non-negative")
-    _require(args.m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
+    m_truncation = _value(args, "m_truncation")
+    _require(m_truncation >= 0, "truncate must be non-negative")
+    _require(m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
-        params = dict.fromkeys(p for entry in IDENTITIES.values() for p in entry.params if p != "m_truncation")
-        given = [f"--{_flag(p)}" for p in params if getattr(args, p) is not None]
-        _require(not given, "--all runs its own points and takes no " + " or ".join(given))
-        tasks = _sweep_tasks(args.order, args.m_truncation)
+        _refuse_flags(IDENTITIES, FLAG_DEFAULTS, args, "--all runs its own points and")
+        tasks = _sweep_tasks(args.order, m_truncation)
         for identity, _ in tasks:
             _check_order(args.order, IDENTITIES[identity].least_order, f"--all (through {identity})")
-        jobs = _worker_count(args.jobs, len(tasks))
+        jobs = _worker_count(_value(args, "jobs"), len(tasks))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_sweep_worker, tasks))

@@ -30,7 +30,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterable, Iterator, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 Scalar = Union[int, Fraction]
 
@@ -282,11 +282,3 @@ class TruncatedSeries:
             "order": self.order,
             "coeffs": [format_rational(c) for c in self._coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        coeffs = [parse_rational(c) for c in data["coeffs"]]
-        series = cls(coeffs)
-        if series.order != data["order"]:
-            raise ValueError("order field disagrees with coefficient count")
-        return series

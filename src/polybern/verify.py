@@ -21,9 +21,11 @@ exact check with status "pass"/"fail".
 
 Every right-hand side takes its EGF (binomial) products from one integer
 convolution, :func:`_binomial_convolution`, on common denominators.  The
-expansion over the numbers is the addition theorem at base x = 0, so the
-two share one route, :func:`_addition_rows`.  The m-series checks build
-all that does not depend on m once per call (see :func:`_m_series`).
+chain-stirling, resummation and difference sides take their Stirling
+numbers S2 from one table of powers of 1 - e^{-t}, :func:`_u_powers`.
+The expansion over the numbers is the addition theorem at base x = 0, so
+the two share one route, :func:`_addition_rows`.  The m-series checks
+build all that does not depend on m once per call (see :func:`_m_series`).
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -124,6 +126,21 @@ def _report(identity, params, rows, residuals=(), diagnostic=False) -> Verificat
 
 def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
+
+
+def _u_powers(top: int) -> list[list[int]]:
+    """The EGF ints U[m][l] = l! [t^l] u^m = (-1)^(l-m) m! S2(l, m) of the
+    powers of u = 1 - e^{-t}, for m, l <= top (zero for l < m)."""
+    s2 = stirling_table("second", top)
+    return [[_sign(l - m) * factorial(m) * s2.value(l, m) for l in range(top + 1)] for m in range(top + 1)]
+
+
+def _depth_two_args(identity: str, ks, lam, x) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    """ks, lam and x of the checks that need depth r >= 2."""
+    ks = index_vector(ks)
+    if len(ks) < 2:
+        raise ValueError(f"{identity} check needs depth r >= 2")
+    return ks, Fraction(lam), Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +256,22 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     The generating function's numerator can be rewritten as an explicit
     sum over chains 0 < n_1 < ... < n_{r-1} of powers of u = 1 - e^{-t},
     with each u-power expanded through the Stirling triangle of the second
-    kind.  At fixed truncation order every inner sum is finite because u^m
-    has valuation m.  This numerator shares no polylog or composition code
-    with the family's, so agreement checks the main family computation end
-    to end; only the denominator and the scaling, which both sides carry by
-    construction, come from the one pipeline
-    :func:`~polybern.families._gf_values`.  The u-powers are held as EGF
-    ints, and the inner sums and the products u^anchor * inner run over
-    ints on common denominators.
+    kind in :func:`_u_powers`.  At fixed truncation order every inner sum is
+    finite because u^m has valuation m.  This numerator shares no polylog
+    or composition code with the family's, so agreement checks the main
+    family computation end to end; only the denominator and the scaling,
+    which both sides carry by construction, come from the one pipeline
+    :func:`~polybern.families._gf_values`.  The u-powers are EGF ints, and
+    the inner sums and the products u^anchor * inner run over ints on
+    common denominators.
     """
-    ks = index_vector(ks)
+    ks, lam, x = _depth_two_args("chain-stirling", ks, lam, x)
     r = len(ks)
-    if r < 2:
-        raise ValueError("chain-stirling check needs depth r >= 2")
-    lam = Fraction(lam)
-    x = Fraction(x)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
 
     work = order + r
-    s2 = stirling_table("second", work)
-    # u^m exactly to order `work`, straight from the Stirling expansion, as
-    # the EGF ints upow[m][l] = l! [t^l] u^m = (-1)^(l-m) m! S2(l, m)
-    upow = [[_sign(l - m) * factorial(m) * s2.value(l, m) for l in range(work + 1)] for m in range(work + 1)]
+    upow = _u_powers(work)
     by_l = list(zip(*upow))
     # n^-k_r for n = 1..work, and the chain weights, over common denominators
     last, last_den = _over_common([inv_pow(n, ks[-1]) for n in range(1, work + 1)])
@@ -375,7 +385,8 @@ def verify_resummation(
     with beta_{n,lam} the order-1 Carlitz numbers.  The sums over k and l
     are binomial (EGF) convolutions, so the Carlitz one is taken once into
     the weight table A[n_r] = r * carlitz conv w_{n_r}, with
-    w_{n_r}[l] = n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1).
+    w_{n_r}[l] = n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1) = U[n_r][l+1] / (l+1),
+    read from the u-power table U of :func:`_u_powers`.
 
     For k_r <= 0 the m-sum has exactly -k_r + 1 nonzero terms and the
     identity is checked exactly.  For k_r >= 1 the m-sum is an infinite
@@ -385,25 +396,15 @@ def verify_resummation(
     exact partial sums for every M' <= m_truncation, with residuals
     against the exact left-hand side.
     """
-    ks = index_vector(ks)
+    ks, lam, x = _depth_two_args("resummation", ks, lam, x)
     r = len(ks)
-    if r < 2:
-        raise ValueError("resummation check needs depth r >= 2")
-    lam = Fraction(lam)
-    x = Fraction(x)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     carlitz, carlitz_den = _over_common(carlitz_degenerate(1, lam, 0, order).values)
-    # r * w_{n_r}, with the 1/(l+1) of w over their lcm
+    # r * w_{n_r}[l] = r * U[n_r][l+1] / (l+1), with the 1/(l+1) over their lcm
     top = lcm(*range(1, order + 2))
-    s2 = stirling_table("second", order + 1)
-    table = []
-    for n_r in range(1, order + 2):
-        w = [
-            r * factorial(n_r) * _sign(l - n_r - 1) * s2.value(l + 1, n_r) * (top // (l + 1))
-            for l in range(order + 1)
-        ]
-        table.append(_binomial_convolution(w, carlitz))
+    table = [_binomial_convolution([r * row[l + 1] * (top // (l + 1)) for l in range(order + 1)], carlitz)
+             for row in _u_powers(order + 1)[1:]]
     return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, table, carlitz_den * top)
 
 
@@ -416,26 +417,18 @@ def verify_difference(
         sum_{l=1..n} sum_{n_r=1..l} C(n,l) n_r^(-k_r-m) n_r!
         (-1)^(l-n_r) S2(l, n_r) beta_{n-l,lam}^{(k_1..k_{r-1}-m)}(x)
 
-    for n >= 1, with the weight table A[n_r][l] = n_r! (-1)^(l-n_r) S2(l, n_r).
+    for n >= 1, with the weight table A[n_r][l] = n_r! (-1)^(l-n_r) S2(l, n_r),
+    rows 1..order of the u-power table U of :func:`_u_powers`.
     Same exact/diagnostic split as the resummation check: k_r <= 0
     terminates the m-sum and is verified exactly, k_r >= 1 emits a
     partial-sum residual table.
     """
-    ks = index_vector(ks)
+    ks, lam, x = _depth_two_args("difference", ks, lam, x)
     r = len(ks)
-    if r < 2:
-        raise ValueError("difference check needs depth r >= 2")
     if order < 1:
         raise ValueError("difference check needs order >= 1")
-    lam = Fraction(lam)
-    x = Fraction(x)
 
     upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
     base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
-    s2 = stirling_table("second", order)
-    table = [
-        [factorial(n_r) * _sign(l - n_r) * s2.value(l, n_r) for l in range(order + 1)]
-        for n_r in range(1, order + 1)
-    ]
-    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, table, 1)
+    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, _u_powers(order)[1:], 1)

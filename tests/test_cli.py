@@ -443,6 +443,28 @@ def test_verify_all_refuses_the_flags_it_would_ignore(capsys, monkeypatch):
         assert _refused(err) and f"--all runs its own points and takes no {named}" in err
 
 
+def test_single_calls_refuse_the_flags_their_entry_does_not_take(capsys, monkeypatch):
+    # every flag of the verb that the named series, family or identity
+    # does not take is refused before any work, one at a time (numbers
+    # gives --x the default 0, and every family takes it)
+    values = {"ks": "2,1", "k": "2", "r": "2", "lambda": "1/3", "x": "1/2", "y": "1/3",
+              "truncate": "3", "jobs": "2"}
+    verbs = ((cli.SERIES, "series", "--name", ("ks", "k", "x", "lambda")),
+             (cli.FAMILIES, "numbers", "--family", ("ks", "k", "r", "lambda")),
+             (cli.IDENTITIES, "verify", "--identity", ("ks", "r", "lambda", "x", "y", "truncate", "jobs")))
+    for table, verb, selector, flags in verbs:
+        for name, entry in table.items():
+            monkeypatch.setattr(cli, entry.function, _fail_if_called)
+            taken = [cli._flag(p) for p in entry.params]
+            argv = (verb, f"{selector}={name}", "--order=2", *(f"--{f}={values[f]}" for f in taken))
+            ignored = [f for f in flags if f not in taken]
+            assert ignored, name
+            for flag in ignored:
+                code, out, err = run(capsys, *argv, f"--{flag}={values[flag]}")
+                assert (code, out) == (2, ""), (name, flag)
+                assert _refused(err) and f"error: {name} takes no --{flag}\n" in err
+
+
 def test_depth_cap(capsys, monkeypatch):
     d = cli.MAX_DEPTH
     ones, more = ",".join(["1"] * d), ",".join(["1"] * (d + 1))

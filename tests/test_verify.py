@@ -10,11 +10,12 @@ from math import factorial
 import oracles
 from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
 from polybern.rationals import decimal_string
-from polybern.special import generalized_binomial
+from polybern.special import generalized_binomial, one_minus_exp_neg
 from polybern.verify import (
     ReportRow,
     VerificationReport,
     _binomial_convolution,
+    _u_powers,
     verify_addition,
     verify_chain_stirling,
     verify_deriv_recurrences,
@@ -111,6 +112,17 @@ def test_chain_stirling_needs_depth_two():
 def test_chain_stirling_rhs_matches_the_fraction_series_oracle(ks, lam, x, order):
     report = verify_chain_stirling(ks, lam, x, order)
     assert [row.rhs for row in report.rows] == oracles.chain_stirling_rhs(tuple(ks), lam, x, order)
+
+def test_u_powers_match_the_series_powers():
+    # the Stirling route against products of the series 1 - e^{-t}; every
+    # entry is an int, not the float that (-1) ** (l - m) is for l < m
+    for top in range(13):
+        u = one_minus_exp_neg(top)
+        table = _u_powers(top)
+        assert len(table) == top + 1
+        for m, row in enumerate(table):
+            assert all(type(v) is int for v in row), (top, m)
+            assert row == [factorial(l) * (u**m)[l] for l in range(top + 1)], (top, m)
 
 # -- the one EGF convolution ---------------------------------------------------------
 
