@@ -348,6 +348,7 @@ def _cmd_verify(args) -> tuple[dict | list[dict], int]:
     m_truncation = _value(args, "m_truncation")
     _require(m_truncation >= 0, "truncate must be non-negative")
     _require(m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
+    _require(_value(args, "jobs") >= 1, "jobs must be at least 1")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
         _refuse_flags(IDENTITIES, FLAG_DEFAULTS, args, "--all runs its own points and")

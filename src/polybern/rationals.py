@@ -17,7 +17,7 @@ rationals at output time only.
 from __future__ import annotations
 
 import re
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -66,14 +66,33 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
-def decimal_string(value: Fraction, digits: int = 20) -> str:
-    """Render an exact rational as a decimal string with ``digits``
-    significant digits, round half to even.  Used only for residual
-    reporting; never fed back into computation.
+def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> str:
+    """Render the exact rational value/den (den > 0, unreduced pairs allowed)
+    as a decimal string with ``digits`` significant digits, round half to
+    even: the string ``Decimal(p) / Decimal(q)`` gives at that precision.
+    Used only for residual reporting; never fed back into computation.
+
+    No long int becomes a Decimal.  For p/q a shift s, read off the two bit
+    lengths, makes Q = floor(|p| 10^s / q) at least digits + 2 digits long,
+    so one divmod gives it.  An inexact Q gets its low bit set (round to
+    odd): the rounding boundaries of ``digits`` digits are then even
+    integers at Q's scale, so Q / 10^s rounds as the exact value does, and
+    Decimal rounds it once, half to even.
     """
-    value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        result = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(result)
+    p, q = value.numerator, value.denominator * den
+    if not p:
+        return "0"
+    # |p|/q > 2^(bits(p) - 1 - bits(q)); 30103/100000 overshoots log10(2) by
+    # less than one digit at any size here, which the + 2 (not + 1) absorbs
+    shift = digits + 2 - ((abs(p).bit_length() - q.bit_length() - 1) * 30103 // 100000)
+    scale = 10 ** abs(shift)
+    if shift >= 0:
+        quotient, remainder = divmod(abs(p) * scale, q)
+    else:
+        quotient, remainder = divmod(abs(p), q * scale)
+    if remainder:
+        quotient |= 1
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    operation = context.divide if shift >= 0 else context.multiply
+    # 10^|s| from its digits: Decimal(int) is slow on a long int
+    return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))

@@ -25,7 +25,10 @@ chain-stirling, resummation and difference sides take their Stirling
 numbers S2 from one table of powers of 1 - e^{-t}, :func:`_u_powers`.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
-build all that does not depend on m once per call (see :func:`_m_series`).
+build all that does not depend on m once per call and sum over ints on a
+running denominator: only the final row of each n is a Fraction, and each
+residual row holds the int partial sum of its M (see :func:`_m_series`
+and :class:`ResidualRow`).
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -71,17 +74,34 @@ class ReportRow:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualRow:
+    """|lhs - partial sum at M| for one n and one truncation M.
+
+    The row keeps the exact parts, not the residual: ``lhs``, the Fraction
+    shared by every row of its n, and the partial sum as the int
+    ``partial`` over ``den``, the running denominator shared by every row of
+    its M.  :attr:`residual` builds the canonical Fraction on demand; the
+    decimal is rendered from the unreduced pair
+    |ln den - partial ld| / (ld den), with lhs = ln/ld, and no gcd.
+    """
+
     n: int
     m_truncation: int
-    residual: Fraction
+    lhs: Fraction
+    partial: int
+    den: int
+
+    @property
+    def residual(self) -> Fraction:
+        return abs(self.lhs - Fraction(self.partial, self.den))
 
     def to_json_dict(self) -> dict:
+        ln, ld = self.lhs.numerator, self.lhs.denominator
         return {
             "n": self.n,
             "M": self.m_truncation,
-            "residual_decimal": decimal_string(self.residual),
+            "residual_decimal": decimal_string(abs(ln * self.den - self.partial * ld), den=ld * self.den),
         }
 
 
@@ -313,10 +333,14 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     the ints (L/n_r)^(k_r+m) over L^(k_r+m), L = lcm(1..n_r max), and
     ``fam_m`` as the ints sum_p p^m B[n][p] over the common denominator of
     the basis B from :func:`~polybern.families.shifted_tail_basis`, built
-    once per call.  So a summand is two integer matrix-vector products, one
-    integer convolution and one Fraction per coefficient.  The powers n_r^e
-    and p^m and the signed binomial coefficient are carried from one m to
-    the next.
+    once per call.  So a summand is two integer matrix-vector products and
+    one integer convolution.  The partial sums stay ints too: one vector over
+    a running denominator, the lcm of the summands' denominators so far,
+    lifted by one lcm per m and never reduced per coefficient.  Each
+    residual row keeps its int and that denominator (see
+    :class:`ResidualRow`), and only the final row of each n is a Fraction.
+    The powers n_r^e and p^m, the signed binomial coefficient and the
+    partial sums are carried from one m to the next.
 
     For k_r <= 0 the binomial coefficient cuts the sum off after m = -k_r
     and the check is exact; otherwise the partial sums up to m_truncation
@@ -341,15 +365,23 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     basis, basis_den = shifted_tail_basis(ks[:-1], lam, x, order)
     p_power = [1] * len(basis[0])  # p^m at m = 0
 
-    term_by_m: list[list[Fraction]] = []
+    # the partial sums at every m, as ints over table_den * sum_den, where
+    # sum_den is the lcm of the denominators of the summands so far
+    sums_by_m: list[tuple[list[int], int]] = []
+    sums = [0] * (order + 1)
+    sum_den = 1
     for m in range(m_top + 1):
         fam_ints = [sum(map(mul, row, p_power)) for row in basis]
         # the p^m cancel much of the basis denominator as m grows
         common = gcd(basis_den, *fam_ints)
         fam_ints = [f // common for f in fam_ints]
         g = [sum(map(mul, column, power)) for column in columns]
-        den = table_den * scale * (basis_den // common)
-        term_by_m.append([Fraction(signed_binomial * v, den) for v in _binomial_convolution(g, fam_ints)])
+        term_den = scale * (basis_den // common)
+        lifted_den = lcm(sum_den, term_den)
+        lift, factor = lifted_den // sum_den, signed_binomial * (lifted_den // term_den)
+        sums = [s * lift + factor * v for s, v in zip(sums, _binomial_convolution(g, fam_ints))]
+        sum_den = lifted_den
+        sums_by_m.append((sums, table_den * sum_den))
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
         p_power = [q * p for p, q in enumerate(p_power)]
         if e < 0:
@@ -359,15 +391,11 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
             scale *= top
         e += 1
 
-    rows = []
-    residuals = []
-    for n in range(first_n, order + 1):
-        partial = Fraction(0)
-        for m in range(m_top + 1):
-            partial += term_by_m[m][n]
-            if not exact:
-                residuals.append(ResidualRow(n=n, m_truncation=m, residual=abs(lhs[n] - partial)))
-        rows.append(_row("finite-binomial-branch" if exact else "partial-sum-at-M", n, lhs[n], partial))
+    check = "finite-binomial-branch" if exact else "partial-sum-at-M"
+    rows = [_row(check, n, lhs[n], Fraction(sums[n], table_den * sum_den)) for n in range(first_n, order + 1)]
+    residuals = [] if exact else [ResidualRow(n, m, lhs[n], partial[n], den_m)
+                                  for n in range(first_n, order + 1)
+                                  for m, (partial, den_m) in enumerate(sums_by_m)]
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
     return _report(identity, params, rows, residuals, diagnostic=not exact)
 

@@ -529,6 +529,16 @@ def test_truncate_cap(capsys, monkeypatch):
         assert _refused(err) and "truncate must be non-negative" in err
 
 
+def test_jobs_below_one_is_refused_before_any_work(capsys, monkeypatch):
+    for entry in cli.IDENTITIES.values():
+        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
+    for jobs in ("--jobs=0", "--jobs=-3"):
+        code, out, err = run(capsys, "verify", "--all", "--order=2", jobs)
+        assert (code, out) == (2, ""), jobs
+        assert _refused(err) and "jobs must be at least 1" in err
+
+
 def test_rational_flag_bound(capsys, monkeypatch):
     b = cli.MAX_RATIONAL_TERM
     # (argv, flag): each flag at the bound is admitted, past it refused,

@@ -1,9 +1,10 @@
 """Exact coefficient field: construction, arithmetic, weights, wire format."""
 
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polybern.rationals import (
@@ -94,3 +95,37 @@ def test_decimal_string_is_20_significant_digits_half_even():
     assert decimal_string(Fraction(1)) == "1"
     # half-even: 21 digits would end ...5; the 20-digit rounding goes to even
     assert decimal_string(Fraction(1, 2) + Fraction(1, 10**25)).startswith("0.5000000000000000000")
+
+
+def _decimal_reference(p: int, q: int, digits: int) -> str:
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ctx.rounding = ROUND_HALF_EVEN
+        return str(Decimal(p) / Decimal(q))
+
+
+# numerators and denominators from 0 up to far past 10^22, so values run
+# from below 10^-22 to above 10^22, and exact values with trailing zeros
+# come up as p = c 10^e over q = 10^f
+big = st.integers(min_value=0, max_value=10**60)
+powers_of_ten = st.integers(min_value=0, max_value=40).map(lambda e: 10**e)
+
+
+@given(p=st.one_of(big, st.builds(lambda c, t: c * t, st.integers(0, 999), powers_of_ten)),
+       q=st.one_of(big.map(lambda v: v + 1), powers_of_ten),
+       g=st.integers(min_value=1, max_value=10**12),
+       negative=st.booleans(),
+       digits=st.sampled_from([1, 2, 5, 19, 20, 21, 40]))
+@example(p=200, q=2, g=1, negative=False, digits=20)
+@example(p=10**25, q=1, g=1, negative=False, digits=20)
+@example(p=0, q=7, g=3, negative=True, digits=20)
+@example(p=10**23, q=1, g=1, negative=True, digits=3)
+@example(p=1, q=10**23, g=9, negative=False, digits=20)
+def test_decimal_string_matches_the_decimal_reference(p, q, g, negative, digits):
+    p = -p if negative else p
+    expected = _decimal_reference(p, q, digits)
+    # the unreduced pair (p g, q g), the pair's canonical Fraction, and a
+    # Fraction over a further den all render as the reference does
+    assert decimal_string(p * g, digits, den=q * g) == expected
+    assert decimal_string(Fraction(p, q), digits) == expected
+    assert decimal_string(Fraction(p, q), digits, den=g) == _decimal_reference(p, q * g, digits)

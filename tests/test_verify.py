@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from math import factorial
+from math import factorial, gcd
 
 import oracles
 from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
@@ -184,6 +184,23 @@ def test_resummation_n0_residual_doubles_at_depth_three():
     report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=12)
     n0 = [(r.m_truncation, r.residual) for r in report.residuals if r.n == 0]
     assert n0 == [(m, 2**m) for m in range(13)]
+
+
+def test_deep_residual_table_keeps_exact_rows():
+    # at M = 160 the n = 0 residual 2^M still renders as the Fraction's
+    # decimal, and every residual is a canonical Fraction
+    report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=160)
+    n0 = [r for r in report.residuals if r.n == 0]
+    assert [r.m_truncation for r in n0] == list(range(161))
+    for row in n0:
+        assert row.residual == 2**row.m_truncation
+        assert row.to_json_dict()["residual_decimal"] == decimal_string(Fraction(2**row.m_truncation))
+    for row in report.residuals:
+        residual = row.residual
+        assert type(residual) is Fraction and residual >= 0
+        assert residual.denominator > 0 and gcd(residual.numerator, residual.denominator) == 1
+        assert row.to_json_dict()["residual_decimal"] == decimal_string(residual)
+
 
 def test_resummation_usage_errors():
     with pytest.raises(ValueError):
