@@ -79,11 +79,12 @@ MAX_ORDER = 128
 MAX_M_TRUNCATION = 160
 MAX_STIRLING_N = 256
 # Identity calls the caps above leave unbounded, refused the same way.
-# chain-stirling enumerates C(order + r - 1, r - 1) chains and builds powers
-# of 1 - e^{-t} to order + r: neither may pass what depth 2 takes at
-# MAX_ORDER.  The m-series identities carry n_r^-(k_r+m) for every m they
-# sum, and the digits of their exact values grow with the order times the
-# largest such exponent, max(-k_r, k_r + truncate).
+# chain-stirling multiplies out one Fraction weight for each of its
+# C(order + r - 1, r - 1) chains and builds powers of 1 - e^{-t} to
+# order + r: neither may pass what depth 2 takes at MAX_ORDER.  The
+# m-series identities carry n_r^-(k_r+m) for every m they sum, and the
+# digits of their exact values grow with the order times the largest such
+# exponent, max(-k_r, k_r + truncate).
 MAX_CHAINS = comb(MAX_ORDER + 1, 1)
 MAX_CHAIN_WORK = MAX_ORDER + 2
 MAX_M_SERIES_SIZE = 48 * 128

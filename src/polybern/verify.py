@@ -19,10 +19,11 @@ When k_r <= 0 the binomial coefficient cuts the m-sum off after -k_r + 1
 terms, every interchange is finite, and the same functions perform an
 exact check with status "pass"/"fail".
 
-Every right-hand side takes its EGF (binomial) products from one integer
-convolution, :func:`_binomial_convolution`, on common denominators.  The
-chain-stirling, resummation and difference sides take their Stirling
-numbers S2 from one table of powers of 1 - e^{-t}, :func:`_u_powers`.
+The addition, resummation and difference sides take their EGF products
+from one integer convolution, :func:`_binomial_convolution`, on common
+denominators.  The chain-stirling, resummation and difference sides take
+their Stirling numbers S2 from one table of powers of 1 - e^{-t},
+:func:`_u_powers`, where chain-stirling reads every power it sums.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
@@ -263,8 +264,7 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     if len(ks) >= 2:
         tail_one = ks[:-1] + (1,)
         d = multi_polylog(tail_one, order).derive()
-        one_minus_x = TruncatedSeries([1, -1] + [0] * (order - 2)) if order >= 2 else TruncatedSeries([1])
-        lhs11 = d * one_minus_x
+        lhs11 = [d[n] - d[n - 1] if n else d[0] for n in range(order)]
         dropped = multi_polylog(ks[:-1], order)
         rows += [_row("one-minus-x-derivative", n, lhs11[n], dropped[n]) for n in range(order)]
     return _report("deriv", {"ks": list(ks), "order": order}, rows)
@@ -273,17 +273,17 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
 def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> VerificationReport:
     """Chain-sum/Stirling route against the composition pipeline.
 
-    The generating function's numerator can be rewritten as an explicit
-    sum over chains 0 < n_1 < ... < n_{r-1} of powers of u = 1 - e^{-t},
-    with each u-power expanded through the Stirling triangle of the second
-    kind in :func:`_u_powers`.  At fixed truncation order every inner sum is
-    finite because u^m has valuation m.  This numerator shares no polylog
+    The generating function's numerator is the chain sum over
+    0 < n_1 < ... < n_r of prod n_i^-k_i * u^{n_r}, u = 1 - e^{-t}.  Grouped
+    by q = n_r it is sum_q q^-k_r below(q) u^q, with below(q) the weight of
+    the chains n_1 < ... < n_{r-1} that end below q, and u^q the row q of
+    the Stirling (second kind) table :func:`_u_powers`; the sum is finite
+    at fixed order as u^q has valuation q.  This numerator shares no polylog
     or composition code with the family's, so agreement checks the main
     family computation end to end; only the denominator and the scaling,
     which both sides carry by construction, come from the one pipeline
-    :func:`~polybern.families._gf_values`.  The u-powers are EGF ints, and
-    the inner sums and the products u^anchor * inner run over ints on
-    common denominators.
+    :func:`~polybern.families._gf_values`.  Weights and u-powers are ints on
+    common denominators: the numerator is one matrix-vector product.
     """
     ks, lam, x = _depth_two_args("chain-stirling", ks, lam, x)
     r = len(ks)
@@ -291,20 +291,18 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
 
     work = order + r
-    upow = _u_powers(work)
-    by_l = list(zip(*upow))
     # n^-k_r for n = 1..work, and the chain weights, over common denominators
     last, last_den = _over_common([inv_pow(n, ks[-1]) for n in range(1, work + 1)])
     chains = list(combinations(range(1, work), r - 1))
     weights, weight_den = _over_common([prod(map(inv_pow, chain, ks)) for chain in chains])
 
-    total = [0] * (work + 1)
+    # below[q] takes the chains ending at q - 1; its prefix sum at q weighs
+    # every chain ending below q
+    below = [0] * (work + 1)
     for chain, weight in zip(chains, weights):
-        anchor = chain[-1]
-        # inner = sum_{n_r} u^{n_r} (n_r + anchor)^-k_r, over last_den
-        inner = [sum(map(mul, row[1 : work - anchor + 1], last[anchor:])) for row in by_l]
-        product = _binomial_convolution(upow[anchor], inner)
-        total = [t + weight * p for t, p in zip(total, product)]
+        below[chain[-1] + 1] += weight
+    coeffs = [0, *map(mul, accumulate(below[1:]), last)]
+    total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
     den = last_den * weight_den
     numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
     rhs = _gf_values(numerator, r, lam, x, order)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from math import factorial, gcd
 
@@ -109,9 +109,16 @@ def test_chain_stirling_needs_depth_two():
     x=st.fractions(min_value=-3, max_value=3, max_denominator=6),
     order=st.integers(min_value=0, max_value=8),
 )
+@example(ks=[1, 0, -1, 2], lam=THIRD, x=HALF, order=8)
+@example(ks=[2, 1, 1, 1], lam=Fraction(-2, 5), x=Fraction(3, 4), order=6)
 def test_chain_stirling_rhs_matches_the_fraction_series_oracle(ks, lam, x, order):
     report = verify_chain_stirling(ks, lam, x, order)
     assert [row.rhs for row in report.rows] == oracles.chain_stirling_rhs(tuple(ks), lam, x, order)
+
+def test_chain_stirling_at_the_order_cap_and_the_index_weight_bound():
+    # the prefix sum over the chains' last indices runs over all 129 of them
+    for ks in ((0, 32), (16, 16)):
+        assert verify_chain_stirling(ks, Fraction(-7, 9), Fraction(8, 9), 128).status == "pass", ks
 
 def test_u_powers_match_the_series_powers():
     # the Stirling route against products of the series 1 - e^{-t}; every
