@@ -23,7 +23,8 @@ The addition, resummation and difference sides take their EGF products
 from one integer convolution, :func:`_binomial_convolution`, on common
 denominators.  The chain-stirling, resummation and difference sides take
 their Stirling numbers S2 from one table of powers of 1 - e^{-t},
-:func:`_u_powers`, where chain-stirling reads every power it sums.
+:func:`_u_powers`, where chain-stirling reads every power it sums; its
+chain weights are one prefix sum per index, with no chain enumerated.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
@@ -40,8 +41,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import factorial, gcd, lcm, prod
+from itertools import accumulate
+from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
@@ -275,15 +276,17 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
 
     The generating function's numerator is the chain sum over
     0 < n_1 < ... < n_r of prod n_i^-k_i * u^{n_r}, u = 1 - e^{-t}.  Grouped
-    by q = n_r it is sum_q q^-k_r below(q) u^q, with below(q) the weight of
-    the chains n_1 < ... < n_{r-1} that end below q, and u^q the row q of
-    the Stirling (second kind) table :func:`_u_powers`; the sum is finite
-    at fixed order as u^q has valuation q.  This numerator shares no polylog
-    or composition code with the family's, so agreement checks the main
-    family computation end to end; only the denominator and the scaling,
-    which both sides carry by construction, come from the one pipeline
-    :func:`~polybern.families._gf_values`.  Weights and u-powers are ints on
-    common denominators: the numerator is one matrix-vector product.
+    by their last index, the chains n_1 < ... < n_j = q weigh
+    c_j[q] = q^-k_j sum_{n<q} c_{j-1}[n], one prefix sum per index, from the
+    empty chain c_0 that ends at 0; the numerator is sum_q c_r[q] u^q, with
+    u^q the row q of the Stirling (second kind) table :func:`_u_powers`.  The
+    sum is finite at fixed order as u^q has valuation q.  This numerator
+    shares no polylog or composition code with the family's, so agreement
+    checks the main family computation end to end; only the denominator and
+    the scaling, which both sides carry by construction, come from the one
+    pipeline :func:`~polybern.families._gf_values`.  Weights and u-powers
+    are ints on common denominators: the numerator is one matrix-vector
+    product.
     """
     ks, lam, x = _depth_two_args("chain-stirling", ks, lam, x)
     r = len(ks)
@@ -291,19 +294,13 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
 
     work = order + r
-    # n^-k_r for n = 1..work, and the chain weights, over common denominators
-    last, last_den = _over_common([inv_pow(n, ks[-1]) for n in range(1, work + 1)])
-    chains = list(combinations(range(1, work), r - 1))
-    weights, weight_den = _over_common([prod(map(inv_pow, chain, ks)) for chain in chains])
-
-    # below[q] takes the chains ending at q - 1; its prefix sum at q weighs
-    # every chain ending below q
-    below = [0] * (work + 1)
-    for chain, weight in zip(chains, weights):
-        below[chain[-1] + 1] += weight
-    coeffs = [0, *map(mul, accumulate(below[1:]), last)]
+    # c_j over den, with the powers n^-k_j for n = 1..work over their lcm
+    coeffs, den = [1] + [0] * work, 1
+    for k in ks:
+        powers, power_den = _over_common([inv_pow(n, k) for n in range(1, work + 1)])
+        coeffs = [0, *map(mul, accumulate(coeffs[:-1]), powers)]
+        den *= power_den
     total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
-    den = last_den * weight_den
     numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
     rhs = _gf_values(numerator, r, lam, x, order)
 

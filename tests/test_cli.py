@@ -626,17 +626,20 @@ def test_m_series_size_bound(capsys, monkeypatch):
         assert _refused(err) and f"at most {cli.MAX_M_SERIES_SIZE}" in err
 
 
-def test_chain_stirling_size_bound(capsys, monkeypatch):
-    check = cli._check_identity_size
-    # depth 2 at the order cap is the costliest call the bound admits
-    check("chain-stirling", {"ks": (2, 1), "order": cli.MAX_ORDER})
-    check("chain-stirling", {"ks": (3, 2, 1), "order": 14})  # C(16, 2) = 120 chains
-    monkeypatch.setattr(cli, "verify_chain_stirling", _fail_if_called)
-    for ks, order in (("3,2,1", 15), ("3,2,1", cli.MAX_ORDER), (",".join(["1"] * 131), 0)):
+def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeypatch):
+    # the chain weights cost one prefix sum per index, so the depth and the
+    # order caps bound the call, whatever the number of chains
+    d = cli.MAX_DEPTH
+    for ks in ("3,2,1", ",".join(["2"] * d)):
         code, out, err = run(capsys, "verify", "--identity=chain-stirling", f"--ks={ks}",
-                             "--lambda=1/3", "--x=0", f"--order={order}")
-        assert (code, out) == (2, ""), (ks, order)
-        assert _refused(err) and f"at most {cli.MAX_CHAINS}" in err
+                             "--lambda=-7/9", "--x=8/9", f"--order={cli.MAX_ORDER}")
+        assert (code, err) == (0, ""), ks
+        assert json.loads(out)["status"] == "pass", ks
+    monkeypatch.setattr(cli, "verify_chain_stirling", _fail_if_called)
+    code, out, err = run(capsys, "verify", "--identity=chain-stirling", "--ks=" + ",".join(["1"] * (d + 1)),
+                         "--lambda=1/3", "--x=0", "--order=0")
+    assert (code, out) == (2, "")
+    assert _refused(err) and f"must be at most {d}" in err
 
 
 def test_size_bounds_admit_the_sweep_at_the_caps():
@@ -663,6 +666,12 @@ def test_largest_admitted_value_fits_the_int_string_limit(capsys):
     # would compute and then exit 2
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     code, out, err = run(capsys, "verify", "--identity=resummation", "--ks=32,48", "--truncate=0",
+                         f"--order={cli.MAX_ORDER}", f"--lambda=-{cli.MAX_RATIONAL_TERM}",
+                         f"--x=-{cli.MAX_RATIONAL_TERM}/251")
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) < limit
+    code, out, err = run(capsys, "verify", "--identity=chain-stirling",
+                         "--ks=" + ",".join(["0"] * (cli.MAX_DEPTH - 1) + [str(cli.MAX_INDEX_WEIGHT)]),
                          f"--order={cli.MAX_ORDER}", f"--lambda=-{cli.MAX_RATIONAL_TERM}",
                          f"--x=-{cli.MAX_RATIONAL_TERM}/251")
     assert (code, err) == (0, "")

@@ -111,12 +111,14 @@ def test_chain_stirling_needs_depth_two():
 )
 @example(ks=[1, 0, -1, 2], lam=THIRD, x=HALF, order=8)
 @example(ks=[2, 1, 1, 1], lam=Fraction(-2, 5), x=Fraction(3, 4), order=6)
+@example(ks=[1, 2, 0, -1, 3], lam=Fraction(-7, 9), x=Fraction(8, 9), order=5)
+@example(ks=[2, 1, 1, 1, 1, 1], lam=THIRD, x=Fraction(-5, 2), order=4)
 def test_chain_stirling_rhs_matches_the_fraction_series_oracle(ks, lam, x, order):
     report = verify_chain_stirling(ks, lam, x, order)
     assert [row.rhs for row in report.rows] == oracles.chain_stirling_rhs(tuple(ks), lam, x, order)
 
 def test_chain_stirling_at_the_order_cap_and_the_index_weight_bound():
-    # the prefix sum over the chains' last indices runs over all 129 of them
+    # each index's prefix sum runs over every chain end up to order + r = 130
     for ks in ((0, 32), (16, 16)):
         assert verify_chain_stirling(ks, Fraction(-7, 9), Fraction(8, 9), 128).status == "pass", ks
 
