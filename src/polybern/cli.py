@@ -33,6 +33,7 @@ import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 # most of these are reached only by name, through the tables further down
@@ -56,6 +57,8 @@ from .special import (
     stirling_table,
 )
 from .verify import (
+    RESIDUAL_KEYS,
+    VerificationReport,
     verify_addition,
     verify_chain_stirling,
     verify_deriv_recurrences,
@@ -271,8 +274,7 @@ def _call_from_flags(table: dict, name: str, args):
             _require(max(abs(value.numerator), value.denominator) <= MAX_RATIONAL_TERM,
                      f"--{_flag(p)} needs |numerator| and denominator at most {MAX_RATIONAL_TERM}")
     kwargs["order"] = args.order
-    if entry.size:
-        _check_identity_size(name, kwargs)
+    _check_identity_size(entry, kwargs, name)
     _check_indices(entry, kwargs)
     return _call(table, name, kwargs)
 
@@ -287,10 +289,10 @@ def _check_indices(entry: Entry, kwargs: dict):
              f"index weight (sum of |k_i| or |k|) must be at most {MAX_INDEX_WEIGHT}")
 
 
-def _check_identity_size(identity: str, kwargs: dict):
+def _check_identity_size(entry: Entry, kwargs: dict, identity: str):
     """Refuse the m-series calls whose cost the order and truncation caps
     alone do not bound (see ``MAX_M_SERIES_SIZE``); pass any other call."""
-    if IDENTITIES[identity].size != "m-series":
+    if entry.size != "m-series":
         return
     k_r = kwargs["ks"][-1]
     _require(-k_r <= MAX_M_TRUNCATION,
@@ -325,7 +327,7 @@ def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
 
 
 def _sweep_worker(task: tuple[str, dict]) -> dict:
-    return _call(IDENTITIES, *task).to_json_dict()
+    return _json_value(_call(IDENTITIES, *task))
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -333,7 +335,7 @@ def _worker_count(requested: int, tasks: int) -> int:
     return max(1, min(requested, tasks, os.cpu_count() or 1))
 
 
-def _cmd_verify(args) -> tuple[dict | list[dict], int]:
+def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:
     m_truncation = _value(args, "m_truncation")
     _require(m_truncation >= 0, "truncate must be non-negative")
     _require(m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
@@ -355,22 +357,124 @@ def _cmd_verify(args) -> tuple[dict | list[dict], int]:
 
     _require(args.identity is not None, "verify needs --identity or --all")
     report = _call_from_flags(IDENTITIES, args.identity, args)
-    return report.to_json_dict(), EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
+    return report, EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
 
 
-def _emit(result: dict | list[dict] | SequenceResult | StirlingTable, fmt: str, output: str | None):
+class _Rows(NamedTuple):
+    """A JSON list of objects that share one key order, given as the keys
+    and each object's scalar values: the form :func:`_json_text` templates."""
+
+    keys: tuple[str, ...]
+    values: list[tuple]
+
+
+def _json_value(result):
+    """The JSON value of a verb's result: a flat table's ``to_json_dict``;
+    a report's JSON object with its residual table as the ``_Rows`` of its
+    values, so that no residual row becomes a dict; anything else as it is."""
+    if isinstance(result, VerificationReport):
+        head, residuals = result.json_parts()
+        head["residuals"] = _Rows(RESIDUAL_KEYS, residuals)
+        return head
+    if isinstance(result, (SequenceResult, StirlingTable)):
+        return result.to_json_dict()
+    return result
+
+
+# the JSON text of each scalar type the CLI emits
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _scalar(value) -> str:
+    try:
+        return _SCALARS[type(value)](value)
+    except KeyError:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable") from None
+
+
+def _scalars(values) -> list[str]:
+    """The JSON text of each scalar, by one encoder when they share a type."""
+    kinds = set(map(type, values))
+    return list(map(_SCALARS.get(kinds.pop(), _scalar) if len(kinds) == 1 else _scalar, values))
+
+
+def _rows_text(keys: tuple[str, ...], values: list[tuple], indent: str) -> str:
+    """The items of a ``_Rows`` list at ``indent``, comma-joined: each
+    object is one %-template, built from the keys, filled with its encoded
+    values."""
+    field = indent + "  "
+    names = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
+    template = "{" + ",".join(f"{field}{name}: %s" for name in names) + indent + "}"
+    columns = [_scalars(column) for column in zip(*values)]
+    return ("," + indent).join(template % row for row in zip(*columns))
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
+    keys, lists, tuples and ``_Rows`` of str, int, bool and None.  Any
+    other type raises TypeError.  The text is one join of the pieces
+    :func:`_append_json` collects, so no nested level is copied into the
+    next."""
+    out: list[str] = []
+    _append_json(value, "\n", out)
+    return "".join(out)
+
+
+def _append_json(value, indent: str, out: list[str]):
+    """Append the pieces of ``value``'s text at ``indent`` to ``out``.  Two
+    cases skip the item-by-item walk: a list of ints or of strs is one
+    join, and a list of objects with one key order and scalar values is one
+    template per object."""
+    inner = indent + "  "
+    if type(value) is _Rows:
+        items = _rows_text(*value, inner)
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        keys = tuple(value[0]) if kinds == {dict} else None
+        if len(kinds) == 1 and kinds <= {int, str}:
+            items = ("," + inner).join(_scalars(value))
+        elif keys and all(tuple(v) == keys for v in value) \
+                and all(type(x) in _SCALARS for v in value for x in v.values()):
+            items = _rows_text(keys, [tuple(v.values()) for v in value], inner)
+        else:
+            items = None
+    elif isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in value.items():
+            out += sep, encode_basestring_ascii(key), ": "
+            _append_json(item, inner, out)
+            sep = "," + inner
+        out += indent, "}"
+        return
+    else:
+        out.append("{}" if isinstance(value, dict) else _scalar(value))
+        return
+    if items:
+        out += "[" + inner, items, indent + "]"
+    elif items is None and value:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _append_json(item, inner, out)
+            sep = "," + inner
+        out += indent, "]"
+    else:
+        out.append("[]")
+
+
+def _emit(result, fmt: str, output: str | None):
     """Write ``result`` to ``output`` (stdout when None) in ``fmt`` alone.
 
     A flat table (``numbers``, ``stirling``) is rendered only in the format
-    asked for: ``to_csv`` for CSV, ``to_json_dict`` for JSON.  Any other
-    result is already its JSON value; ``main`` refuses CSV for it before
-    the verb runs.
+    asked for: ``to_csv`` for CSV, its JSON value for JSON.  ``main``
+    refuses CSV for any other result before the verb runs.  Every JSON
+    output is :func:`_json_value` written by :func:`_json_text`.
     """
     if fmt == "csv":
         text = result.to_csv()
     else:
-        table = isinstance(result, (SequenceResult, StirlingTable))
-        text = json.dumps(result.to_json_dict() if table else result, indent=2) + "\n"
+        text = _json_text(_json_value(result)) + "\n"
     if output:
         _write_output(output, text)
     else:

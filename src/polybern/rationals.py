@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import cache
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -66,6 +67,11 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+@cache
+def _context(digits: int) -> Context:
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN)
+
+
 def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> str:
     """Render the exact rational value/den (den > 0, unreduced pairs allowed)
     as a decimal string with ``digits`` significant digits, round half to
@@ -77,7 +83,8 @@ def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> 
     so one divmod gives it.  An inexact Q gets its low bit set (round to
     odd): the rounding boundaries of ``digits`` digits are then even
     integers at Q's scale, so Q / 10^s rounds as the exact value does, and
-    Decimal rounds it once, half to even.
+    Decimal rounds it once, half to even, in the one context of its
+    ``digits`` (:func:`_context`).
     """
     p, q = value.numerator, value.denominator * den
     if not p:
@@ -92,7 +99,7 @@ def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> 
         quotient, remainder = divmod(abs(p), q * scale)
     if remainder:
         quotient |= 1
-    context = Context(prec=digits, rounding=ROUND_HALF_EVEN)
+    context = _context(digits)
     operation = context.divide if shift >= 0 else context.multiply
     # 10^|s| from its digits: Decimal(int) is slow on a long int
     return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))

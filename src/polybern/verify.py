@@ -28,9 +28,10 @@ chain weights are one prefix sum per index, with no chain enumerated.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
-running denominator: only the final row of each n is a Fraction, and each
-residual row holds the int partial sum of its M (see :func:`_m_series`
-and :class:`ResidualRow`).
+running denominator: only the final row of each n is a Fraction, and the
+residual table keeps the int partial sums of every M, builds a row only
+when one is read and renders its decimals straight from the ints (see
+:func:`_m_series` and :class:`ResidualTable`).
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -39,12 +40,12 @@ JSON.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import add, mul
-from typing import Sequence
 
 from .families import (
     FamilyQuery,
@@ -76,6 +77,15 @@ class ReportRow:
         }
 
 
+RESIDUAL_KEYS = ("n", "M", "residual_decimal")
+
+
+def _residual_decimal(ln: int, ld: int, partial: int, den: int) -> str:
+    """|ln/ld - partial/den| as a decimal, rendered from the unreduced pair
+    |ln den - partial ld| / (ld den) with no gcd."""
+    return decimal_string(abs(ln * den - partial * ld), den=ld * den)
+
+
 @dataclass(frozen=True, slots=True)
 class ResidualRow:
     """|lhs - partial sum at M| for one n and one truncation M.
@@ -83,9 +93,7 @@ class ResidualRow:
     The row keeps the exact parts, not the residual: ``lhs``, the Fraction
     shared by every row of its n, and the partial sum as the int
     ``partial`` over ``den``, the running denominator shared by every row of
-    its M.  :attr:`residual` builds the canonical Fraction on demand; the
-    decimal is rendered from the unreduced pair
-    |ln den - partial ld| / (ld den), with lhs = ln/ld, and no gcd.
+    its M.  :attr:`residual` builds the canonical Fraction on demand.
     """
 
     n: int
@@ -99,12 +107,51 @@ class ResidualRow:
         return abs(self.lhs - Fraction(self.partial, self.den))
 
     def to_json_dict(self) -> dict:
-        ln, ld = self.lhs.numerator, self.lhs.denominator
-        return {
-            "n": self.n,
-            "M": self.m_truncation,
-            "residual_decimal": decimal_string(abs(ln * self.den - self.partial * ld), den=ld * self.den),
-        }
+        decimal = _residual_decimal(self.lhs.numerator, self.lhs.denominator, self.partial, self.den)
+        return dict(zip(RESIDUAL_KEYS, (self.n, self.m_truncation, decimal)))
+
+
+class ResidualTable(Sequence):
+    """The residual rows of a diagnostic m-series report, built on access.
+
+    The table keeps what the m-sum made: ``lhs[i]``, the left-hand side at
+    n = first_n + i, and for each truncation M the int partial sums
+    ``partials[M]`` (indexed by n) over ``dens[M]``.  Row i * (M_top + 1) + M
+    is the :class:`ResidualRow` of n = first_n + i at M, so the rows come in
+    the order of n, then M.  :meth:`values` renders every row's JSON values
+    straight from the ints.
+    """
+
+    __slots__ = ("first_n", "lhs", "partials", "dens")
+
+    def __init__(self, first_n: int, lhs: Sequence[Fraction], partials: list[list[int]], dens: list[int]):
+        self.first_n, self.lhs, self.partials, self.dens = first_n, lhs, partials, dens
+
+    def __len__(self) -> int:
+        return len(self.lhs) * len(self.dens)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("residual table index out of range")
+        i, m = divmod(index % size, len(self.dens))
+        n = self.first_n + i
+        return ResidualRow(n, m, self.lhs[i], self.partials[m][n], self.dens[m])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, ResidualTable) else other)
+
+    def values(self) -> list[tuple[int, int, str]]:
+        """(n, M, residual_decimal) of every row, in row order."""
+        out = []
+        for i, lhs in enumerate(self.lhs):
+            n = self.first_n + i
+            ln, ld = lhs.numerator, lhs.denominator
+            out += [(n, m, _residual_decimal(ln, ld, partial[n], den))
+                    for m, (partial, den) in enumerate(zip(self.partials, self.dens))]
+        return out
 
 
 @dataclass(frozen=True)
@@ -113,16 +160,23 @@ class VerificationReport:
     params: dict
     status: str
     rows: tuple[ReportRow, ...]
-    residuals: tuple[ResidualRow, ...] = field(default=())
+    residuals: Sequence[ResidualRow] = field(default=())
 
-    def to_json_dict(self) -> dict:
-        return {
+    def json_parts(self) -> tuple[dict, list[tuple[int, int, str]]]:
+        """The JSON object but for its residuals, and the residual rows'
+        values (n, M, residual_decimal) in ``RESIDUAL_KEYS`` order."""
+        head = {
             "identity": self.identity,
             "params": self.params,
             "status": self.status,
             "rows": [r.to_json_dict() for r in self.rows],
-            "residuals": [r.to_json_dict() for r in self.residuals],
         }
+        return head, self.residuals.values() if self.residuals else []
+
+    def to_json_dict(self) -> dict:
+        head, residuals = self.json_parts()
+        head["residuals"] = [dict(zip(RESIDUAL_KEYS, values)) for values in residuals]
+        return head
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -142,7 +196,7 @@ def _report(identity, params, rows, residuals=(), diagnostic=False) -> Verificat
         params=params,
         status=status,
         rows=tuple(rows),
-        residuals=tuple(residuals),
+        residuals=residuals,
     )
 
 
@@ -331,9 +385,10 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     once per call.  So a summand is two integer matrix-vector products and
     one integer convolution.  The partial sums stay ints too: one vector over
     a running denominator, the lcm of the summands' denominators so far,
-    lifted by one lcm per m and never reduced per coefficient.  Each
-    residual row keeps its int and that denominator (see
-    :class:`ResidualRow`), and only the final row of each n is a Fraction.
+    lifted by one lcm per m and never reduced per coefficient.  The
+    residual table keeps every m's int vector and its denominator and builds
+    no row object (see :class:`ResidualTable`); only the final row of each n
+    is a Fraction.
     The powers n_r^e and p^m, the signed binomial coefficient and the
     partial sums are carried from one m to the next.
 
@@ -362,7 +417,8 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
 
     # the partial sums at every m, as ints over table_den * sum_den, where
     # sum_den is the lcm of the denominators of the summands so far
-    sums_by_m: list[tuple[list[int], int]] = []
+    partials: list[list[int]] = []
+    dens: list[int] = []
     sums = [0] * (order + 1)
     sum_den = 1
     for m in range(m_top + 1):
@@ -376,7 +432,8 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
         lift, factor = lifted_den // sum_den, signed_binomial * (lifted_den // term_den)
         sums = [s * lift + factor * v for s, v in zip(sums, _binomial_convolution(g, fam_ints))]
         sum_den = lifted_den
-        sums_by_m.append((sums, table_den * sum_den))
+        partials.append(sums)
+        dens.append(table_den * sum_den)
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
         p_power = [q * p for p, q in enumerate(p_power)]
         if e < 0:
@@ -387,10 +444,8 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
         e += 1
 
     check = "finite-binomial-branch" if exact else "partial-sum-at-M"
-    rows = [_row(check, n, lhs[n], Fraction(sums[n], table_den * sum_den)) for n in range(first_n, order + 1)]
-    residuals = [] if exact else [ResidualRow(n, m, lhs[n], partial[n], den_m)
-                                  for n in range(first_n, order + 1)
-                                  for m, (partial, den_m) in enumerate(sums_by_m)]
+    rows = [_row(check, n, lhs[n], Fraction(sums[n], dens[-1])) for n in range(first_n, order + 1)]
+    residuals = () if exact else ResidualTable(first_n, lhs[first_n:], partials, dens)
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
     return _report(identity, params, rows, residuals, diagnostic=not exact)
 

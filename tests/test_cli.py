@@ -10,11 +10,14 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polybern import cli
-from polybern.cli import main
+from polybern.cli import _ks_flag, main
 from polybern.families import degenerate_multi_poly_bernoulli
 from polybern.rationals import parse_rational
+from polybern.verify import verify_difference, verify_resummation
 
 
 def run(capsys, *argv):
@@ -611,7 +614,9 @@ def test_m_series_exact_branch_cap(capsys, monkeypatch):
 
 
 def test_m_series_size_bound(capsys, monkeypatch):
-    check = cli._check_identity_size
+    def check(identity, kwargs):
+        cli._check_identity_size(cli.IDENTITIES[identity], kwargs, identity)
+
     # order * max(-k_r, k_r + truncate) may reach the bound, not pass it
     check("resummation", {"ks": (2, 1), "order": 48, "m_truncation": 127})
     check("difference", {"ks": (2, -128), "order": 48, "m_truncation": 0})
@@ -643,9 +648,9 @@ def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeyp
 
 
 def test_size_bounds_admit_the_sweep_at_the_caps():
-    for task in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
-        cli._check_identity_size(*task)
-        cli._check_indices(cli.IDENTITIES[task[0]], task[1])
+    for identity, kwargs in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
+        cli._check_identity_size(cli.IDENTITIES[identity], kwargs, identity)
+        cli._check_indices(cli.IDENTITIES[identity], kwargs)
 
 
 def test_tables_match_the_functions():
@@ -676,3 +681,70 @@ def test_largest_admitted_value_fits_the_int_string_limit(capsys):
                          f"--x=-{cli.MAX_RATIONAL_TERM}/251")
     assert (code, err) == (0, "")
     assert max(map(len, re.findall(r"\d+", out))) < limit
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+# strings built mostly from the characters an encoder must escape, or that a
+# %-template or a format string would read
+_ESCAPED = '"\\\n\t\x00\x1f\x7f%{}é€\U0001f600 a'
+_texts = st.text(alphabet=st.sampled_from(_ESCAPED), max_size=6) | st.text(max_size=4)
+_json_scalars = st.none() | st.booleans() | st.integers() | st.integers(max_value=-2**200) | _texts
+
+
+@st.composite
+def _same_keyed_rows(draw):
+    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    return [dict(zip(keys, draw(st.tuples(*[_json_scalars] * len(keys))))) for _ in range(draw(st.integers(0, 4)))]
+
+
+_json_values = st.recursive(
+    _json_scalars | _same_keyed_rows(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_texts, inner, max_size=4) | st.lists(st.integers(), max_size=4)
+                   | st.lists(_texts, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json_values)
+@example(value=[{}, []])
+@example(value=[[{}], {"": []}, [[]]])
+@example(value=[True, 1, False, 0, None])
+@example(value=[{"a": 1}, {"b": 2}])
+@example(value=[{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example(value=[{"a": 1}, {"a": [1]}])
+@example(value=[{'"%s{}\\': 1, "\x00é": "%d {0}"}, {'"%s{}\\': None, "\x00é": True}])
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_same_keyed_rows())
+def test_json_writer_renders_value_rows_as_their_objects(rows):
+    keys = tuple(rows[0]) if rows else ("n",)
+    values = [tuple(row.values()) for row in rows]
+    assert cli._json_text({"rows": cli._Rows(keys, values)}) == json.dumps({"rows": rows}, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {"a": {1, 2}}, [1, b"x"], {1: "one"},
+                                   [{"a": 1}, {"a": object()}], cli._Rows(("a",), [(Fraction(1),)])])
+def test_json_writer_refuses_non_json_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity=resummation", "--ks=2,2,1", "--lambda=-7/9", "--x=8/9", "--order=5", "--truncate=20"),
+    ("verify", "--identity=difference", "--ks=1,1", "--lambda=1/2", "--x=0", "--order=5", "--truncate=9"),
+    ("verify", "--identity=difference", "--ks=1,-1", "--lambda=1/4", "--x=1/2", "--order=6"),
+])
+def test_library_and_cli_render_a_report_alike(capsys, argv):
+    flags = dict(word[2:].split("=") for word in argv[1:])
+    check = {"resummation": verify_resummation, "difference": verify_difference}[flags["identity"]]
+    report = check(_ks_flag(flags["ks"]), Fraction(flags["lambda"]), Fraction(flags["x"]), int(flags["order"]),
+                   int(flags.get("truncate", cli.DEFAULT_M_TRUNCATION)))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == report.to_json(indent=2) + "\n"

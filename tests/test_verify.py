@@ -1,5 +1,6 @@
 """Identity harness: exact checks, diagnostic branches, report contracts."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -340,3 +341,54 @@ def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncatio
             [(n, lhs[n], partial) for n, partial in rows]
         assert [(res.n, res.m_truncation, res.residual) for res in report.residuals] == residuals
         assert report.params["m_truncation"] == m_top
+
+
+# -- the residual table: rows built on access, against the oracle's eager rows ---
+
+def _oracle_residuals(check, ks, lam, x, order, m_truncation):
+    """The (n, M, residual) triples of one diagnostic call, summed by the oracle."""
+    r, k_r = len(ks), ks[-1]
+    fams = [degenerate_multi_poly_bernoulli(ks[:-2] + (ks[-2] - m,), lam, x, order).values
+            for m in range(m_truncation + 1)]
+    base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
+    if check is verify_resummation:
+        carlitz = carlitz_degenerate(1, lam, 0, order).values
+        lhs, first_n = base, 0
+        terms = [oracles.resummation_term(m, fam, r=r, k_r=k_r, order=order, carlitz=carlitz)
+                 for m, fam in enumerate(fams)]
+    else:
+        upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
+        lhs, first_n = [(u - b) / r for u, b in zip(upper, base)], 1
+        terms = [oracles.difference_term(m, fam, k_r=k_r, order=order) for m, fam in enumerate(fams)]
+    return oracles.m_series_partial_sums(lhs, terms, k_r, first_n, order)[1]
+
+
+@pytest.mark.parametrize("check", [verify_resummation, verify_difference])
+@pytest.mark.parametrize("ks", [(2, 1), (1, 2, 1)])
+def test_residual_table_reads_as_the_eager_rows(check, ks):
+    report = check(ks, Fraction(-2, 5), THIRD, 4, m_truncation=6)
+    table, expected = report.residuals, _oracle_residuals(check, ks, Fraction(-2, 5), THIRD, 4, 6)
+    rows_of_n = 4 if check is verify_difference else 5  # difference starts at n = 1
+    assert len(table) == len(expected) == rows_of_n * 7
+
+    def triple(row):
+        return row.n, row.m_truncation, row.residual
+
+    assert [triple(row) for row in table] == expected
+    for i in range(-len(table), len(table)):
+        assert triple(table[i]) == expected[i], i
+    for i in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    assert [triple(row) for row in table[3:-2:4]] == expected[3:-2:4]
+    assert table == tuple(table) and list(reversed(table)) == list(table)[::-1]
+    data = report.to_json_dict()["residuals"]
+    assert data == [row.to_json_dict() for row in table]
+    assert data == [dict(zip(("n", "M", "residual_decimal"), values)) for values in table.values()]
+
+
+def test_diagnostic_report_pickles():
+    report = verify_difference((2, 2, 1), THIRD, HALF, 5, m_truncation=9)
+    again = pickle.loads(pickle.dumps(report))
+    assert again == report and again.to_json(indent=2) == report.to_json(indent=2)
+    assert [row.residual for row in again.residuals] == [row.residual for row in report.residuals]
