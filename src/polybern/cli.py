@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import os
 import re
@@ -36,40 +37,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-# most of these are reached only by name, through the tables further down
-from .families import (
-    SequenceResult,
-    carlitz_degenerate,
-    degenerate_multi_poly_bernoulli,
-    multi_poly_bernoulli,
-    poly_bernoulli,
-    type2_poly_bernoulli,
-)
+from .families import SequenceResult
 from .rationals import format_rational, parse_rational
-from .special import (
-    STIRLING_KINDS,
-    StirlingTable,
-    degenerate_exp,
-    log1p_series,
-    multi_polylog,
-    one_minus_exp_neg,
-    polyexp,
-    stirling_table,
-)
-from .verify import (
-    RESIDUAL_KEYS,
-    VerificationReport,
-    verify_addition,
-    verify_chain_stirling,
-    verify_deriv_recurrences,
-    verify_difference,
-    verify_li_ones,
-    verify_polynomial_expansion,
-    verify_resummation,
-)
+from .special import STIRLING_KINDS, StirlingTable, stirling_table
+from .verify import DEFAULT_M_TRUNCATION, RESIDUAL_KEYS, VerificationReport
 
 DEFAULT_ORDER = 16
-DEFAULT_M_TRUNCATION = 32
 # The flags verify --all takes besides --order: parsed with default None so a
 # call that does not take one can refuse it, and given its value where taken
 FLAG_DEFAULTS = {"m_truncation": DEFAULT_M_TRUNCATION, "jobs": 1}
@@ -123,12 +96,12 @@ def _ks_flag(text: str) -> tuple[int, ...]:
 
 
 class Entry(NamedTuple):
-    """One CLI name: its function's name in this module, looked up at call
-    time so that a test seam or tracer replacing it sees every call; the
-    parameters besides ``order``, in signature order, each read from its
-    flag; the :func:`_check_identity_size` rule (``"m-series"`` also frees
-    k_r from the weight bound); the least order; and the ``verify --all``
-    points: (largest order, every parameter but ``m_truncation``)."""
+    """One CLI name: its function as ``"module.function"``, looked up in
+    that module at call time so that a seam or tracer replacing it there
+    sees every call; the parameters besides ``order``, in signature order,
+    each read from its flag; the :func:`_check_identity_size` rule
+    (``"m-series"`` also frees k_r from the weight bound); the least order;
+    and the ``verify --all`` points: (largest order, all but m_truncation)."""
 
     function: str
     params: tuple[str, ...]
@@ -138,34 +111,36 @@ class Entry(NamedTuple):
 
 
 SERIES = {
-    "multi-polylog": Entry("multi_polylog", ("ks",)),
-    "polyexp": Entry("polyexp", ("k",)),
-    "one-minus-exp-neg": Entry("one_minus_exp_neg", ()),
-    "log1p": Entry("log1p_series", ()),
-    "degenerate-exp": Entry("degenerate_exp", ("x", "lam")),
+    "multi-polylog": Entry("special.multi_polylog", ("ks",)),
+    "polyexp": Entry("special.polyexp", ("k",)),
+    "one-minus-exp-neg": Entry("special.one_minus_exp_neg", ()),
+    "log1p": Entry("special.log1p_series", ()),
+    "degenerate-exp": Entry("special.degenerate_exp", ("x", "lam")),
 }
 FAMILIES = {
-    "degen-multi-poly": Entry("degenerate_multi_poly_bernoulli", ("ks", "lam", "x")),
-    "multi-poly": Entry("multi_poly_bernoulli", ("ks", "x")),
-    "poly": Entry("poly_bernoulli", ("k", "x")),
-    "type2-poly": Entry("type2_poly_bernoulli", ("k", "x")),
-    "carlitz": Entry("carlitz_degenerate", ("r", "lam", "x")),
+    "degen-multi-poly": Entry("families.degenerate_multi_poly_bernoulli", ("ks", "lam", "x")),
+    "multi-poly": Entry("families.multi_poly_bernoulli", ("ks", "x")),
+    "poly": Entry("families.poly_bernoulli", ("k", "x")),
+    "type2-poly": Entry("families.type2_poly_bernoulli", ("k", "x")),
+    "carlitz": Entry("families.carlitz_degenerate", ("r", "lam", "x")),
 }
 _HALF, _THIRD, _ZERO = Fraction(1, 2), Fraction(1, 3), Fraction(0)
 IDENTITIES = {
-    "expansion": Entry("verify_polynomial_expansion", ("ks", "lam", "x"), sweep=tuple(
+    "expansion": Entry("verify.verify_polynomial_expansion", ("ks", "lam", "x"), sweep=tuple(
         (MAX_ORDER, {"ks": ks, "lam": _THIRD, "x": Fraction(2, 3)}) for ks in ((1, 2), (2, 1), (1, 1, 1)))),
-    "li-ones": Entry("verify_li_ones", ("r",), sweep=tuple((MAX_ORDER, {"r": r}) for r in (1, 2, 3, 4))),
-    "deriv": Entry("verify_deriv_recurrences", ("ks",), least_order=1,
+    "li-ones": Entry("verify.verify_li_ones", ("r",),
+                     sweep=tuple((MAX_ORDER, {"r": r}) for r in (1, 2, 3, 4))),
+    "deriv": Entry("verify.verify_deriv_recurrences", ("ks",), least_order=1,
                    sweep=tuple((MAX_ORDER, {"ks": ks}) for ks in ((2,), (2, 1), (3, 2)))),
-    "chain-stirling": Entry("verify_chain_stirling", ("ks", "lam", "x"), sweep=tuple(
+    "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), sweep=tuple(
         (10, {"ks": ks, "lam": _HALF, "x": _ZERO}) for ks in ((1, 1), (2, 1)))),
-    "resummation": Entry("verify_resummation", ("ks", "lam", "x", "m_truncation"), size="m-series", sweep=(
-        (6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}), (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
-    "difference": Entry("verify_difference", ("ks", "lam", "x", "m_truncation"), size="m-series",
+    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"), size="m-series",
+                         sweep=((6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}),
+                                (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
+    "difference": Entry("verify.verify_difference", ("ks", "lam", "x", "m_truncation"), size="m-series",
                         least_order=1, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
                                               (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
-    "addition": Entry("verify_addition", ("ks", "lam", "x", "y"),
+    "addition": Entry("verify.verify_addition", ("ks", "lam", "x", "y"),
                       sweep=((MAX_ORDER, {"ks": (2, 1), "lam": _THIRD, "x": _HALF, "y": _THIRD}),)),
 }
 
@@ -252,8 +227,10 @@ def _refuse_flags(table: dict, taken, args, who: str):
     _require(not ignored, f"{who} takes no " + " or ".join(ignored))
 
 
-def _call(table: dict, name: str, kwargs: dict):
-    return globals()[table[name].function](**kwargs)
+def _function(entry: Entry):
+    """The function ``entry`` names, looked up in its module at each call."""
+    module, name = entry.function.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _check_order(order: int, least: int, who: str):
@@ -276,7 +253,7 @@ def _call_from_flags(table: dict, name: str, args):
     kwargs["order"] = args.order
     _check_identity_size(entry, kwargs, name)
     _check_indices(entry, kwargs)
-    return _call(table, name, kwargs)
+    return _function(entry)(**kwargs)
 
 
 def _check_indices(entry: Entry, kwargs: dict):
@@ -327,7 +304,8 @@ def _sweep_tasks(order: int, m_truncation: int) -> list[tuple[str, dict]]:
 
 
 def _sweep_worker(task: tuple[str, dict]) -> dict:
-    return _json_value(_call(IDENTITIES, *task))
+    identity, kwargs = task
+    return _json_value(_function(IDENTITIES[identity])(**kwargs))
 
 
 def _worker_count(requested: int, tasks: int) -> int:
@@ -386,36 +364,21 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true"
             type(None): lambda _: "null"}
 
 
-def _scalar(value) -> str:
-    try:
-        return _SCALARS[type(value)](value)
-    except KeyError:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable") from None
-
-
-def _scalars(values) -> list[str]:
-    """The JSON text of each scalar, by one encoder when they share a type."""
+def _scalars(values) -> list[str] | None:
+    """The JSON text of each value, by one encoder when they share a type;
+    None when any value is not a scalar."""
     kinds = set(map(type, values))
-    return list(map(_SCALARS.get(kinds.pop(), _scalar) if len(kinds) == 1 else _scalar, values))
-
-
-def _rows_text(keys: tuple[str, ...], values: list[tuple], indent: str) -> str:
-    """The items of a ``_Rows`` list at ``indent``, comma-joined: each
-    object is one %-template, built from the keys, filled with its encoded
-    values."""
-    field = indent + "  "
-    names = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
-    template = "{" + ",".join(f"{field}{name}: %s" for name in names) + indent + "}"
-    columns = [_scalars(column) for column in zip(*values)]
-    return ("," + indent).join(template % row for row in zip(*columns))
+    if not kinds.issubset(_SCALARS):
+        return None
+    encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else lambda v: _SCALARS[type(v)](v)
+    return list(map(encode, values))
 
 
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str
-    keys, lists, tuples and ``_Rows`` of str, int, bool and None.  Any
-    other type raises TypeError.  The text is one join of the pieces
-    :func:`_append_json` collects, so no nested level is copied into the
-    next."""
+    keys, lists, tuples and ``_Rows`` of str, int, bool and None; TypeError
+    for any other type.  The text is one join of the pieces
+    :func:`_append_json` collects, so no level is copied into its parent."""
     out: list[str] = []
     _append_json(value, "\n", out)
     return "".join(out)
@@ -423,44 +386,46 @@ def _json_text(value) -> str:
 
 def _append_json(value, indent: str, out: list[str]):
     """Append the pieces of ``value``'s text at ``indent`` to ``out``.  Two
-    cases skip the item-by-item walk: a list of ints or of strs is one
-    join, and a list of objects with one key order and scalar values is one
-    template per object."""
+    cases skip the item-by-item walk: a list of scalars is one join, and a
+    ``_Rows`` or a list of objects with one key order and scalar values is
+    one %-template per object, built from the keys."""
     inner = indent + "  "
-    if type(value) is _Rows:
-        items = _rows_text(*value, inner)
-    elif isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        keys = tuple(value[0]) if kinds == {dict} else None
-        if len(kinds) == 1 and kinds <= {int, str}:
-            items = ("," + inner).join(_scalars(value))
-        elif keys and all(tuple(v) == keys for v in value) \
-                and all(type(x) in _SCALARS for v in value for x in v.values()):
-            items = _rows_text(keys, [tuple(v.values()) for v in value], inner)
-        else:
-            items = None
-    elif isinstance(value, dict) and value:
+    if isinstance(value, dict):
         sep = "{" + inner
         for key, item in value.items():
             out += sep, encode_basestring_ascii(key), ": "
             _append_json(item, inner, out)
             sep = "," + inner
-        out += indent, "}"
+        out.append(indent + "}" if value else "{}")
         return
+    if not isinstance(value, (list, tuple)):
+        texts = _scalars((value,))
+        if texts is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out += texts
+        return
+    keys = tuple(value[0]) if value and type(value[0]) is dict else ()
+    if keys and all(type(v) is dict and tuple(v) == keys for v in value):
+        value = _Rows(keys, [tuple(v.values()) for v in value])
+    if type(value) is _Rows:
+        columns = [_scalars(column) for column in zip(*value.values)]
+        if None not in columns:
+            names = [encode_basestring_ascii(k).replace("%", "%%") for k in value.keys]
+            template = "{" + ",".join(f"{inner}  {name}: %s" for name in names) + inner + "}"
+            texts = [template % row for row in zip(*columns)]
+        else:  # a value that is not a scalar: walk the objects
+            texts, value = None, [dict(zip(value.keys, row)) for row in value.values]
     else:
-        out.append("{}" if isinstance(value, dict) else _scalar(value))
-        return
-    if items:
-        out += "[" + inner, items, indent + "]"
-    elif items is None and value:
+        texts = _scalars(value)
+    if texts is None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
             _append_json(item, inner, out)
             sep = "," + inner
-        out += indent, "]"
+        out.append(indent + "]" if value else "[]")
     else:
-        out.append("[]")
+        out += ("[" + inner, ("," + inner).join(texts), indent + "]") if texts else ("[]",)
 
 
 def _emit(result, fmt: str, output: str | None):

@@ -77,6 +77,8 @@ class ReportRow:
         }
 
 
+# the m-sum truncation M of verify_resummation and verify_difference unless one is given
+DEFAULT_M_TRUNCATION = 32
 RESIDUAL_KEYS = ("n", "M", "residual_decimal")
 
 
@@ -451,7 +453,7 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
 
 
 def verify_resummation(
-    ks: Sequence[int], lam, x, order: int, m_truncation: int = 32
+    ks: Sequence[int], lam, x, order: int, m_truncation: int = DEFAULT_M_TRUNCATION
 ) -> VerificationReport:
     """The resummed explicit formula for beta_n(x).
 
@@ -487,7 +489,7 @@ def verify_resummation(
 
 
 def verify_difference(
-    ks: Sequence[int], lam, x, order: int, m_truncation: int = 32
+    ks: Sequence[int], lam, x, order: int, m_truncation: int = DEFAULT_M_TRUNCATION
 ) -> VerificationReport:
     """The forward-difference formula.
 

@@ -7,16 +7,18 @@ import re
 import stat
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polybern import cli
+from polybern import cli, verify
 from polybern.cli import _ks_flag, main
 from polybern.families import degenerate_multi_poly_bernoulli
 from polybern.rationals import parse_rational
+from polybern.special import stirling_table
 from polybern.verify import verify_difference, verify_resummation
 
 
@@ -221,27 +223,25 @@ def test_verify_all_parallel_matches_serial(capsys):
 
 def test_verify_fail_exits_one(capsys, monkeypatch):
     # no true identity can fail, so force a failing report through the seam
-    import polybern.cli as cli
     from polybern.verify import ReportRow, VerificationReport
 
     fake = VerificationReport(
         identity="li-ones", params={"r": 2, "order": 4}, status="fail",
         rows=(ReportRow("log-power", 0, Fraction(1), Fraction(2), False),),
     )
-    monkeypatch.setattr(cli, "verify_li_ones", lambda r, order: fake)
+    monkeypatch.setattr("polybern.verify.verify_li_ones", lambda r, order: fake)
     code, out, _ = run(capsys, "verify", "--identity", "li-ones", "--r", "2", "--order", "4")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
 
 
 def test_internal_invariant_violation_exits_three(capsys, monkeypatch):
-    import polybern.cli as cli
     from polybern.series import ValuationError
 
     def boom(*args, **kwargs):
         raise ValuationError("valuation too small")
 
-    monkeypatch.setattr(cli, "degenerate_multi_poly_bernoulli", boom)
+    monkeypatch.setattr("polybern.families.degenerate_multi_poly_bernoulli", boom)
     code, _, err = run(capsys, "numbers", "--family", "degen-multi-poly",
                        "--ks", "1,2", "--lambda", "1/3", "--x", "0")
     assert code == 3
@@ -254,12 +254,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):
-    import polybern.cli as cli
-
     def boom(*args, **kwargs):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli, "poly_bernoulli", boom)
+    monkeypatch.setattr("polybern.families.poly_bernoulli", boom)
     code, out, err = run(capsys, "numbers", "--family", "poly", "--k", "1", "--order", "3")
     assert code == 3
     assert out == ""
@@ -420,7 +418,7 @@ def test_least_order_is_refused_before_any_work(capsys, monkeypatch):
     # deriv and difference need order >= 1, and --all runs deriv
     assert run(capsys, "verify", "--all", "--order=1")[0] == 0
     for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
     cases = [(("verify", "--all", "--order=0"), "--all (through deriv) needs order at least 1"),
              (("verify", "--all", "--order=0", "--jobs=2"), "--all (through deriv) needs order at least 1"),
@@ -436,7 +434,7 @@ def test_least_order_is_refused_before_any_work(capsys, monkeypatch):
 def test_verify_all_refuses_the_flags_it_would_ignore(capsys, monkeypatch):
     # --all runs its own points: every per-identity flag but --truncate
     for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
     for flags, named in ((("--ks=1,2",), "--ks"), (("--r=2",), "--r"), (("--lambda=1/3",), "--lambda"),
                          (("--x=0",), "--x"), (("--y=1/2", "--jobs=2"), "--y"),
@@ -457,7 +455,7 @@ def test_single_calls_refuse_the_flags_their_entry_does_not_take(capsys, monkeyp
              (cli.IDENTITIES, "verify", "--identity", ("ks", "r", "lambda", "x", "y", "truncate", "jobs")))
     for table, verb, selector, flags in verbs:
         for name, entry in table.items():
-            monkeypatch.setattr(cli, entry.function, _fail_if_called)
+            monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
             taken = [cli._flag(p) for p in entry.params]
             argv = (verb, f"{selector}={name}", "--order=2", *(f"--{f}={values[f]}" for f in taken))
             ignored = [f for f in flags if f not in taken]
@@ -478,9 +476,9 @@ def test_depth_cap(capsys, monkeypatch):
              (("verify", "--identity=li-ones", "--order=2"), f"--r={d}", f"--r={d + 1}")]
     for argv, admitted, _ in cases:
         assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
-    for name in ("degenerate_multi_poly_bernoulli", "multi_polylog", "verify_deriv_recurrences",
-                 "carlitz_degenerate", "verify_li_ones"):
-        monkeypatch.setattr(cli, name, _fail_if_called)
+    for name in ("families.degenerate_multi_poly_bernoulli", "special.multi_polylog",
+                 "verify.verify_deriv_recurrences", "families.carlitz_degenerate", "verify.verify_li_ones"):
+        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
     for argv, _, refused in cases:
         code, out, err = run(capsys, *argv, refused)
         assert (code, out) == (2, ""), (argv, refused)
@@ -501,9 +499,9 @@ def test_index_weight_cap(capsys, monkeypatch):
               f"--ks={w},-{cli.MAX_M_TRUNCATION}", f"--ks={w + 1},-1")]
     for argv, admitted, _ in cases:
         assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
-    for name in ("degenerate_multi_poly_bernoulli", "polyexp", "type2_poly_bernoulli",
-                 "verify_deriv_recurrences", "verify_resummation"):
-        monkeypatch.setattr(cli, name, _fail_if_called)
+    for name in ("families.degenerate_multi_poly_bernoulli", "special.polyexp", "families.type2_poly_bernoulli",
+                 "verify.verify_deriv_recurrences", "verify.verify_resummation"):
+        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
     for argv, _, refused in cases:
         code, out, err = run(capsys, *argv, refused)
         assert (code, out) == (2, ""), (argv, refused)
@@ -523,8 +521,8 @@ def test_truncate_cap(capsys, monkeypatch):
         assert _refused(err) and f"truncate must be at most {cli.MAX_M_TRUNCATION}" in err
     # a negative truncation is refused before any work, also where k_r <= 0
     # would ignore it and where --all would only meet it after other tasks
-    for name in cli.IDENTITIES.values():
-        monkeypatch.setattr(cli, name[0], _fail_if_called)
+    for entry in cli.IDENTITIES.values():
+        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
     for argv in (exact, ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2"),
                  ("verify", "--all", "--order=128")):
         code, out, err = run(capsys, *argv, "--truncate=-1")
@@ -534,7 +532,7 @@ def test_truncate_cap(capsys, monkeypatch):
 
 def test_jobs_below_one_is_refused_before_any_work(capsys, monkeypatch):
     for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(cli, entry.function, _fail_if_called)
+        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
     for jobs in ("--jobs=0", "--jobs=-3"):
         code, out, err = run(capsys, "verify", "--all", "--order=2", jobs)
@@ -558,10 +556,11 @@ def test_rational_flag_bound(capsys, monkeypatch):
     for argv, flag in cases:
         for value in (b, -b, f"{b - 1}/{b}", f"-1/{b}"):
             assert run(capsys, *argv, f"--{flag}={value}")[0] == 0, (argv, flag, value)
-    for name in ("degenerate_exp", "degenerate_multi_poly_bernoulli", "type2_poly_bernoulli",
-                 "carlitz_degenerate", "verify_polynomial_expansion", "verify_addition",
-                 "verify_difference", "verify_chain_stirling"):
-        monkeypatch.setattr(cli, name, _fail_if_called)
+    for name in ("special.degenerate_exp", "families.degenerate_multi_poly_bernoulli",
+                 "families.type2_poly_bernoulli", "families.carlitz_degenerate",
+                 "verify.verify_polynomial_expansion", "verify.verify_addition",
+                 "verify.verify_difference", "verify.verify_chain_stirling"):
+        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
     for argv, flag in cases:
         for value in (b + 1, -b - 1, f"1/{b + 1}", f"-{b + 1}/{b}"):
             code, out, err = run(capsys, *argv, f"--{flag}={value}")
@@ -607,7 +606,7 @@ def test_m_series_exact_branch_cap(capsys, monkeypatch):
         code, out, _ = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION}")
         assert code == 0
         assert json.loads(out)["params"]["m_truncation"] == cli.MAX_M_TRUNCATION
-        monkeypatch.setattr(cli, f"verify_{identity}", _fail_if_called)
+        monkeypatch.setattr(f"polybern.verify.verify_{identity}", _fail_if_called)
         code, out, err = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION + 1}")
         assert (code, out) == (2, ""), identity
         assert _refused(err) and f"-k_r must be at most {cli.MAX_M_TRUNCATION}" in err
@@ -624,7 +623,7 @@ def test_m_series_size_bound(capsys, monkeypatch):
         with pytest.raises(cli.UsageError, match=str(cli.MAX_M_SERIES_SIZE)):
             check(identity, {"ks": ks, "order": 48, "m_truncation": truncate})
     for identity in ("resummation", "difference"):
-        monkeypatch.setattr(cli, f"verify_{identity}", _fail_if_called)
+        monkeypatch.setattr(f"polybern.verify.verify_{identity}", _fail_if_called)
         code, out, err = run(capsys, "verify", f"--identity={identity}", "--ks=2,2,1", "--lambda=1/3",
                              "--x=0", "--order=64", "--truncate=160")
         assert (code, out) == (2, ""), identity
@@ -640,7 +639,7 @@ def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeyp
                              "--lambda=-7/9", "--x=8/9", f"--order={cli.MAX_ORDER}")
         assert (code, err) == (0, ""), ks
         assert json.loads(out)["status"] == "pass", ks
-    monkeypatch.setattr(cli, "verify_chain_stirling", _fail_if_called)
+    monkeypatch.setattr("polybern.verify.verify_chain_stirling", _fail_if_called)
     code, out, err = run(capsys, "verify", "--identity=chain-stirling", "--ks=" + ",".join(["1"] * (d + 1)),
                          "--lambda=1/3", "--x=0", "--order=0")
     assert (code, out) == (2, "")
@@ -653,16 +652,27 @@ def test_size_bounds_admit_the_sweep_at_the_caps():
         cli._check_indices(cli.IDENTITIES[identity], kwargs)
 
 
-def test_tables_match_the_functions():
-    # params follow the signature: their order is that of the echoed params
-    # and of the missing-flag message; a sweep point sets every one of them
-    # but m_truncation, which --all takes from --truncate
+def test_tables_match_the_functions(monkeypatch):
+    # an entry names a function defined in the module it names, which a
+    # call looks up there each time; params follow the signature: their
+    # order is that of the echoed params and of the missing-flag message; a
+    # sweep point sets every one of them but m_truncation, which --all
+    # takes from --truncate; every public verify_* function has exactly one
+    # identity entry
+    checks = [name for name, obj in vars(verify).items()
+              if name.startswith("verify_") and inspect.isfunction(obj) and obj.__module__ == verify.__name__]
+    assert sorted(entry.function for entry in cli.IDENTITIES.values()) == sorted(f"verify.{c}" for c in checks)
     for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES):
         for name, entry in table.items():
-            signature = inspect.signature(getattr(cli, entry.function))
+            module, function = entry.function.split(".")
+            resolved = cli._function(entry)
+            assert (resolved.__module__, resolved.__name__) == (f"polybern.{module}", function), name
+            signature = inspect.signature(resolved)
             assert entry.params == tuple(p for p in signature.parameters if p != "order"), name
             for _, point in entry.sweep:
                 assert set(point) == set(entry.params) - {"m_truncation"}, (name, point)
+            monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
+            assert cli._function(entry) is _fail_if_called, name
 
 
 def test_largest_admitted_value_fits_the_int_string_limit(capsys):
@@ -726,6 +736,20 @@ def test_json_writer_renders_value_rows_as_their_objects(rows):
     keys = tuple(rows[0]) if rows else ("n",)
     values = [tuple(row.values()) for row in rows]
     assert cli._json_text({"rows": cli._Rows(keys, values)}) == json.dumps({"rows": rows}, indent=2)
+
+
+def test_json_writer_holds_a_large_text_about_twice():
+    # the pieces are joined once, so the peak is about the pieces plus the
+    # text; a writer that returned each level's text would peak at three
+    # times the text
+    value = stirling_table("first_signed", 120).to_json_dict()
+    tracemalloc.start()
+    try:
+        text = cli._json_text(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {"a": {1, 2}}, [1, b"x"], {1: "one"},
