@@ -142,7 +142,8 @@ class StirlingTable:
 
     kind "second" counts set partitions into k blocks; "first_unsigned"
     counts permutations with k cycles; "first_signed" carries the
-    alternating sign (-1)^(n-k) on the unsigned values.
+    alternating sign (-1)^(n-k) on the unsigned values, so that
+    n! [t^n] log(1+t)^k = k! T[n][k].
     """
 
     kind: str
@@ -179,7 +180,7 @@ def stirling_table(kind: str, max_n: int) -> StirlingTable:
 
     second:          T[n][k] = k*T[n-1][k] + T[n-1][k-1]
     first_unsigned:  T[n][k] = (n-1)*T[n-1][k] + T[n-1][k-1]
-    first_signed:    (-1)^(n-k) times the unsigned triangle
+    first_signed:    T[n][k] = T[n-1][k-1] - (n-1)*T[n-1][k]
     """
     if kind not in STIRLING_KINDS:
         raise ValueError(f"kind must be one of {STIRLING_KINDS}, got {kind!r}")
@@ -187,15 +188,12 @@ def stirling_table(kind: str, max_n: int) -> StirlingTable:
         raise ValueError("max_n must be non-negative")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, max_n + 1):
-        prev = rows[n - 1]
-        row = [0] * (n + 1)
-        for k in range(1, n + 1):
-            above = prev[k] if k <= n - 1 else 0
-            row[k] = (k if kind == "second" else (n - 1)) * above + prev[k - 1]
-        rows.append(tuple(row))
-    if kind == "first_signed":
-        rows = [
-            tuple((-1) ** (n - k) * v for k, v in enumerate(row))
-            for n, row in enumerate(rows)
-        ]
+        prev = rows[-1]
+        above = prev[1:] + (0,)  # T[n-1][k] for k = 1..n
+        if kind == "second":
+            row = (0, *(k * a + b for k, a, b in zip(range(1, n + 1), above, prev)))
+        else:
+            c = n - 1 if kind == "first_unsigned" else 1 - n
+            row = (0, *(c * a + b for a, b in zip(above, prev)))
+        rows.append(row)
     return StirlingTable(kind=kind, max_n=max_n, rows=tuple(rows))

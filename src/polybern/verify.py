@@ -202,15 +202,16 @@ def _report(identity, params, rows, residuals=(), diagnostic=False) -> Verificat
     )
 
 
-def _sign(exponent: int) -> int:
-    return 1 if exponent % 2 == 0 else -1
-
-
 def _u_powers(top: int) -> list[list[int]]:
     """The EGF ints U[m][l] = l! [t^l] u^m = (-1)^(l-m) m! S2(l, m) of the
     powers of u = 1 - e^{-t}, for m, l <= top (zero for l < m)."""
-    s2 = stirling_table("second", top)
-    return [[_sign(l - m) * factorial(m) * s2.value(l, m) for l in range(top + 1)] for m in range(top + 1)]
+    s2 = stirling_table("second", top).rows
+    out = []
+    for m in range(top + 1):
+        fact = factorial(m)
+        signed = (fact, -fact)
+        out.append([0] * m + [signed[(l - m) & 1] * s2[l][m] for l in range(m, top + 1)])
+    return out
 
 
 def _depth_two_args(identity: str, ks, lam, x) -> tuple[tuple[int, ...], Fraction, Fraction]:

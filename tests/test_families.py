@@ -22,7 +22,7 @@ from polybern.families import (
     type2_poly_bernoulli,
 )
 from polybern.series import TruncatedSeries, ValuationError
-from polybern.special import falling_factorial, multi_polylog
+from polybern.special import falling_factorial, log1p_series, multi_polylog, polyexp
 from polybern.verify import verify_chain_stirling
 
 
@@ -273,6 +273,30 @@ def test_family_pipeline_agrees_with_an_oracle_only_route(ks, lam, x, order):
 def test_carlitz_agrees_with_the_oracle_route_at_all_ones(r, lam, x, order):
     assert list(carlitz_degenerate(r, lam, x, order).values) == \
         multi_poly_values((1,) * r, lam, x, order)
+
+
+def _type2_by_composition(k, x, order):
+    # the numerator Ei_k(log(1+t)) composed as a series, not read from the
+    # signed Stirling table as type2_poly_bernoulli reads it
+    work = order + 1
+    return _gf_values(polyexp(k, work).compose(log1p_series(work)), 1, 0, x, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=-4, max_value=5),
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=16),
+)
+@example(k=5, x=Fraction(-3, 5), order=16)
+def test_type2_stirling_numerator_agrees_with_the_composed_numerator(k, x, order):
+    assert type2_poly_bernoulli(k, x, order).values == _type2_by_composition(k, x, order)
+
+
+def test_type2_stirling_numerator_agrees_with_the_composed_numerator_at_the_caps():
+    x = Fraction(255, 256)
+    for k in (32, -32):
+        assert type2_poly_bernoulli(k, x, 128).values == _type2_by_composition(k, x, 128), k
 
 
 def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):

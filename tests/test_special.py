@@ -130,6 +130,14 @@ def test_stirling_against_brute_force_counts():
             assert first.value(n, k) == count_permutations_by_cycles(n, k)
 
 
+def test_stirling_first_signed_is_the_unsigned_table_with_alternating_signs():
+    signed = stirling_table("first_signed", 60).rows
+    unsigned = stirling_table("first_unsigned", 60).rows
+    assert len(signed) == len(unsigned) == 61
+    for n, (s_row, u_row) in enumerate(zip(signed, unsigned)):
+        assert s_row == tuple((-1) ** (n - k) * v for k, v in enumerate(u_row)), n
+
+
 def test_stirling_second_generating_function():
     # (1/k!)(e^t - 1)^k column check, exact to order 16
     order = 16
