@@ -14,10 +14,17 @@ exponential.  Every family in this module, and every right-hand side in
 function (here Li_{k_1,...,k_r}(1 - e^{-t})), which must have valuation r.
 The pipeline divides by t^r (the valuation is asserted), multiplies by
 the inverse of the unit power ((e_lam(t) - 1)/t)^r and by e_lam^x(t), and
-scales.  The numerators are what the identities test, and they stay on
-separate routes: the Carlitz family passes t^r / r!, which the all-ones
-index vector must reproduce through the polylog composition.  The main
-family composes its polylog with 1 - e^{-t}; the type-2 family does not
+scales.  It runs on ints over one denominator per stage, with one
+Fraction per value: the unit and e_lam^x come from the int form of the
+degenerate exponential, and the power, the inverse and the products from
+the int kernels of :mod:`polybern.series`.  The numerators are what the
+identities test, and they stay on separate routes: the Carlitz family
+passes t^r / r!, which the all-ones index vector must reproduce through
+the polylog composition.  The main family composes its polylog with
+1 - e^{-t}, which :meth:`~polybern.series.TruncatedSeries.compose`
+recognizes as alpha (e^{beta t} - 1) and sums over the exponentials
+e^{-jt} in O(N^2) (the chain-stirling check builds its numerator from
+Stirling numbers of the second kind instead); the type-2 family does not
 compose, but reads the powers of its inner series log(1+t) from the
 signed Stirling table of the first kind.
 
@@ -40,10 +47,10 @@ from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
-from .rationals import format_rational
-from .series import TruncatedSeries, _over_common
+from .rationals import as_rational, format_rational
+from .series import TruncatedSeries, _inverse, _over_common, _power, _product, _reduced
 from .special import (
-    degenerate_exp,
+    _degenerate_exp_ints,
     index_vector,
     multi_polylog,
     one_minus_exp_neg,
@@ -70,8 +77,8 @@ class FamilyQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "lam", as_rational(self.lam))
+        object.__setattr__(self, "x", as_rational(self.x))
         if self.order < 0:
             raise ValueError("order must be non-negative")
 
@@ -121,16 +128,30 @@ def _gf_values(numerator: TruncatedSeries, r: int, lam, x, order: int) -> tuple[
     ((e_lam(t)-1)/t)^r and by e_lam^x(t); the values are then r! n! times
     the coefficients.  This is the only place the EGF convention is
     applied.
+
+    Every stage runs on ints over one denominator, reduced once by a gcd
+    over the vector: the unit and e_lam^x come from the int form of the
+    degenerate exponential (the unit is its x = 1 form shifted by one),
+    the unit power is taken by binary powering, the inverse by the int
+    recurrence of the series module, and the products are plain int
+    convolutions.  One Fraction is built per value.
     """
-    unit = (degenerate_exp(1, lam, order + 1) - 1).div_tpow(1)
-    factor = (unit**r).invert() * degenerate_exp(x, lam, order)
-    series = numerator.div_tpow(r) * factor
+    shifted = numerator.div_tpow(r)
+    n = min(shifted.order, order)
+    factor, den = _reduced(*_degenerate_exp_ints(x, lam, n))
+    if r:
+        unit, unit_den = _degenerate_exp_ints(1, lam, n + 1)
+        power, power_den = _power(*_reduced(unit[1:], unit_den), r)
+        inverse, inverse_den = _inverse(power, power_den)
+        factor, den = _reduced(_product(inverse, factor), inverse_den * den)
+    num, num_den = _over_common(shifted.coeffs[: n + 1])
+    den *= num_den
     values = []
     scale = factorial(r)
-    for n, c in enumerate(series.coeffs):
-        if n:
-            scale *= n
-        values.append(scale * c)
+    for k, c in enumerate(_product(num, factor)):
+        if k:
+            scale *= k
+        values.append(Fraction(scale * c, den))
     return tuple(values)
 
 
@@ -236,8 +257,8 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     numerator = TruncatedSeries(
         Fraction(sum(map(mul, signed[n], weights)), den * facts[n]) for n in range(work + 1)
     )
-    values = _gf_values(numerator, 1, Fraction(0), Fraction(x), order)
-    query = FamilyQuery(ks=(k,), lam=Fraction(0), x=Fraction(x), order=order)
+    query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
+    values = _gf_values(numerator, 1, query.lam, query.x, order)
     return SequenceResult("type2-poly", query, values)
 
 

@@ -6,12 +6,13 @@ residuals) is an arbitrary-precision rational.  The standard library's
 package relies on: the denominator is always positive, numerator and
 denominator are coprime, and zero is stored as 0/1.  This module adds only
 what Fraction does not ship, namely a constructor with pinned error
-behaviour, the ``n**-k`` weights that appear in chain sums, the "p/q" wire
-format used by all serialization, and the rendering of exact values as
-rounded decimal strings for convergence diagnostics.
+behaviour, the one coercion of caller-supplied parameters
+(:func:`as_rational`), the ``n**-k`` weights that appear in chain sums,
+the "p/q" wire format used by all serialization, and the rendering of
+exact values as rounded decimal strings for convergence diagnostics.
 
-Floating point never enters: decimal strings are derived from exact
-rationals at output time only.
+Floating point never enters: a float parameter is refused, not converted,
+and decimal strings are derived from exact rationals at output time only.
 """
 
 from __future__ import annotations
@@ -34,6 +35,24 @@ def rat(p: int, q: int = 1) -> Fraction:
     return Fraction(p, q)
 
 
+def as_rational(value) -> Fraction:
+    """A caller's exact rational parameter (lam, x, y) as a Fraction.
+
+    Accepts an int, a Fraction or a "p"/"p/q" string (see
+    :func:`parse_rational`).  A float raises TypeError, as does any other
+    type: a float holds a binary value, not the rational it was written as
+    (0.1 is 3602879701896397/36028797018963968), so it has no place on an
+    exact path.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"expected an exact rational (int, Fraction or 'p/q' string), got {type(value).__name__}")
+
+
 def inv_pow(base: int, k: int) -> Fraction:
     """base**(-k) as an exact rational: the 1/n^k weight of one chain-sum
     factor.  k may be negative, in which case the result is the integer
@@ -46,10 +65,16 @@ def inv_pow(base: int, k: int) -> Fraction:
     return Fraction(base ** (-k))
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize as "p/q" with the sign on p, e.g. "-1/2", "0/1", "5/1"."""
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int) -> str:
+    """Serialize as "p/q" with the sign on p, e.g. "-1/2", "0/1", "5/1".
+
+    Reads the parts of the Fraction or int as they are (both are always in
+    lowest terms); a float, which has no exact parts, raises TypeError.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except AttributeError:
+        raise TypeError(f"expected a Fraction or an int, got {type(value).__name__}") from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,19 +16,27 @@ coerced, floats are rejected.  Values are immutable and safe to share.
 Representation is dense: these series are dense in practice and orders
 stay at desk scale, so the O(N^2) product is the right trade against
 exactness (there is no useful FFT over rationals).  The inner work of
-products, inversion and composition runs on Python ints, not Fractions:
-each operand is scaled over one common denominator (:func:`_over_common`),
-the sums are taken over the integers, and one Fraction is built per output
-coefficient.  Composition builds the powers of the inner series in EGF
-form, scaled to integers, the same way.
+products, powers, inversion and composition runs on Python ints, not
+Fractions: each operand is scaled over one common denominator
+(:func:`_over_common`), the sums are taken over the integers, and one
+Fraction is built per output coefficient.  The int kernels
+(:func:`_product`, :func:`_power`, :func:`_inverse`, :func:`_reduced`)
+are also what the family pipeline runs on directly.
+
+Composition takes one of two routes, chosen from the inner series alone.
+An inner series alpha (e^{beta t} - 1), as the families' 1 - e^{-t} is,
+is composed in O(N^2) through the expansion of its powers in
+exponentials (:func:`_compose_exponential`); any other inner series, such
+as log(1 + t) or t, goes through the O(N^3) table of its powers in EGF
+form, scaled to integers.  Both give the same exact coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .rationals import format_rational
 
@@ -58,6 +66,107 @@ def _over_common(coeffs) -> tuple[list[int], int]:
     """The ints c * d for the Fractions c, and d, the lcm of their denominators."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _reduced(ints: list[int], den: int) -> tuple[list[int], int]:
+    """ints / den over the least common denominator: one gcd over the vector."""
+    g = gcd(*ints, den)
+    if g == 1:
+        return ints, den
+    return [v // g for v in ints], den // g
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The ints sum_i a[i] b[k-i] for k < min(len(a), len(b)): the truncated
+    product of two series held as ints (over the product of their
+    denominators)."""
+    n = min(len(a), len(b))
+    rb = b[n - 1 :: -1]
+    return [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
+
+
+def _power(a: list[int], den: int, exponent: int) -> tuple[list[int], int]:
+    """(a / den)**exponent by binary powering, each product reduced once."""
+    result = None
+    base = (a, den)
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _reduced(_product(result[0], base[0]), result[1] * base[1])
+        exponent >>= 1
+        if exponent:
+            base = _reduced(_product(base[0], base[0]), base[1] * base[1])
+    return result or ([1] + [0] * (len(a) - 1), 1)
+
+
+def _inverse(a: list[int], den: int) -> tuple[list[int], int]:
+    """The inverse of the unit series a / den as ints B over a running
+    denominator db.
+
+    Standard recurrence b0 = 1/a0, b_n = -(1/a0) * sum a_i b_{n-i}, with
+    the sum taken over ints: b_n = -(sum a_i B_{n-i}) / (a_0 * db).  When
+    b_n brings a denominator that does not divide db, the B_j are
+    multiplied up once.
+    """
+    b0 = Fraction(den, a[0])
+    scaled, db = [b0.numerator], b0.denominator
+    for n in range(1, len(a)):
+        bn = Fraction(-sum(map(mul, a[n:0:-1], scaled)), a[0] * db)
+        q = bn.denominator
+        if db % q:
+            grown = lcm(db, q)
+            scaled = [s * (grown // db) for s in scaled]
+            db = grown
+        scaled.append(bn.numerator * (db // q))
+    return scaled, db
+
+
+def _is_exponential(units: list[int]) -> bool:
+    """Whether the EGF ints U_k = d k! u_k of an inner series u are geometric
+    from k = 1 on, with U_1 and U_2 nonzero: U_{k+1} U_1 = U_k U_2 for
+    k >= 1.  Then u = alpha (e^{beta t} - 1) up to its order, with
+    beta = U_2 / U_1 and alpha beta = U_1 / d."""
+    if len(units) < 3 or not units[1] or not units[2]:
+        return False
+    u1, u2 = units[1], units[2]
+    return all(units[k + 1] * u1 == units[k] * u2 for k in range(2, len(units) - 1))
+
+
+def _compose_exponential(outer: Sequence[Fraction], units: list[int], d: int) -> list[Fraction]:
+    """f(u) for u = alpha (e^{beta t} - 1), given by its EGF ints ``units``
+    over d (see :func:`_is_exponential`), up to the order len(units) - 1.
+
+    Expanding u^m = alpha^m sum_j C(m,j) (-1)^(m-j) e^{j beta t} gives
+
+        f(u) = sum_j c_j e^{j beta t},
+        c_j  = sum_{m >= j} (-1)^(m-j) C(m,j) alpha^m a_m,
+
+    so n! [t^n] f(u) = sum_j c_j (j beta)^n.  The c_j are the coefficients
+    of the polynomial sum_m alpha^m a_m (y - 1)^m: a Taylor shift by -1 of
+    ints, O(N^2) subtractions.  The power sums are O(N^2) small-int
+    products, against O(N^3) for the power table.
+    """
+    target = len(units) - 1
+    beta = Fraction(units[2], units[1])
+    alpha = Fraction(units[1], d) / beta
+    a, den = _over_common(outer)
+    pa, qa = alpha.numerator, alpha.denominator
+    # c_j * qa^target * den
+    c = [a_m * pa**m * qa ** (target - m) for m, a_m in enumerate(a)]
+    for i in range(target):
+        for j in range(target - 1, i - 1, -1):
+            c[j] -= c[j + 1]
+    den *= qa**target
+    out = []
+    powers = c  # c_j * j^n
+    num_scale = 1  # beta.numerator^n
+    den_scale = den  # beta.denominator^n * n! * den
+    for n in range(target + 1):
+        if n:
+            powers = list(map(mul, powers, range(target + 1)))
+            num_scale *= beta.numerator
+            den_scale *= beta.denominator * n
+        out.append(Fraction(num_scale * sum(powers), den_scale))
+    return out
 
 
 class TruncatedSeries:
@@ -151,9 +260,8 @@ class TruncatedSeries:
             n = min(self.order, other.order)
             a, da = _over_common(self._coeffs[: n + 1])
             b, db = _over_common(other._coeffs[: n + 1])
-            rb = b[::-1]
             den = da * db
-            return TruncatedSeries(Fraction(sum(map(mul, a[: k + 1], rb[n - k :])), den) for k in range(n + 1))
+            return TruncatedSeries(Fraction(c, den) for c in _product(a, b))
         c = _coeff(other)
         return TruncatedSeries([c * ci for ci in self._coeffs])
 
@@ -162,60 +270,48 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a non-negative integer (invert first for negative powers)")
-        result = None
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return TruncatedSeries.one(self.order) if result is None else result
+        power, den = _power(*_over_common(self._coeffs), exponent)
+        return TruncatedSeries(Fraction(c, den) for c in power)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the same order.
 
-        Standard recurrence b0 = 1/a0, b_n = -(1/a0) * sum a_i b_{n-i},
-        with the sum taken over ints: a is held as A_i / da over its common
-        denominator, and the b_j found so far as B_j / db over their running
-        common denominator, so b_n = -(sum A_i B_{n-i}) / (A_0 * db).  When
-        b_n brings a denominator that does not divide db, the B_j are
-        multiplied up once.  Requires a unit series (nonzero constant term).
+        The coefficients are held as ints over their common denominator and
+        inverted by the int recurrence of :func:`_inverse`.  Requires a unit
+        series (nonzero constant term).
         """
         if self._coeffs[0] == 0:
             raise ValueError("non-unit series")
-        a, da = _over_common(self._coeffs)
-        b = [Fraction(da, a[0])]
-        scaled, db = [b[0].numerator], b[0].denominator
-        for n in range(1, self.order + 1):
-            bn = Fraction(-sum(map(mul, a[n:0:-1], scaled)), a[0] * db)
-            b.append(bn)
-            q = bn.denominator
-            if db % q:
-                grown = lcm(db, q)
-                scaled = [s * (grown // db) for s in scaled]
-                db = grown
-            scaled.append(bn.numerator * (db // q))
-        return TruncatedSeries(b)
+        inverse, den = _inverse(*_over_common(self._coeffs))
+        return TruncatedSeries(Fraction(c, den) for c in inverse)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)) through an integer power table of ``inner``.
+        """self(inner(t)) over ints, by one of two routes.
 
         ``inner`` must have zero constant term; then coefficient n of the
         result depends only on coefficients up to n of both operands, so
         the result is exact up to min(order, inner.order).
 
-        The powers u^m of the inner series u are built in EGF form over
-        the integers.  With U_k = d * k! * u_k, d the least common
-        denominator of the k! * u_k, the columns
+        With U_k = d * k! * u_k, d the least common denominator of the
+        k! * u_k of the inner series u, the route is chosen from the U_k:
 
-            P_m(n) = d^m * n! * [t^n] u^m
-                   = sum_{k=1}^{n-m+1} C(n,k) * U_k * P_{m-1}(n-k)
+        - If they are geometric from k = 1 on (U_{k+1} U_1 = U_k U_2, with
+          U_1 and U_2 nonzero), u = alpha (e^{beta t} - 1) up to the
+          order, and :func:`_compose_exponential` sums the outer series
+          over the exponentials e^{j beta t} in O(N^2).  This is the
+          route of 1 - e^{-t}, the inner series of the polylog families.
+        - Otherwise the powers u^m are built in EGF form over the
+          integers: the columns
 
-        are plain ints, and coefficient n of the result is
-        sum_m (a_m / d^m) * P_m(n) / n!, summed over one common
-        denominator.  For 1 - e^{-t} and log(1+t), d = 1.
+              P_m(n) = d^m * n! * [t^n] u^m
+                     = sum_{k=1}^{n-m+1} C(n,k) * U_k * P_{m-1}(n-k)
+
+          are plain ints, and coefficient n of the result is
+          sum_m (a_m / d^m) * P_m(n) / n!, summed over one common
+          denominator, in O(N^3).  For log(1+t), d = 1.
+
+        The choice needs no flag: it is a property of the input, and both
+        routes are exact, so the result does not depend on it.
         """
         if inner._coeffs[0] != 0:
             raise ValueError("composition requires zero constant term")
@@ -224,6 +320,8 @@ class TruncatedSeries:
         for n in range(1, target + 1):
             facts.append(facts[-1] * n)
         units, d = _over_common([facts[k] * inner._coeffs[k] for k in range(target + 1)])
+        if _is_exponential(units):
+            return TruncatedSeries(_compose_exponential(self._coeffs[: target + 1], units, d))
         # weights[n][k] = C(n,k) * U_k, the row that turns P_{m-1} into P_m
         weights = [[comb(n, k) * units[k] for k in range(n + 1)] for n in range(target + 1)]
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .rationals import inv_pow
+from .rationals import as_rational, inv_pow
 from .series import TruncatedSeries
 
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
@@ -36,8 +36,8 @@ def falling_factorial(x, n: int, lam) -> Fraction:
     """The product x (x - lam) ... (x - (n-1) lam); equals x**n at lam = 0."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    x = Fraction(x)
-    lam = Fraction(lam)
+    x = as_rational(x)
+    lam = as_rational(lam)
     result = Fraction(1)
     for j in range(n):
         result *= x - j * lam
@@ -59,23 +59,40 @@ def generalized_binomial(a: int, m: int) -> int:
     return num // factorial(m)
 
 
+def _degenerate_exp_ints(x, lam, order: int) -> tuple[list[int], int]:
+    """The degenerate exponential (1 + lam*t)^(x/lam) as ints E[0..order]
+    over one denominator D: coefficient n is E[n] / D.
+
+    With x = p/q and lam = a/b, the falling product x(x-lam)...(x-(n-1)lam)
+    is F_n / (qb)^n with F_n = prod_{j<n} (pb - jaq), and coefficient n is
+    F_n / ((qb)^n n!).  D is (qb)^order * order!, not reduced.
+    """
+    x = as_rational(x)
+    lam = as_rational(lam)
+    p, q, a, b = x.numerator, x.denominator, lam.numerator, lam.denominator
+    base, start, step = q * b, p * b, a * q
+    ints = [1]  # F_n, then F_n * base^(order - n) * order!/n!
+    for j in range(order):
+        ints.append(ints[-1] * (start - j * step))
+    scale = 1
+    for n in range(order, 0, -1):
+        ints[n] *= scale
+        scale *= base * n
+    ints[0] = scale
+    return ints, scale
+
+
 def degenerate_exp(x, lam, order: int) -> TruncatedSeries:
     """The degenerate exponential (1 + lam*t)^(x/lam) as a series.
 
     Coefficient n is the falling product x(x-lam)...(x-(n-1)lam) over n!.
     The product form is regular at lam = 0 (where the closed form is
-    singular) and there reduces to the classical e^{xt}.
+    singular) and there reduces to the classical e^{xt}.  The coefficients
+    come from the int form :func:`_degenerate_exp_ints`, which the family
+    pipeline reads directly.
     """
-    x = Fraction(x)
-    lam = Fraction(lam)
-    coeffs = [Fraction(1)]
-    ff = Fraction(1)
-    fact = 1
-    for n in range(1, order + 1):
-        ff *= x - (n - 1) * lam
-        fact *= n
-        coeffs.append(ff / fact)
-    return TruncatedSeries(coeffs)
+    ints, den = _degenerate_exp_ints(x, lam, order)
+    return TruncatedSeries(Fraction(e, den) for e in ints)
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:

@@ -54,7 +54,7 @@ from .families import (
     degenerate_multi_poly_bernoulli,
     shifted_tail_basis,
 )
-from .rationals import decimal_string, format_rational, inv_pow
+from .rationals import as_rational, decimal_string, format_rational, inv_pow
 from .series import TruncatedSeries, _over_common
 from .special import index_vector, multi_polylog, stirling_table
 
@@ -219,7 +219,7 @@ def _depth_two_args(identity: str, ks, lam, x) -> tuple[tuple[int, ...], Fractio
     ks = index_vector(ks)
     if len(ks) < 2:
         raise ValueError(f"{identity} check needs depth r >= 2")
-    return ks, Fraction(lam), Fraction(x)
+    return ks, as_rational(lam), as_rational(x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     convolution over common denominators.
     """
     ks = index_vector(ks)
-    lam, x, y = Fraction(lam), Fraction(x), Fraction(y)
+    lam, x, y = as_rational(lam), as_rational(x), as_rational(y)
     shifted = degenerate_multi_poly_bernoulli(ks, lam, x + y, order).values
     base, base_den = _over_common(degenerate_multi_poly_bernoulli(ks, lam, x, order).values)
     falling = accumulate((y - j * lam for j in range(order)), mul, initial=Fraction(1))
@@ -281,7 +281,7 @@ def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> Verifi
 def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationReport:
     """Argument addition: beta_n(x+y) = sum_l C(n,l) beta_l(x) (y)_{n-l,lam}."""
     rows = _addition_rows("argument-addition", ks, lam, x, y, order)
-    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(y)}
+    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(as_rational(y))}
     return _report("addition", params, rows)
 
 

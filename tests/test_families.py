@@ -22,7 +22,14 @@ from polybern.families import (
     type2_poly_bernoulli,
 )
 from polybern.series import TruncatedSeries, ValuationError
-from polybern.special import falling_factorial, log1p_series, multi_polylog, polyexp
+from polybern.special import (
+    degenerate_exp,
+    falling_factorial,
+    log1p_series,
+    multi_polylog,
+    one_minus_exp_neg,
+    polyexp,
+)
 from polybern.verify import verify_chain_stirling
 
 
@@ -297,6 +304,41 @@ def test_type2_stirling_numerator_agrees_with_the_composed_numerator_at_the_caps
     x = Fraction(255, 256)
     for k in (32, -32):
         assert type2_poly_bernoulli(k, x, 128).values == _type2_by_composition(k, x, 128), k
+
+
+def fraction_pipeline(numerator, r, lam, x, order):
+    """The pipeline as Fraction series operations: the reference for the
+    int pipeline of _gf_values."""
+    unit = (degenerate_exp(1, lam, order + 1) - 1).div_tpow(1)
+    factor = (unit**r).invert() * degenerate_exp(x, lam, order)
+    series = numerator.div_tpow(r) * factor
+    return tuple(factorial(r) * factorial(n) * c for n, c in enumerate(series.coeffs))
+
+
+# at lam = 1, 1/2 and 1/3 some 1 - j lam is zero: the unit is a polynomial
+pipeline_lams = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-7, 9)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.integers(min_value=0, max_value=4),
+    lam=pipeline_lams,
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=40),
+    data=st.data(),
+)
+@example(r=4, lam=Fraction(1, 3), x=Fraction(0), order=40, data=None)
+@example(r=0, lam=Fraction(1), x=Fraction(-2, 3), order=40, data=None)
+def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
+    # data=None: the family numerator Li_{2,..,2}(1 - e^{-t}), else random
+    # rational coefficients from t^r on
+    work = order + r
+    if data is None:
+        numerator = multi_polylog((2,) * r, work).compose(one_minus_exp_neg(work)) if r else TruncatedSeries.one(work)
+    else:
+        tail = data.draw(st.lists(small_rationals, min_size=order + 1, max_size=order + 1), label="tail")
+        numerator = TruncatedSeries([0] * r + tail)
+    assert _gf_values(numerator, r, lam, x, order) == fraction_pipeline(numerator, r, lam, x, order)
 
 
 def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from polybern import families, special, verify
 from polybern.rationals import (
+    as_rational,
     decimal_string,
     format_rational,
     inv_pow,
@@ -70,6 +72,51 @@ def test_wire_format_round_trip():
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("7") == Fraction(7)
     assert parse_rational(" 3/9 ") == Fraction(1, 3)
+
+
+def test_as_rational_takes_exact_values_only():
+    assert as_rational(3) == 3 and type(as_rational(3)) is Fraction
+    assert as_rational(Fraction(-2, 6)) == Fraction(-1, 3)
+    assert as_rational("-7/9") == Fraction(-7, 9)
+    with pytest.raises(ValueError):
+        as_rational("0.5")
+    for bad in (0.5, 1.0, Decimal("0.5"), None):
+        with pytest.raises(TypeError):
+            as_rational(bad)
+
+
+def test_format_rational_refuses_a_float():
+    # Fraction(0.1) would write 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        format_rational(0.1)
+    assert format_rational(-4) == "-4/1"
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: families.FamilyQuery(ks=(1,), lam=f, x=0, order=2),
+    lambda f: families.FamilyQuery(ks=(1,), lam=0, x=f, order=2),
+    lambda f: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), f, 2),
+    lambda f: families.carlitz_degenerate(2, f, 0, 2),
+    lambda f: families.multi_poly_bernoulli((2, 1), f, 2),
+    lambda f: families.poly_bernoulli(2, f, 2),
+    lambda f: families.type2_poly_bernoulli(2, f, 2),
+    lambda f: families.falling_factorial_expansion((2, 1), f, 2),
+    lambda f: families.shifted_tail_basis((2,), f, 0, 2),
+    lambda f: special.degenerate_exp(f, Fraction(1, 4), 2),
+    lambda f: special.degenerate_exp(Fraction(1, 2), f, 2),
+    lambda f: special.falling_factorial(f, 2, 0),
+    lambda f: special.falling_factorial(1, 2, f),
+    lambda f: verify.verify_chain_stirling((2, 1), f, 0, 2),
+    lambda f: verify.verify_resummation((2, 0), 0, f, 2),
+    lambda f: verify.verify_difference((2, 0), f, 0, 2),
+    lambda f: verify.verify_polynomial_expansion((2, 1), 0, f, 2),
+    lambda f: verify.verify_addition((2, 1), 0, 0, f, 2),
+])
+def test_public_entries_refuse_a_float(call):
+    with pytest.raises(TypeError):
+        call(0.5)
+    call(Fraction(1, 2))
+    call("1/2")
 
 
 @given(a=rationals)

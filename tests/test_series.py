@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, brute_compose, convolve, long_divide
+from polybern import series
 from polybern.series import TruncatedSeries, ValuationError
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 
@@ -159,6 +160,86 @@ def test_compose_powers_of_the_inner_series_are_stirling_columns():
         assert list(power.compose(log1p).coeffs) == expected_log, m
 
 
+def exp_minus_one(alpha, beta, order):
+    """alpha (e^{beta t} - 1) up to ``order``."""
+    return TruncatedSeries([Fraction(0)] + [alpha * beta**k / factorial(k) for k in range(1, order + 1)])
+
+
+def compose_and_route(outer, inner):
+    """outer(inner), and whether compose took its e^{beta t} route."""
+    calls = []
+    exponential = series._compose_exponential
+
+    def spy(*args):
+        calls.append(args)
+        return exponential(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_compose_exponential", spy)
+        composed = outer.compose(inner)
+    return composed, bool(calls)
+
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    outer=series_strategy(max_order=12),
+    alpha=nonzero_rationals,
+    beta=nonzero_rationals.filter(lambda b: abs(b) != 1),
+    order=st.integers(min_value=0, max_value=12),
+)
+@example(outer=TruncatedSeries([Fraction((-2) ** n, n + 3) for n in range(13)]), alpha=Fraction(-1), beta=Fraction(-1), order=12)
+@example(outer=TruncatedSeries([Fraction(1, n + 1) for n in range(11)]), alpha=Fraction(1), beta=Fraction(1), order=10)
+@example(outer=TruncatedSeries([0, 0, 1]), alpha=Fraction(3, 2), beta=Fraction(-2, 5), order=2)
+def test_compose_with_an_exponential_inner_series_matches_brute_force(outer, alpha, beta, order):
+    # the examples: 1 - e^{-t}, e^t - 1, and the shortest inner series the route takes
+    inner = exp_minus_one(alpha, beta, order)
+    target = min(outer.order, order)
+    composed, exponential = compose_and_route(outer, inner)
+    assert exponential == (target >= 2)
+    assert composed.order == target
+    assert list(composed.coeffs) == brute_compose(list(outer), list(inner), target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    outer=series_strategy(min_order=4, max_order=12),
+    alpha=nonzero_rationals,
+    beta=nonzero_rationals,
+    off=st.data(),
+)
+@example(
+    outer=TruncatedSeries([Fraction(1, n * n + 1) for n in range(11)]),
+    alpha=Fraction(-1), beta=Fraction(-1), off=None,
+)
+def test_compose_one_coefficient_off_an_exponential_takes_the_power_table(outer, alpha, beta, off):
+    # off=None: 1 - e^{-t} + t^5.  From order 4 on no single change keeps
+    # the inner series geometric; at order 3, negating U_2 would.
+    if off is None:
+        k, delta = 5, Fraction(1)
+    else:
+        k = off.draw(st.integers(min_value=1, max_value=outer.order), label="k")
+        delta = off.draw(nonzero_rationals, label="delta")
+    inner = exp_minus_one(alpha, beta, outer.order) + TruncatedSeries.monomial(k, outer.order, delta)
+    composed, exponential = compose_and_route(outer, inner)
+    assert not exponential
+    assert list(composed.coeffs) == brute_compose(list(outer), list(inner), outer.order)
+
+
+@pytest.mark.parametrize("alpha, beta, order", [(-1, -1, 128), (1, 1, 128), (Fraction(-7, 9), Fraction(5, 3), 48)])
+def test_compose_routes_agree_at_large_order(alpha, beta, order):
+    # the power table, forced by hiding the exponential form, is the reference
+    outer = TruncatedSeries([Fraction(0)] + [Fraction(1, n**3) for n in range(1, order + 1)])
+    inner = exp_minus_one(Fraction(alpha), Fraction(beta), order)
+    composed, exponential = compose_and_route(outer, inner)
+    assert exponential
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_is_exponential", lambda units: False)
+        assert outer.compose(inner) == composed
+
+
 def test_div_tpow():
     assert TruncatedSeries([0, 0, 1, 1]).div_tpow(2).coeffs == (1, 1)
     a = TruncatedSeries([2, 3])
@@ -271,6 +352,17 @@ def test_mul_matches_convolution_oracle(a, b):
     product = a * b
     assert product.order == n
     assert list(product.coeffs) == convolve(list(a), list(b), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=wide_series(), exponent=st.integers(min_value=0, max_value=6))
+@example(a=inverse_factorials(12), exponent=5)
+@example(a=geometric(-7, 11, 9), exponent=4)
+def test_pow_matches_repeated_convolution_oracle(a, exponent):
+    expected = [Fraction(1)] + [Fraction(0)] * a.order
+    for _ in range(exponent):
+        expected = convolve(expected, list(a), a.order)
+    assert list((a**exponent).coeffs) == expected
 
 
 @settings(max_examples=80, deadline=None)
