@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -97,34 +97,68 @@ def _context(digits: int) -> Context:
     return Context(prec=digits, rounding=ROUND_HALF_EVEN)
 
 
+@lru_cache(maxsize=1024)
+def _power_of_ten(exponent: int) -> int:
+    return 10**exponent
+
+
 def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> str:
     """Render the exact rational value/den (den > 0, unreduced pairs allowed)
     as a decimal string with ``digits`` significant digits, round half to
     even: the string ``Decimal(p) / Decimal(q)`` gives at that precision.
     Used only for residual reporting; never fed back into computation.
 
-    No long int becomes a Decimal.  For p/q a shift s, read off the two bit
+    The string is built from ints.  For p/q a shift s, read off the two bit
     lengths, makes Q = floor(|p| 10^s / q) at least digits + 2 digits long,
     so one divmod gives it.  An inexact Q gets its low bit set (round to
     odd): the rounding boundaries of ``digits`` digits are then even
-    integers at Q's scale, so Q / 10^s rounds as the exact value does, and
-    Decimal rounds it once, half to even, in the one context of its
-    ``digits`` (:func:`_context`).
+    integers at Q's scale, so Q rounded half to even to ``digits`` digits
+    rounds as the exact value does.  The kept digits and their exponent are
+    written as ``str(Decimal)`` writes them: plain notation when the
+    exponent is at most 0 and the adjusted exponent at least -6, else one
+    digit before the point and an ``E`` exponent.  Only when the kept digits
+    are exact does Decimal render Q / 10^s, in the one context of its
+    ``digits`` (:func:`_context`), because an exact quotient is stripped of
+    trailing zeros down to its ideal exponent 0.  The powers of ten are
+    cached (:func:`_power_of_ten`).
     """
     p, q = value.numerator, value.denominator * den
     if not p:
         return "0"
+    magnitude = -p if p < 0 else p
     # |p|/q > 2^(bits(p) - 1 - bits(q)); 30103/100000 overshoots log10(2) by
     # less than one digit at any size here, which the + 2 (not + 1) absorbs
-    shift = digits + 2 - ((abs(p).bit_length() - q.bit_length() - 1) * 30103 // 100000)
-    scale = 10 ** abs(shift)
+    shift = digits + 2 - ((magnitude.bit_length() - q.bit_length() - 1) * 30103 // 100000)
     if shift >= 0:
-        quotient, remainder = divmod(abs(p) * scale, q)
+        quotient, remainder = divmod(magnitude * _power_of_ten(shift), q)
     else:
-        quotient, remainder = divmod(abs(p), q * scale)
+        quotient, remainder = divmod(magnitude, q * _power_of_ten(-shift))
     if remainder:
         quotient |= 1
-    context = _context(digits)
-    operation = context.divide if shift >= 0 else context.multiply
-    # 10^|s| from its digits: Decimal(int) is slow on a long int
-    return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))
+    text = str(quotient)
+    drop = len(text) - digits
+    unit = _power_of_ten(drop)
+    kept, rest = divmod(quotient, unit)
+    if not (rest or remainder):
+        context = _context(digits)
+        operation = context.divide if shift >= 0 else context.multiply
+        # 10^|s| from its digits: Decimal(int) is slow on a long int
+        return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))
+    half = unit >> 1
+    if rest > half or (rest == half and kept & 1):
+        text = str(kept + 1)
+        if len(text) > digits:  # 99..9 rounded up to 10..0
+            text, drop = text[:-1], drop + 1
+    else:
+        text = text[:digits]
+    exponent = drop - shift
+    leftdigits = exponent + digits  # digits before the point
+    if exponent <= 0 and leftdigits > -6:
+        if leftdigits <= 0:
+            text = "0." + "0" * -leftdigits + text
+        elif leftdigits < digits:
+            text = text[:leftdigits] + "." + text[leftdigits:]
+    else:
+        point = "." if digits > 1 else ""
+        text = "%s%s%sE%+d" % (text[0], point, text[1:], leftdigits - 1)
+    return "-" + text if p < 0 else text

@@ -28,10 +28,12 @@ chain weights are one prefix sum per index, with no chain enumerated.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
-running denominator: only the final row of each n is a Fraction, and the
-residual table keeps the int partial sums of every M, builds a row only
-when one is read and renders its decimals straight from the ints (see
-:func:`_m_series` and :class:`ResidualTable`).
+running denominator, over every m at once: m is the innermost axis of
+each vector they build, and each n's partial sums, one per truncation M,
+are one int column summed over m.  Only the final row of each n is a
+Fraction, and the residual table keeps those columns as they are, builds
+a row only when one is read and renders its decimals straight from the
+ints (see :func:`_m_series` and :class:`ResidualTable`).
 
 Reports are deterministic: the same inputs always produce byte-identical
 JSON.
@@ -43,9 +45,9 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, lcm
-from operator import add, mul
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, lcm
+from operator import add, floordiv, mul
 
 from .families import (
     FamilyQuery,
@@ -117,11 +119,12 @@ class ResidualTable(Sequence):
     """The residual rows of a diagnostic m-series report, built on access.
 
     The table keeps what the m-sum made: ``lhs[i]``, the left-hand side at
-    n = first_n + i, and for each truncation M the int partial sums
-    ``partials[M]`` (indexed by n) over ``dens[M]``.  Row i * (M_top + 1) + M
-    is the :class:`ResidualRow` of n = first_n + i at M, so the rows come in
-    the order of n, then M.  :meth:`values` renders every row's JSON values
-    straight from the ints.
+    n = first_n + i, its column ``partials[i]`` of int partial sums, one per
+    truncation M, and ``dens[M]``, the denominator every partial sum at M is
+    over.  Row i * (M_top + 1) + M is the :class:`ResidualRow` of
+    n = first_n + i at M, so the rows come in the order of n, then M, as the
+    columns do.  :meth:`values` renders every row's JSON values straight
+    from the ints.
     """
 
     __slots__ = ("first_n", "lhs", "partials", "dens")
@@ -139,8 +142,7 @@ class ResidualTable(Sequence):
         if not -size <= index < size:
             raise IndexError("residual table index out of range")
         i, m = divmod(index % size, len(self.dens))
-        n = self.first_n + i
-        return ResidualRow(n, m, self.lhs[i], self.partials[m][n], self.dens[m])
+        return ResidualRow(self.first_n + i, m, self.lhs[i], self.partials[i][m], self.dens[m])
 
     def __eq__(self, other) -> bool:
         return tuple(self) == (tuple(other) if isinstance(other, ResidualTable) else other)
@@ -148,11 +150,10 @@ class ResidualTable(Sequence):
     def values(self) -> list[tuple[int, int, str]]:
         """(n, M, residual_decimal) of every row, in row order."""
         out = []
-        for i, lhs in enumerate(self.lhs):
-            n = self.first_n + i
+        for n, (lhs, column) in enumerate(zip(self.lhs, self.partials), self.first_n):
             ln, ld = lhs.numerator, lhs.denominator
-            out += [(n, m, _residual_decimal(ln, ld, partial[n], den))
-                    for m, (partial, den) in enumerate(zip(self.partials, self.dens))]
+            out += [(n, m, _residual_decimal(ln, ld, partial, den))
+                    for m, (partial, den) in enumerate(zip(column, self.dens))]
         return out
 
 
@@ -369,6 +370,13 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
 # identities with an infinite binomial m-sum
 
 
+def _combine(coeffs: Sequence[int], vectors, size: int) -> list[int]:
+    """The vector sum_i coeffs[i] * vectors[i], elementwise over vectors of
+    length ``size`` (lists or iterators), skipping the zero coefficients."""
+    terms = [vector if c == 1 else map(mul, vector, repeat(c)) for c, vector in zip(coeffs, vectors) if c]
+    return list(map(sum, zip(*terms))) if terms else [0] * size
+
+
 def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, table_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
@@ -385,15 +393,26 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     the ints (L/n_r)^(k_r+m) over L^(k_r+m), L = lcm(1..n_r max), and
     ``fam_m`` as the ints sum_p p^m B[n][p] over the common denominator of
     the basis B from :func:`~polybern.families.shifted_tail_basis`, built
-    once per call.  So a summand is two integer matrix-vector products and
-    one integer convolution.  The partial sums stay ints too: one vector over
-    a running denominator, the lcm of the summands' denominators so far,
-    lifted by one lcm per m and never reduced per coefficient.  The
-    residual table keeps every m's int vector and its denominator and builds
-    no row object (see :class:`ResidualTable`); only the final row of each n
-    is a Fraction.
-    The powers n_r^e and p^m, the signed binomial coefficient and the
-    partial sums are carried from one m to the next.
+    once per call.
+
+    Every m is summed at once: m is the innermost axis of every vector, so
+    each step below is a handful of list operations over all m rather than
+    one per m.  The weights of each n_r and the powers p^m of each p are one
+    vector over m each (for k_r <= 0 the weights are the integer powers
+    n_r^(-k_r-m)); ``fam[i]`` is the sum over p of B[i][p] times the p-th
+    power vector, reduced per m by the gcd of its column with the basis
+    denominator (the p^m cancel much of it as m grows), and ``g[j]`` the
+    sum over n_r of A[n_r][j] times the n_r-th weight vector.  The
+    denominators come from one scalar pass over m: a running denominator,
+    the lcm of the summands' denominators so far, lifted by one lcm per m
+    and never reduced per coefficient, with the lift and the signed factor
+    of each m.  Then each n in turn, the highest first, takes its binomial
+    convolution sum_j C(n, j) g[j] fam[n-j], elementwise over m, and sums
+    it over m into its column of int partial sums, one per truncation M;
+    g[n] and fam[n] are freed once that n is summed, as no lower n reads
+    them.  The columns go to the residual table as they are (see
+    :class:`ResidualTable`); only the final partial sum of each n becomes a
+    Fraction.
 
     For k_r <= 0 the binomial coefficient cuts the sum off after m = -k_r
     and the check is exact; otherwise the partial sums up to m_truncation
@@ -404,50 +423,61 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     m_top = -k_r if exact else m_truncation
     if m_top < 0:
         raise ValueError("m truncation must be non-negative")
+    size = m_top + 1
 
-    columns = list(zip(*table))
+    # n_r^-(k_r+m) over scales[m]: (L/n_r)^(k_r+m) over L^(k_r+m), L = top,
+    # for k_r >= 1, and the integer n_r^(-k_r-m) over 1 for k_r <= 0
     bases = range(1, len(table) + 1)
-    top = lcm(*bases)
-    # n_r^-e is power[n_r - 1] / scale: (L/n_r)^e over L^e, L = top, for
-    # e >= 0, and the integer n_r^-e over 1 for e < 0
-    e = k_r
-    power = [n**-e if e < 0 else (top // n) ** e for n in bases]
-    scale = top ** max(e, 0)
-    signed_binomial = 1  # (-1)^m C(k_r+m-1, m) at m = 0
+    if exact:
+        weights = [list(accumulate(repeat(n, m_top), mul, initial=1))[::-1] for n in bases]
+        scales = [1] * size
+    else:
+        top = lcm(*bases)
+        weights = [list(accumulate(repeat(top // n, m_top), mul, initial=(top // n) ** k_r)) for n in bases]
+        scales = list(accumulate(repeat(top, m_top), mul, initial=top**k_r))
+    g = [_combine(column, weights, size) for column in zip(*table)]
+    del weights
 
     basis, basis_den = shifted_tail_basis(ks[:-1], lam, x, order)
-    p_power = [1] * len(basis[0])  # p^m at m = 0
+    p_powers = [list(accumulate(repeat(p, m_top), mul, initial=1)) for p in range(len(basis[0]))]
+    fam = [_combine(row, p_powers, size) for row in basis]
+    del p_powers
+    common = list(map(gcd, repeat(basis_den), *fam))
+    for f in fam:
+        f[:] = map(floordiv, f, common)
 
-    # the partial sums at every m, as ints over table_den * sum_den, where
-    # sum_den is the lcm of the denominators of the summands so far
-    partials: list[list[int]] = []
-    dens: list[int] = []
-    sums = [0] * (order + 1)
-    sum_den = 1
-    for m in range(m_top + 1):
-        fam_ints = [sum(map(mul, row, p_power)) for row in basis]
-        # the p^m cancel much of the basis denominator as m grows
-        common = gcd(basis_den, *fam_ints)
-        fam_ints = [f // common for f in fam_ints]
-        g = [sum(map(mul, column, power)) for column in columns]
-        term_den = scale * (basis_den // common)
+    # the partial sums at M are ints over table_den * sum_den, where sum_den
+    # is the lcm of the denominators of the summands at m <= M: the sum at M
+    # is lifts[M] times the sum at M - 1, plus factors[M] times the summand
+    lifts, factors, dens = [], [], []
+    sum_den, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
+    for m, (scale, c) in enumerate(zip(scales, common)):
+        term_den = scale * (basis_den // c)
         lifted_den = lcm(sum_den, term_den)
-        lift, factor = lifted_den // sum_den, signed_binomial * (lifted_den // term_den)
-        sums = [s * lift + factor * v for s, v in zip(sums, _binomial_convolution(g, fam_ints))]
+        lifts.append(lifted_den // sum_den)
+        factors.append(signed_binomial * (lifted_den // term_den))
+        dens.append(table_den * lifted_den)
         sum_den = lifted_den
-        partials.append(sums)
-        dens.append(table_den * sum_den)
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
-        p_power = [q * p for p, q in enumerate(p_power)]
-        if e < 0:
-            power = [p // n for p, n in zip(power, bases)]
-        else:
-            power = [p * (top // n) for p, n in zip(power, bases)]
-            scale *= top
-        e += 1
+
+    # the highest n first: no lower n reads g[n] or fam[n], so each is freed
+    # as soon as its column is summed
+    partials: list[list[int]] = []
+    for n in range(order, first_n - 1, -1):
+        # C(n, j) g[j] fam[n-j]: the binomial multiplies the fam ints, the
+        # shorter ones at low order
+        products = [map(mul, g_j, f if c == 1 else map(mul, f, repeat(c)))
+                    for c, g_j, f in zip(map(comb, repeat(n), range(n + 1)), g, reversed(fam))]
+        terms = map(mul, factors, map(sum, zip(*products)))
+        partial = 0
+        partials.append([partial := partial * lift + term for lift, term in zip(lifts, terms)])
+        del g[n], fam[n]
+    del g, fam
+    partials.reverse()
 
     check = "finite-binomial-branch" if exact else "partial-sum-at-M"
-    rows = [_row(check, n, lhs[n], Fraction(sums[n], dens[-1])) for n in range(first_n, order + 1)]
+    rows = [_row(check, n, lhs[n], Fraction(column[-1], dens[-1]))
+            for n, column in enumerate(partials, first_n)]
     residuals = () if exact else ResidualTable(first_n, lhs[first_n:], partials, dens)
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
     return _report(identity, params, rows, residuals, diagnostic=not exact)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_numbers, bernoulli_polynomial, multi_poly_values
+from oracles import (
+    bernoulli_numbers,
+    bernoulli_polynomial,
+    convolve,
+    falling_egf,
+    long_divide,
+    multi_poly_values,
+)
 from polybern import families
 from polybern.families import (
     FamilyQuery,
@@ -23,7 +30,6 @@ from polybern.families import (
 )
 from polybern.series import TruncatedSeries, ValuationError
 from polybern.special import (
-    degenerate_exp,
     falling_factorial,
     log1p_series,
     multi_polylog,
@@ -307,12 +313,18 @@ def test_type2_stirling_numerator_agrees_with_the_composed_numerator_at_the_caps
 
 
 def fraction_pipeline(numerator, r, lam, x, order):
-    """The pipeline as Fraction series operations: the reference for the
-    int pipeline of _gf_values."""
-    unit = (degenerate_exp(1, lam, order + 1) - 1).div_tpow(1)
-    factor = (unit**r).invert() * degenerate_exp(x, lam, order)
-    series = numerator.div_tpow(r) * factor
-    return tuple(factorial(r) * factorial(n) * c for n, c in enumerate(series.coeffs))
+    """The pipeline on plain Fraction lists, the reference for the int
+    pipeline of _gf_values: the unit (e_lam(t) - 1)/t and e_lam^x(t) from
+    their own falling products, the power by repeated convolution and the
+    quotient by long division, all from the oracles, so no series or
+    special-function code of the package is on this side."""
+    unit = falling_egf(Fraction(1), lam, order + 1)[1:]
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(r):
+        power = convolve(power, unit, order)
+    quotient = long_divide(list(numerator.coeffs[r:]), power, order)
+    series = convolve(quotient, falling_egf(Fraction(x), lam, order), order)
+    return tuple(factorial(r) * factorial(n) * c for n, c in enumerate(series))
 
 
 # at lam = 1, 1/2 and 1/3 some 1 - j lam is zero: the unit is a polynomial

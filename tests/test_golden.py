@@ -61,6 +61,9 @@ CASES = {
                                   "--lambda=-2/5", "--x", "1/3", "--order", "5", "--truncate", "40"],
     "verify-difference-depth3": ["verify", "--identity", "difference", "--ks", "2,-1,2",
                                  "--lambda=-3/7", "--x", "1/2", "--order", "5", "--truncate", "40"],
+    # order 6 at M = 160, the shape of the long-m diagnostics
+    "verify-difference-long-m": ["verify", "--identity", "difference", "--ks", "2,2,1",
+                                 "--lambda=-7/9", "--x", "8/9", "--order", "6", "--truncate", "160"],
     "verify-addition": ["verify", "--identity", "addition", "--ks", "2,1", "--lambda", "1/3",
                         "--x", "1/2", "--y", "1/3", "--order", "8"],
     # each Stirling kind

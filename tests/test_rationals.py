@@ -168,6 +168,10 @@ powers_of_ten = st.integers(min_value=0, max_value=40).map(lambda e: 10**e)
 @example(p=0, q=7, g=3, negative=True, digits=20)
 @example(p=10**23, q=1, g=1, negative=True, digits=3)
 @example(p=1, q=10**23, g=9, negative=False, digits=20)
+# one kept digit: an exponent and no point ("1E+1"); an exact 20-digit
+# integer quotient, which Decimal writes without point or exponent
+@example(p=11, q=1, g=1, negative=False, digits=1)
+@example(p=12345678901234567890 * 7, q=7, g=1, negative=False, digits=20)
 def test_decimal_string_matches_the_decimal_reference(p, q, g, negative, digits):
     p = -p if negative else p
     expected = _decimal_reference(p, q, digits)

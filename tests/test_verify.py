@@ -343,13 +343,13 @@ def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncatio
         assert report.params["m_truncation"] == m_top
 
 
-# -- the residual table: rows built on access, against the oracle's eager rows ---
-
-def _oracle_residuals(check, ks, lam, x, order, m_truncation):
-    """The (n, M, residual) triples of one diagnostic call, summed by the oracle."""
+def _oracle_sums(check, ks, lam, x, order, m_truncation):
+    """The left-hand side, the (n, partial sum) rows and the (n, M, residual)
+    triples of one m-series call, summed by the per-m oracle."""
     r, k_r = len(ks), ks[-1]
+    m_top = -k_r if k_r <= 0 else m_truncation
     fams = [degenerate_multi_poly_bernoulli(ks[:-2] + (ks[-2] - m,), lam, x, order).values
-            for m in range(m_truncation + 1)]
+            for m in range(m_top + 1)]
     base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     if check is verify_resummation:
         carlitz = carlitz_degenerate(1, lam, 0, order).values
@@ -360,14 +360,42 @@ def _oracle_residuals(check, ks, lam, x, order, m_truncation):
         upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
         lhs, first_n = [(u - b) / r for u, b in zip(upper, base)], 1
         terms = [oracles.difference_term(m, fam, k_r=k_r, order=order) for m, fam in enumerate(fams)]
-    return oracles.m_series_partial_sums(lhs, terms, k_r, first_n, order)[1]
+    return (lhs, *oracles.m_series_partial_sums(lhs, terms, k_r, first_n, order))
+
+
+@pytest.mark.parametrize("check", [verify_resummation, verify_difference])
+@pytest.mark.parametrize("ks", [(2, 1), (2, 2, 1), (1, 3, 2)])
+def test_m_series_matches_the_per_m_oracle_at_the_long_m_shape(check, ks):
+    # order 6 and M = 160, the shape of the long-m diagnostics: every vector
+    # over m is 161 long and the weights run down to 7^-161
+    lam, x = Fraction(-7, 9), Fraction(8, 9)
+    report = check(ks, lam, x, 6, 160)
+    lhs, rows, residuals = _oracle_sums(check, ks, lam, x, 6, 160)
+    assert report.status == "diagnostic" and report.params["m_truncation"] == 160
+    assert [(row.n, row.lhs, row.rhs) for row in report.rows] == [(n, lhs[n], partial) for n, partial in rows]
+    assert [(res.n, res.m_truncation, res.residual) for res in report.residuals] == residuals
+
+
+@pytest.mark.parametrize("check", [verify_resummation, verify_difference])
+def test_m_series_exact_branch_takes_the_integer_powers(check):
+    # k_r = -48 cuts the m-sum off after m = 48 with the weights the integer
+    # powers n_r^(48 - m), not ints over a power of their lcm
+    ks, lam, x = (1, -48), Fraction(-7, 9), Fraction(8, 9)
+    report = check(ks, lam, x, 6)
+    lhs, rows, residuals = _oracle_sums(check, ks, lam, x, 6, 0)
+    assert report.status == "pass" and report.params["m_truncation"] == 48
+    assert [(row.n, row.lhs, row.rhs) for row in report.rows] == [(n, lhs[n], partial) for n, partial in rows]
+    assert residuals == [] and report.residuals == ()
+
+
+# -- the residual table: rows built on access, against the oracle's eager rows ---
 
 
 @pytest.mark.parametrize("check", [verify_resummation, verify_difference])
 @pytest.mark.parametrize("ks", [(2, 1), (1, 2, 1)])
 def test_residual_table_reads_as_the_eager_rows(check, ks):
     report = check(ks, Fraction(-2, 5), THIRD, 4, m_truncation=6)
-    table, expected = report.residuals, _oracle_residuals(check, ks, Fraction(-2, 5), THIRD, 4, 6)
+    table, expected = report.residuals, _oracle_sums(check, ks, Fraction(-2, 5), THIRD, 4, 6)[2]
     rows_of_n = 4 if check is verify_difference else 5  # difference starts at n = 1
     assert len(table) == len(expected) == rows_of_n * 7
 
