@@ -8,6 +8,9 @@ default; CSV is available for the flat tables only (numbers, stirling).
 The POLYBERN_FORMAT environment variable changes the default format.
 Each series, family and identity is one ``Entry`` of a table, from which
 its flag checks, size refusals and ``--all`` points are derived.
+``verify --all --jobs N`` runs the sweep on a process pool; the pool's
+modules (``concurrent.futures``, ``multiprocessing``) load only when one
+starts, as ``ProcessPoolExecutor`` is imported on its first access.
 
 All rational-valued flags take "p/q" or "p", with |p| and q at most
 ``MAX_RATIONAL_TERM``.  Truncation defaults (order 16, m-truncation 32)
@@ -32,7 +35,6 @@ import os
 import re
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -73,6 +75,19 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first access and kept as a module
+    global (PEP 562): ``concurrent.futures`` and ``multiprocessing`` load
+    only when a ``verify --all --jobs`` call starts a pool, while the name
+    stays the seam that tests and tracers replace."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class UsageError(Exception):
@@ -326,7 +341,7 @@ def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:
             _check_order(args.order, IDENTITIES[identity].least_order, f"--all (through {identity})")
         jobs = _worker_count(_value(args, "jobs"), len(tasks))
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_sweep_worker, tasks))
         else:
             reports = [_sweep_worker(t) for t in tasks]

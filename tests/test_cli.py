@@ -5,6 +5,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -295,6 +296,22 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--all", "--order", "3", "--truncate", "2", "--jobs", "500")
     assert code == 0
     assert requested == [len(cli._sweep_tasks(3, 2))]
+
+
+def test_pool_modules_load_only_on_first_access():
+    # a fresh interpreter: this one has loaded the pool's modules already
+    check = """if True:
+        import sys
+        import polybern, polybern.cli as cli
+        assert not {"concurrent.futures", "multiprocessing"} & set(sys.modules), sorted(sys.modules)
+        import concurrent.futures
+        assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        assert "ProcessPoolExecutor" in vars(cli)
+        assert not hasattr(cli, "no_such_name")
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_is_replaced_atomically(tmp_path, capsys):
