@@ -38,7 +38,6 @@ from .special import (
     StirlingTable,
     degenerate_exp,
     falling_factorial,
-    generalized_binomial,
     log1p_series,
     multi_polylog,
     one_minus_exp_neg,
@@ -76,7 +75,6 @@ __all__ = [
     "falling_factorial",
     "falling_factorial_expansion",
     "format_rational",
-    "generalized_binomial",
     "inv_pow",
     "log1p_series",
     "multi_poly_bernoulli",

@@ -23,18 +23,16 @@ Fraction is built per output coefficient.  The int kernels
 (:func:`_product`, :func:`_power`, :func:`_inverse`, :func:`_reduced`)
 are also what the family pipeline runs on directly.
 
-Composition takes one of two routes, chosen from the inner series alone.
-An inner series alpha (e^{beta t} - 1), as the families' 1 - e^{-t} is,
-is composed in O(N^2) through the expansion of its powers in
-exponentials (:func:`_compose_exponential`); any other inner series, such
-as log(1 + t) or t, goes through the O(N^3) table of its powers in EGF
-form, scaled to integers.  Both give the same exact coefficients.
+Composition takes only the inner series the families need: one of the
+form alpha (e^{beta t} - 1), as 1 - e^{-t} is, composed in O(N^2) through
+the expansion of its powers in exponentials (:func:`_compose_exponential`).
+Any other inner series, such as log(1 + t) or t, is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -124,8 +122,9 @@ def _is_exponential(units: list[int]) -> bool:
     """Whether the EGF ints U_k = d k! u_k of an inner series u are geometric
     from k = 1 on, with U_1 and U_2 nonzero: U_{k+1} U_1 = U_k U_2 for
     k >= 1.  Then u = alpha (e^{beta t} - 1) up to its order, with
-    beta = U_2 / U_1 and alpha beta = U_1 / d."""
-    if len(units) < 3 or not units[1] or not units[2]:
+    beta = U_2 / U_1 and alpha beta = U_1 / d.  ``units`` has at least
+    three entries."""
+    if not units[1] or not units[2]:
         return False
     u1, u2 = units[1], units[2]
     return all(units[k + 1] * u1 == units[k] * u2 for k in range(2, len(units) - 1))
@@ -143,7 +142,7 @@ def _compose_exponential(outer: Sequence[Fraction], units: list[int], d: int) ->
     so n! [t^n] f(u) = sum_j c_j (j beta)^n.  The c_j are the coefficients
     of the polynomial sum_m alpha^m a_m (y - 1)^m: a Taylor shift by -1 of
     ints, O(N^2) subtractions.  The power sums are O(N^2) small-int
-    products, against O(N^3) for the power table.
+    products.
     """
     target = len(units) - 1
     beta = Fraction(units[2], units[1])
@@ -227,34 +226,6 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order``.  Extension is forbidden."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if order == self.order:
-            return self
-        return TruncatedSeries(self._coeffs[: order + 1])
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)]
-            )
-        c = _coeff(other)
-        return TruncatedSeries((self._coeffs[0] + c,) + self._coeffs[1:])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries) else -_coeff(other))
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
@@ -286,59 +257,33 @@ class TruncatedSeries:
         return TruncatedSeries(Fraction(c, den) for c in inverse)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)) over ints, by one of two routes.
+        """self(inner(t)) for an inner series u = alpha (e^{beta t} - 1).
 
         ``inner`` must have zero constant term; then coefficient n of the
         result depends only on coefficients up to n of both operands, so
         the result is exact up to min(order, inner.order).
 
         With U_k = d * k! * u_k, d the least common denominator of the
-        k! * u_k of the inner series u, the route is chosen from the U_k:
-
-        - If they are geometric from k = 1 on (U_{k+1} U_1 = U_k U_2, with
-          U_1 and U_2 nonzero), u = alpha (e^{beta t} - 1) up to the
-          order, and :func:`_compose_exponential` sums the outer series
-          over the exponentials e^{j beta t} in O(N^2).  This is the
-          route of 1 - e^{-t}, the inner series of the polylog families.
-        - Otherwise the powers u^m are built in EGF form over the
-          integers: the columns
-
-              P_m(n) = d^m * n! * [t^n] u^m
-                     = sum_{k=1}^{n-m+1} C(n,k) * U_k * P_{m-1}(n-k)
-
-          are plain ints, and coefficient n of the result is
-          sum_m (a_m / d^m) * P_m(n) / n!, summed over one common
-          denominator, in O(N^3).  For log(1+t), d = 1.
-
-        The choice needs no flag: it is a property of the input, and both
-        routes are exact, so the result does not depend on it.
+        k! * u_k, u has that form up to its order when the U_k are
+        geometric from k = 1 on (U_{k+1} U_1 = U_k U_2, with U_1 and U_2
+        nonzero), and :func:`_compose_exponential` sums the outer series
+        over the exponentials e^{j beta t} in O(N^2).  This is the route
+        of 1 - e^{-t}, the inner series of the polylog families.  Up to
+        order 1 the result is a_0 + a_1 u_1 t for any inner series; any
+        other inner series raises ValueError.
         """
         if inner._coeffs[0] != 0:
             raise ValueError("composition requires zero constant term")
         target = min(self.order, inner.order)
+        if target <= 1:  # a_0 + a_1 u_1 t, whatever the form of u
+            return TruncatedSeries(map(mul, self._coeffs[: target + 1], (1,) + inner._coeffs[1:2]))
         facts = [1]
         for n in range(1, target + 1):
             facts.append(facts[-1] * n)
         units, d = _over_common([facts[k] * inner._coeffs[k] for k in range(target + 1)])
-        if _is_exponential(units):
-            return TruncatedSeries(_compose_exponential(self._coeffs[: target + 1], units, d))
-        # weights[n][k] = C(n,k) * U_k, the row that turns P_{m-1} into P_m
-        weights = [[comb(n, k) * units[k] for k in range(n + 1)] for n in range(target + 1)]
-
-        scaled_outer, common = _over_common([a / d**m for m, a in enumerate(self._coeffs[: target + 1])])
-
-        totals = [scaled_outer[0]] + [0] * target
-        column = [1] + [0] * target  # P_0
-        for m in range(1, target + 1):
-            prev = column
-            column = [0] * (target + 1)
-            for n in range(m, target + 1):
-                column[n] = sum(map(mul, weights[n][1 : n - m + 2], reversed(prev[m - 1 : n])))
-            a_m = scaled_outer[m]
-            if a_m:
-                for n in range(m, target + 1):
-                    totals[n] += a_m * column[n]
-        return TruncatedSeries(Fraction(totals[n], common * facts[n]) for n in range(target + 1))
+        if not _is_exponential(units):
+            raise ValueError("composition takes only an inner series alpha (e^{beta t} - 1)")
+        return TruncatedSeries(_compose_exponential(self._coeffs[: target + 1], units, d))
 
     def div_tpow(self, r: int) -> "TruncatedSeries":
         """Exact division by t**r, dropping the order by r.

@@ -44,21 +44,6 @@ def falling_factorial(x, n: int, lam) -> Fraction:
     return result
 
 
-def generalized_binomial(a: int, m: int) -> int:
-    """Binomial coefficient C(a, m) for any integer a and m >= 0.
-
-    Computed as a(a-1)...(a-m+1)/m!, which is always an exact integer.
-    For a < 0 this realizes the upper-negation values used in binomial
-    series; note it vanishes once the falling product crosses zero.
-    """
-    if m < 0:
-        return 0
-    num = 1
-    for i in range(m):
-        num *= a - i
-    return num // factorial(m)
-
-
 def _degenerate_exp_ints(x, lam, order: int) -> tuple[list[int], int]:
     """The degenerate exponential (1 + lam*t)^(x/lam) as ints E[0..order]
     over one denominator D: coefficient n is E[n] / D.

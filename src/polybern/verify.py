@@ -41,7 +41,6 @@ JSON.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -97,7 +96,7 @@ class ResidualRow:
     The row keeps the exact parts, not the residual: ``lhs``, the Fraction
     shared by every row of its n, and the partial sum as the int
     ``partial`` over ``den``, the running denominator shared by every row of
-    its M.  :attr:`residual` builds the canonical Fraction on demand.
+    its M.
     """
 
     n: int
@@ -105,10 +104,6 @@ class ResidualRow:
     lhs: Fraction
     partial: int
     den: int
-
-    @property
-    def residual(self) -> Fraction:
-        return abs(self.lhs - Fraction(self.partial, self.den))
 
     def to_json_dict(self) -> dict:
         decimal = _residual_decimal(self.lhs.numerator, self.lhs.denominator, self.partial, self.den)
@@ -135,17 +130,12 @@ class ResidualTable(Sequence):
     def __len__(self) -> int:
         return len(self.lhs) * len(self.dens)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+    def __getitem__(self, index: int) -> ResidualRow:
         size = len(self)
         if not -size <= index < size:
             raise IndexError("residual table index out of range")
         i, m = divmod(index % size, len(self.dens))
         return ResidualRow(self.first_n + i, m, self.lhs[i], self.partials[i][m], self.dens[m])
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, ResidualTable) else other)
 
     def values(self) -> list[tuple[int, int, str]]:
         """(n, M, residual_decimal) of every row, in row order."""
@@ -175,14 +165,6 @@ class VerificationReport:
             "rows": [r.to_json_dict() for r in self.rows],
         }
         return head, self.residuals.values() if self.residuals else []
-
-    def to_json_dict(self) -> dict:
-        head, residuals = self.json_parts()
-        head["residuals"] = [dict(zip(RESIDUAL_KEYS, values)) for values in residuals]
-        return head
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _row(check: str, n: int, lhs: Fraction, rhs: Fraction) -> ReportRow:

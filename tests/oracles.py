@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 # -- series arithmetic on plain coefficient lists ---------------------------
@@ -41,6 +41,41 @@ def brute_compose(outer: list[Fraction], inner: list[Fraction], order: int) -> l
             out[idx] += oj * power[idx]
         power = convolve(power, inner, order)
     return out
+
+
+def power_table_compose(outer: list[Fraction], inner: list[Fraction], order: int) -> list[Fraction]:
+    """sum_m outer[m] * inner**m for any inner series with inner[0] = 0,
+    through the table of the powers of inner in EGF form over the ints.
+
+    With U_k = d * k! * inner[k], d the least common denominator of the
+    k! * inner[k], the columns
+
+        P_m(n) = d^m * n! * [t^n] inner^m
+               = sum_{k=1}^{n-m+1} C(n,k) * U_k * P_{m-1}(n-k)
+
+    are ints, and coefficient n is sum_m (outer[m] / d^m) * P_m(n) / n!,
+    summed over one common denominator: O(order^3) int products.  This was
+    the package's route for every inner series not of the form
+    alpha (e^{beta t} - 1).
+    """
+    assert inner[0] == 0
+    facts = [factorial(n) for n in range(order + 1)]
+    egf = [facts[k] * Fraction(inner[k]) for k in range(order + 1)]
+    d = lcm(*(c.denominator for c in egf))
+    units = [c.numerator * (d // c.denominator) for c in egf]
+    # weights[n][k] = C(n,k) * U_k, the row that turns P_{m-1} into P_m
+    weights = [[comb(n, k) * units[k] for k in range(n + 1)] for n in range(order + 1)]
+    scaled = [Fraction(a) / d**m for m, a in enumerate(outer[: order + 1])]
+    common = lcm(*(a.denominator for a in scaled))
+    scaled = [a.numerator * (common // a.denominator) for a in scaled]
+    totals = [scaled[0]] + [0] * order
+    column = [1] + [0] * order  # P_0
+    for m in range(1, order + 1):
+        column = [0] * m + [sum(weights[n][k] * column[n - k] for k in range(1, n - m + 2))
+                            for n in range(m, order + 1)]
+        for n in range(m, order + 1):
+            totals[n] += scaled[m] * column[n]
+    return [Fraction(totals[n], common * facts[n]) for n in range(order + 1)]
 
 
 def long_divide(num: list[Fraction], den: list[Fraction], order: int) -> list[Fraction]:
@@ -324,3 +359,19 @@ def m_series_partial_sums(lhs, term_by_m, k_r, first_n, order):
                 residuals.append((n, m, abs(lhs[n] - partial)))
         rows.append((n, partial))
     return rows, residuals
+
+
+# -- reports, read through their exact parts ---------------------------------
+
+
+def residual(row) -> Fraction:
+    """|lhs - partial sum| of a residual row, as one canonical Fraction."""
+    return abs(row.lhs - Fraction(row.partial, row.den))
+
+
+def report_dict(report) -> dict:
+    """A verification report as one JSON-ready dict, built from its
+    ``json_parts`` for the standard library's encoder."""
+    head, residuals = report.json_parts()
+    head["residuals"] = [dict(zip(("n", "M", "residual_decimal"), values)) for values in residuals]
+    return head

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polybern import cli, verify
 from polybern.cli import _ks_flag, main
 from polybern.families import degenerate_multi_poly_bernoulli
@@ -70,6 +71,16 @@ def test_numbers_other_families(capsys):
                        "--ks", "1,1", "--order", "4")
     assert code == 0
     assert json.loads(out)["values"][0] == "1/1"
+
+
+def test_order_zero_calls(capsys):
+    # a depth-1 family at order 0 composes at order 1, where compose takes
+    # any inner series
+    code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "2", "--order", "0")
+    assert code == 0 and json.loads(out)["values"] == ["1/1"]
+    code, out, _ = run(capsys, "verify", "--identity", "expansion", "--ks", "2", "--lambda", "1/3",
+                       "--x", "1/2", "--order", "0")
+    assert code == 0 and json.loads(out)["status"] == "pass"
 
 
 def test_numbers_csv(capsys):
@@ -788,4 +799,5 @@ def test_library_and_cli_render_a_report_alike(capsys, argv):
                    int(flags.get("truncate", cli.DEFAULT_M_TRUNCATION)))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out == report.to_json(indent=2) + "\n"
+    # the stdlib encoder on the library's report, against the CLI's own writer
+    assert out == json.dumps(oracles.report_dict(report), indent=2) + "\n"

@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion against this checkout."""
+"""Smoke test: every demo script and README's quick start run against this
+checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,22 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python([str(script)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1/2", "pass"]
