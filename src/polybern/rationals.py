@@ -9,7 +9,9 @@ what Fraction does not ship, namely a constructor with pinned error
 behaviour, the one coercion of caller-supplied parameters
 (:func:`as_rational`), the ``n**-k`` weights that appear in chain sums,
 the "p/q" wire format used by all serialization, and the rendering of
-exact values as rounded decimal strings for convergence diagnostics.
+exact values as rounded decimal strings for convergence diagnostics: one
+integer division shortens the exact value, and ``decimal`` rounds and
+writes the result.
 
 Floating point never enters: a float parameter is refused, not converted,
 and decimal strings are derived from exact rationals at output time only.
@@ -106,22 +108,17 @@ def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> 
     """Render the exact rational value/den (den > 0, unreduced pairs allowed)
     as a decimal string with ``digits`` significant digits, round half to
     even: the string ``Decimal(p) / Decimal(q)`` gives at that precision.
-    Used only for residual reporting; never fed back into computation.
+    ``digits`` < 1 raises ValueError.  Used only for residual reporting;
+    never fed back into computation.
 
-    The string is built from ints.  For p/q a shift s, read off the two bit
-    lengths, makes Q = floor(|p| 10^s / q) at least digits + 2 digits long,
-    so one divmod gives it.  An inexact Q gets its low bit set (round to
-    odd): the rounding boundaries of ``digits`` digits are then even
-    integers at Q's scale, so Q rounded half to even to ``digits`` digits
-    rounds as the exact value does.  The kept digits and their exponent are
-    written as ``str(Decimal)`` writes them: plain notation when the
-    exponent is at most 0 and the adjusted exponent at least -6, else one
-    digit before the point and an ``E`` exponent.  Only when the kept digits
-    are exact does Decimal render Q / 10^s, in the one context of its
-    ``digits`` (:func:`_context`), because an exact quotient is stripped of
-    trailing zeros down to its ideal exponent 0.  The powers of ten are
-    cached (:func:`_power_of_ten`).
+    One divmod cuts the long p and q down to Q = floor(|p| 10^s / q), at
+    least digits + 2 digits long, and Decimal rounds and writes Q / 10^s.
+    An inexact Q first gets its low bit set (round to odd): the rounding
+    boundaries of ``digits`` digits are then even integers at Q's scale,
+    so Q rounds as the exact value does.
     """
+    # first, so that the context refuses digits < 1 for zero too
+    context = _context(digits)
     p, q = value.numerator, value.denominator * den
     if not p:
         return "0"
@@ -135,30 +132,9 @@ def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> 
         quotient, remainder = divmod(magnitude, q * _power_of_ten(-shift))
     if remainder:
         quotient |= 1
-    text = str(quotient)
-    drop = len(text) - digits
-    unit = _power_of_ten(drop)
-    kept, rest = divmod(quotient, unit)
-    if not (rest or remainder):
-        context = _context(digits)
-        operation = context.divide if shift >= 0 else context.multiply
-        # 10^|s| from its digits: Decimal(int) is slow on a long int
-        return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))
-    half = unit >> 1
-    if rest > half or (rest == half and kept & 1):
-        text = str(kept + 1)
-        if len(text) > digits:  # 99..9 rounded up to 10..0
-            text, drop = text[:-1], drop + 1
-    else:
-        text = text[:digits]
-    exponent = drop - shift
-    leftdigits = exponent + digits  # digits before the point
-    if exponent <= 0 and leftdigits > -6:
-        if leftdigits <= 0:
-            text = "0." + "0" * -leftdigits + text
-        elif leftdigits < digits:
-            text = text[:leftdigits] + "." + text[leftdigits:]
-    else:
-        point = "." if digits > 1 else ""
-        text = "%s%s%sE%+d" % (text[0], point, text[1:], leftdigits - 1)
-    return "-" + text if p < 0 else text
+        return str(Decimal(quotient if p > 0 else -quotient).scaleb(-shift, context))
+    # an exact quotient is divided by 10^|s|, so Decimal strips its trailing
+    # zeros down to the ideal exponent 0 (scaleb would keep them); 10^|s| is
+    # built from its digits, as Decimal(int) is slow on a long int
+    operation = context.divide if shift >= 0 else context.multiply
+    return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))

@@ -110,6 +110,7 @@ class ResidualRow:
         return dict(zip(RESIDUAL_KEYS, (self.n, self.m_truncation, decimal)))
 
 
+@dataclass(frozen=True, slots=True)
 class ResidualTable(Sequence):
     """The residual rows of a diagnostic m-series report, built on access.
 
@@ -119,13 +120,13 @@ class ResidualTable(Sequence):
     over.  Row i * (M_top + 1) + M is the :class:`ResidualRow` of
     n = first_n + i at M, so the rows come in the order of n, then M, as the
     columns do.  :meth:`values` renders every row's JSON values straight
-    from the ints.
+    from the ints.  Two tables are equal when these four fields are.
     """
 
-    __slots__ = ("first_n", "lhs", "partials", "dens")
-
-    def __init__(self, first_n: int, lhs: Sequence[Fraction], partials: list[list[int]], dens: list[int]):
-        self.first_n, self.lhs, self.partials, self.dens = first_n, lhs, partials, dens
+    first_n: int
+    lhs: Sequence[Fraction]
+    partials: list[list[int]]
+    dens: list[int]
 
     def __len__(self) -> int:
         return len(self.lhs) * len(self.dens)
@@ -387,10 +388,9 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     sum over n_r of A[n_r][j] times the n_r-th weight vector.  The
     denominators come from one scalar pass over m: a running denominator,
     the lcm of the summands' denominators so far, lifted by one lcm per m
-    (taken on its cofactor over the weight scale) and never reduced per
-    coefficient, with the lift and the signed factor of each m.  Then each
-    n in turn, the highest first, takes its binomial convolution
-    sum_j C(n, j) g[j] fam[n-j], elementwise over m, and sums
+    and never reduced per coefficient, with the lift and the signed factor
+    of each m.  Then each n in turn, the highest first, takes its binomial
+    convolution sum_j C(n, j) g[j] fam[n-j], elementwise over m, and sums
     it over m into its column of int partial sums, one per truncation M;
     g[n] and fam[n] are freed once that n is summed, as no lower n reads
     them.  The columns go to the residual table as they are (see
@@ -432,21 +432,15 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     # the partial sums at M are ints over table_den * sum_den, where sum_den
     # is the lcm of the denominators of the summands at m <= M: the sum at M
     # is lifts[M] times the sum at M - 1, plus factors[M] times the summand.
-    # The summand's denominator at m is scales[m] * (basis_den // c_m), and
-    # scales[m] = step * scales[m - 1] divides it, so sum_den is scales[m]
-    # times a cofactor that divides basis_den: the lcm and the lifts run on
-    # the cofactors, not on the full denominators (at m = 0 the running
-    # denominator is 1 and the lift the whole summand denominator).
-    step = 1 if exact else top
     lifts, factors, dens = [], [], []
-    cofactor, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
+    sum_den, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
     for m, (scale, c) in enumerate(zip(scales, common)):
-        term_cofactor = basis_den // c
-        lifted = lcm(cofactor, step * term_cofactor) // step
-        lifts.append(step * lifted // cofactor if m else scale * lifted)
-        factors.append(signed_binomial * (lifted // term_cofactor))
-        dens.append(scale * (table_den * lifted))
-        cofactor = lifted
+        term_den = scale * (basis_den // c)
+        lifted = lcm(sum_den, term_den)
+        lifts.append(lifted // sum_den)
+        factors.append(signed_binomial * (lifted // term_den))
+        dens.append(table_den * lifted)
+        sum_den = lifted
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
 
     # the highest n first: no lower n reads g[n] or fam[n], so each is freed

@@ -5,9 +5,11 @@ Each case runs ``main(argv)`` and compares its stdout, byte for byte, with
 ``tests/golden/exit_codes.json``.  The golden files were captured once
 from a known-good build; a refactor that changes any report fails here.
 The ``help*.out`` files hold the ``--help`` text of the command and of
-each verb at 80 columns.
+each verb at 80 columns.  Diagnostics too long to keep as text are pinned
+by ``<name>.sha256``, the line ``sha256sum`` prints for their stdout.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,6 +110,27 @@ def test_one_parser_serves_every_call_and_keeps_no_state(capsys, monkeypatch):
         out = capsys.readouterr().out.encode("utf-8")
         assert (code, out) == (expected_codes[name], _golden(name)), name
     assert cli._build_parser.cache_info().misses == 1
+
+
+# m-series diagnostics at real operand sizes, thousands of bits: a 32 in
+# the tail basis, M = 160 at order 16, and depth 3
+HASHED = {
+    "verify-resummation-order32": ["verify", "--identity", "resummation", "--ks", "32,1",
+                                   "--lambda=-7/9", "--x", "8/9", "--order", "32", "--truncate", "47"],
+    "verify-difference-order16": ["verify", "--identity", "difference", "--ks", "2,2,1",
+                                  "--lambda=-7/9", "--x", "8/9", "--order", "16", "--truncate", "160"],
+    "verify-resummation-depth3-order24": ["verify", "--identity", "resummation", "--ks", "24,8,1",
+                                          "--lambda=-7/9", "--x", "8/9", "--order", "24",
+                                          "--truncate", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_hashed_golden_output(name, capsys, monkeypatch):
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    assert main(HASHED[name]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert f"{digest}  -\n" == (GOLDEN / f"{name}.sha256").read_text()
 
 
 HELP = {

@@ -144,6 +144,13 @@ def test_decimal_string_is_20_significant_digits_half_even():
     assert decimal_string(Fraction(1, 2) + Fraction(1, 10**25)).startswith("0.5000000000000000000")
 
 
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), 123456])
+@pytest.mark.parametrize("digits", [0, -1])
+def test_decimal_string_needs_a_digit(value, digits):
+    with pytest.raises(ValueError):
+        decimal_string(value, digits)
+
+
 def _decimal_reference(p: int, q: int, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits

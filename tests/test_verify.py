@@ -1,6 +1,7 @@
 """Identity harness: exact checks, diagnostic branches, report contracts."""
 
 import pickle
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -414,9 +415,34 @@ def test_residual_table_reads_as_the_eager_rows(check, ks):
     assert data == [dict(zip(("n", "M", "residual_decimal"), values)) for values in table.values()]
 
 
+@pytest.mark.parametrize("check, ks, order, m_truncation", [
+    (verify_resummation, (32, 1), 32, 47),
+    (verify_difference, (2, 2, 1), 16, 160),
+    (verify_resummation, (24, 8, 1), 24, 64),
+])
+def test_residual_decimals_match_decimal_at_full_size(check, ks, order, m_truncation):
+    # residual pairs of thousands of bits, where the hypothesis test of
+    # decimal_string draws only up to about 200
+    report = check(ks, Fraction(-7, 9), Fraction(8, 9), order, m_truncation=m_truncation)
+    context = Context(prec=20, rounding=ROUND_HALF_EVEN)
+    expected = []
+    for row in report.residuals:
+        ln, ld = row.lhs.numerator, row.lhs.denominator
+        p, q = abs(ln * row.den - row.partial * ld), ld * row.den
+        expected.append((row.n, row.m_truncation, str(context.divide(Decimal(p), Decimal(q)))))
+    assert report.residuals.values() == expected
+
+
+def test_diagnostic_reports_compare_by_value():
+    report = verify_difference((2, 2, 1), THIRD, HALF, 3, m_truncation=4)
+    assert report == verify_difference((2, 2, 1), THIRD, HALF, 3, m_truncation=4)
+    assert report != verify_difference((2, 2, 1), Fraction(1, 4), HALF, 3, m_truncation=4)
+
+
 def test_diagnostic_report_pickles():
     report = verify_difference((2, 2, 1), THIRD, HALF, 5, m_truncation=9)
     again = pickle.loads(pickle.dumps(report))
+    assert again == report
     assert again.json_parts() == report.json_parts()
     assert [(row.n, row.m_truncation, oracles.residual(row)) for row in again.residuals] == \
         [(row.n, row.m_truncation, oracles.residual(row)) for row in report.residuals]
