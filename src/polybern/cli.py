@@ -7,7 +7,8 @@ triangle, and ``verify`` runs one identity check (or a whole sweep with
 default; CSV is available for the flat tables only (numbers, stirling).
 The POLYBERN_FORMAT environment variable changes the default format.
 Each series, family and identity is one ``Entry`` of a table, from which
-its flag checks, size refusals and ``--all`` points are derived.
+its flag checks and ``--all`` points are derived; the size refusals of the
+m-series identities follow from their ``m_truncation`` parameter.
 ``verify --all --jobs N`` runs the sweep on a process pool; the pool's
 modules (``concurrent.futures``, ``multiprocessing``) load only when one
 starts, as ``ProcessPoolExecutor`` is imported on its first access.
@@ -114,13 +115,13 @@ class Entry(NamedTuple):
     """One CLI name: its function as ``"module.function"``, looked up in
     that module at call time so that a seam or tracer replacing it there
     sees every call; the parameters besides ``order``, in signature order,
-    each read from its flag; the :func:`_check_identity_size` rule
-    (``"m-series"`` also frees k_r from the weight bound); the least order;
-    and the ``verify --all`` points: (largest order, all but m_truncation)."""
+    each read from its flag (an ``m_truncation`` among them makes the entry
+    an m-series identity, which :func:`_check_identity_size` bounds and
+    whose k_r the weight bound leaves free); the least order; and the
+    ``verify --all`` points: (largest order, all but m_truncation)."""
 
     function: str
     params: tuple[str, ...]
-    size: str | None = None
     least_order: int = 0
     sweep: tuple[tuple[int, dict], ...] = ()
 
@@ -149,10 +150,10 @@ IDENTITIES = {
                    sweep=tuple((MAX_ORDER, {"ks": ks}) for ks in ((2,), (2, 1), (3, 2)))),
     "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), sweep=tuple(
         (10, {"ks": ks, "lam": _HALF, "x": _ZERO}) for ks in ((1, 1), (2, 1)))),
-    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"), size="m-series",
+    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"),
                          sweep=((6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}),
                                 (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
-    "difference": Entry("verify.verify_difference", ("ks", "lam", "x", "m_truncation"), size="m-series",
+    "difference": Entry("verify.verify_difference", ("ks", "lam", "x", "m_truncation"),
                         least_order=1, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
                                               (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
     "addition": Entry("verify.verify_addition", ("ks", "lam", "x", "y"),
@@ -275,7 +276,7 @@ def _check_indices(entry: Entry, kwargs: dict):
     """Refuse an index vector past ``MAX_DEPTH`` or ``MAX_INDEX_WEIGHT``."""
     ks = kwargs.get("ks", ())
     _require(kwargs.get("r", len(ks)) <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
-    if entry.size == "m-series":
+    if "m_truncation" in entry.params:
         ks = ks[:-1]
     _require(sum(map(abs, ks)) + abs(kwargs.get("k", 0)) <= MAX_INDEX_WEIGHT,
              f"index weight (sum of |k_i| or |k|) must be at most {MAX_INDEX_WEIGHT}")
@@ -284,7 +285,7 @@ def _check_indices(entry: Entry, kwargs: dict):
 def _check_identity_size(entry: Entry, kwargs: dict, identity: str):
     """Refuse the m-series calls whose cost the order and truncation caps
     alone do not bound (see ``MAX_M_SERIES_SIZE``); pass any other call."""
-    if entry.size != "m-series":
+    if "m_truncation" not in entry.params:
         return
     k_r = kwargs["ks"][-1]
     _require(-k_r <= MAX_M_TRUNCATION,
@@ -363,10 +364,13 @@ class _Rows(NamedTuple):
 
 def _json_value(result):
     """The JSON value of a verb's result: a flat table's ``to_json_dict``;
-    a report's JSON object with its residual table as the ``_Rows`` of its
-    values, so that no residual row becomes a dict; anything else as it is."""
+    a report's JSON object with its rows and its residual table each as a
+    ``_Rows``, so that no residual row becomes a dict; anything else as it
+    is."""
     if isinstance(result, VerificationReport):
         head, residuals = result.json_parts()
+        rows = head["rows"]
+        head["rows"] = _Rows(tuple(rows[0]) if rows else (), [tuple(row.values()) for row in rows])
         head["residuals"] = _Rows(RESIDUAL_KEYS, residuals)
         return head
     if isinstance(result, (SequenceResult, StirlingTable)):
@@ -402,8 +406,7 @@ def _json_text(value) -> str:
 def _append_json(value, indent: str, out: list[str]):
     """Append the pieces of ``value``'s text at ``indent`` to ``out``.  Two
     cases skip the item-by-item walk: a list of scalars is one join, and a
-    ``_Rows`` or a list of objects with one key order and scalar values is
-    one %-template per object, built from the keys."""
+    ``_Rows`` is one %-template per object, built from its keys."""
     inner = indent + "  "
     if isinstance(value, dict):
         sep = "{" + inner
@@ -413,25 +416,21 @@ def _append_json(value, indent: str, out: list[str]):
             sep = "," + inner
         out.append(indent + "}" if value else "{}")
         return
-    if not isinstance(value, (list, tuple)):
+    if type(value) is _Rows:
+        columns = [_scalars(column) for column in zip(*value.values)]
+        if None in columns:
+            raise TypeError("_Rows values must be JSON scalars")
+        names = [encode_basestring_ascii(k).replace("%", "%%") for k in value.keys]
+        template = "{" + ",".join(f"{inner}  {name}: %s" for name in names) + inner + "}"
+        texts = [template % row for row in zip(*columns)]
+    elif isinstance(value, (list, tuple)):
+        texts = _scalars(value)
+    else:
         texts = _scalars((value,))
         if texts is None:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         out += texts
         return
-    keys = tuple(value[0]) if value and type(value[0]) is dict else ()
-    if keys and all(type(v) is dict and tuple(v) == keys for v in value):
-        value = _Rows(keys, [tuple(v.values()) for v in value])
-    if type(value) is _Rows:
-        columns = [_scalars(column) for column in zip(*value.values)]
-        if None not in columns:
-            names = [encode_basestring_ascii(k).replace("%", "%%") for k in value.keys]
-            template = "{" + ",".join(f"{inner}  {name}: %s" for name in names) + inner + "}"
-            texts = [template % row for row in zip(*columns)]
-        else:  # a value that is not a scalar: walk the objects
-            texts, value = None, [dict(zip(value.keys, row)) for row in value.values]
-    else:
-        texts = _scalars(value)
     if texts is None:
         sep = "[" + inner
         for item in value:

@@ -5,13 +5,12 @@ residuals) is an arbitrary-precision rational.  The standard library's
 ``fractions.Fraction`` already maintains the canonical form the rest of the
 package relies on: the denominator is always positive, numerator and
 denominator are coprime, and zero is stored as 0/1.  This module adds only
-what Fraction does not ship, namely a constructor with pinned error
-behaviour, the one coercion of caller-supplied parameters
-(:func:`as_rational`), the ``n**-k`` weights that appear in chain sums,
-the "p/q" wire format used by all serialization, and the rendering of
-exact values as rounded decimal strings for convergence diagnostics: one
-integer division shortens the exact value, and ``decimal`` rounds and
-writes the result.
+what Fraction does not ship, namely the one coercion of caller-supplied
+parameters (:func:`as_rational`), the ``n**-k`` weights that appear in
+chain sums, the "p/q" wire format used by all serialization, and the
+rendering of exact values as rounded decimal strings for convergence
+diagnostics: one integer division shortens the exact value, and
+``decimal`` rounds and writes the result.
 
 Floating point never enters: a float parameter is refused, not converted,
 and decimal strings are derived from exact rationals at output time only.
@@ -27,28 +26,19 @@ from functools import cache, lru_cache
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
-def rat(p: int, q: int = 1) -> Fraction:
-    """Canonical fraction p/q.
-
-    Raises ZeroDivisionError("zero denominator") for q = 0.
-    """
-    if q == 0:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(p, q)
-
-
 def as_rational(value) -> Fraction:
     """A caller's exact rational parameter (lam, x, y) as a Fraction.
 
     Accepts an int, a Fraction or a "p"/"p/q" string (see
-    :func:`parse_rational`).  A float raises TypeError, as does any other
-    type: a float holds a binary value, not the rational it was written as
-    (0.1 is 3602879701896397/36028797018963968), so it has no place on an
-    exact path.
+    :func:`parse_rational`).  A float raises TypeError, as does a bool or
+    any other type: a float holds a binary value, not the rational it was
+    written as (0.1 is 3602879701896397/36028797018963968), so it has no
+    place on an exact path, and a bool is a flag, not a number (series
+    coefficients refuse it too).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
@@ -89,9 +79,7 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
-    if den:
-        return rat(int(num), int(den))
-    return Fraction(int(num))
+    return Fraction(int(num), int(den or 1))
 
 
 @cache

@@ -206,8 +206,7 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self._coeffs[n]
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficient(n)
+    __getitem__ = coefficient
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self._coeffs)

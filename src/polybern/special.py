@@ -123,8 +123,6 @@ def multi_polylog(ks: Sequence[int], order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     coeffs = [Fraction(0)] * (order + 1)
-    if order == 0:
-        return TruncatedSeries(coeffs)
     level = [inv_pow(m, ks[0]) for m in range(1, order + 1)]
     for k in ks[1:]:
         running = Fraction(0)

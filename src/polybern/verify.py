@@ -66,7 +66,10 @@ class ReportRow:
     n: int
     lhs: Fraction
     rhs: Fraction
-    equal: bool
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,9 +155,17 @@ class ResidualTable(Sequence):
 class VerificationReport:
     identity: str
     params: dict
-    status: str
     rows: tuple[ReportRow, ...]
     residuals: Sequence[ResidualRow] = field(default=())
+
+    @property
+    def status(self) -> str:
+        """The verdict, read from the report: "diagnostic" when it holds
+        residuals (an m-series at k_r >= 1), else "pass" when every row is
+        equal and "fail" when one is not."""
+        if self.residuals:
+            return "diagnostic"
+        return "pass" if all(r.equal for r in self.rows) else "fail"
 
     def json_parts(self) -> tuple[dict, list[tuple[int, int, str]]]:
         """The JSON object but for its residuals, and the residual rows'
@@ -166,24 +177,6 @@ class VerificationReport:
             "rows": [r.to_json_dict() for r in self.rows],
         }
         return head, self.residuals.values() if self.residuals else []
-
-
-def _row(check: str, n: int, lhs: Fraction, rhs: Fraction) -> ReportRow:
-    return ReportRow(check=check, n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs)
-
-
-def _report(identity, params, rows, residuals=(), diagnostic=False) -> VerificationReport:
-    if diagnostic:
-        status = "diagnostic"
-    else:
-        status = "pass" if all(r.equal for r in rows) else "fail"
-    return VerificationReport(
-        identity=identity,
-        params=params,
-        status=status,
-        rows=tuple(rows),
-        residuals=residuals,
-    )
 
 
 def _u_powers(top: int) -> list[list[int]]:
@@ -242,7 +235,7 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     falling, falling_den = _over_common(list(falling))
     den = base_den * falling_den
     rhs = _binomial_convolution(base, falling)
-    return [_row(check, n, shifted[n], Fraction(rhs[n], den)) for n in range(order + 1)]
+    return [ReportRow(check, n, shifted[n], Fraction(rhs[n], den)) for n in range(order + 1)]
 
 
 def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> VerificationReport:
@@ -258,15 +251,15 @@ def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> Verifi
     if all(k == 1 for k in ks):
         polys = [row.lhs for row in rows]
         carl = carlitz_degenerate(len(ks), lam, x, order).values
-        rows += [_row("all-ones-reduction", n, polys[n], carl[n]) for n in range(order + 1)]
-    return _report("expansion", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
+        rows += [ReportRow("all-ones-reduction", n, polys[n], carl[n]) for n in range(order + 1)]
+    return VerificationReport("expansion", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
 
 
 def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationReport:
     """Argument addition: beta_n(x+y) = sum_l C(n,l) beta_l(x) (y)_{n-l,lam}."""
     rows = _addition_rows("argument-addition", ks, lam, x, y, order)
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(as_rational(y))}
-    return _report("addition", params, rows)
+    return VerificationReport("addition", params, tuple(rows))
 
 
 def verify_li_ones(r: int, order: int) -> VerificationReport:
@@ -282,9 +275,9 @@ def verify_li_ones(r: int, order: int) -> VerificationReport:
     log_power = (neg_log**r) * Fraction(1, factorial(r))
     table = stirling_table("first_unsigned", order)
     stirling_egf = [Fraction(table.value(l, r), factorial(l)) for l in range(order + 1)]
-    rows = [_row("log-power", n, dp[n], log_power[n]) for n in range(order + 1)]
-    rows += [_row("stirling-egf", n, dp[n], stirling_egf[n]) for n in range(order + 1)]
-    return _report("li-ones", {"r": r, "order": order}, rows)
+    rows = [ReportRow("log-power", n, dp[n], log_power[n]) for n in range(order + 1)]
+    rows += [ReportRow("stirling-egf", n, dp[n], stirling_egf[n]) for n in range(order + 1)]
+    return VerificationReport("li-ones", {"r": r, "order": order}, tuple(rows))
 
 
 def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationReport:
@@ -302,14 +295,14 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     li = multi_polylog(ks, order)
     lowered = multi_polylog(ks[:-1] + (ks[-1] - 1,), order)
     lhs10 = li.derive().mul_tpow(1)
-    rows = [_row("x-derivative", n, lhs10[n], lowered[n]) for n in range(order + 1)]
+    rows = [ReportRow("x-derivative", n, lhs10[n], lowered[n]) for n in range(order + 1)]
     if len(ks) >= 2:
         tail_one = ks[:-1] + (1,)
         d = multi_polylog(tail_one, order).derive()
         lhs11 = [d[n] - d[n - 1] if n else d[0] for n in range(order)]
         dropped = multi_polylog(ks[:-1], order)
-        rows += [_row("one-minus-x-derivative", n, lhs11[n], dropped[n]) for n in range(order)]
-    return _report("deriv", {"ks": list(ks), "order": order}, rows)
+        rows += [ReportRow("one-minus-x-derivative", n, lhs11[n], dropped[n]) for n in range(order)]
+    return VerificationReport("deriv", {"ks": list(ks), "order": order}, tuple(rows))
 
 
 def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> VerificationReport:
@@ -345,8 +338,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
     rhs = _gf_values(numerator, r, lam, x, order)
 
-    rows = [_row("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
-    return _report("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), rows)
+    rows = [ReportRow("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
+    return VerificationReport("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +452,11 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
     partials.reverse()
 
     check = "finite-binomial-branch" if exact else "partial-sum-at-M"
-    rows = [_row(check, n, lhs[n], Fraction(column[-1], dens[-1]))
+    rows = [ReportRow(check, n, lhs[n], Fraction(column[-1], dens[-1]))
             for n, column in enumerate(partials, first_n)]
     residuals = () if exact else ResidualTable(first_n, lhs[first_n:], partials, dens)
     params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
-    return _report(identity, params, rows, residuals, diagnostic=not exact)
+    return VerificationReport(identity, params, tuple(rows), residuals)
 
 
 def verify_resummation(

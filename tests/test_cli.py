@@ -238,8 +238,8 @@ def test_verify_fail_exits_one(capsys, monkeypatch):
     from polybern.verify import ReportRow, VerificationReport
 
     fake = VerificationReport(
-        identity="li-ones", params={"r": 2, "order": 4}, status="fail",
-        rows=(ReportRow("log-power", 0, Fraction(1), Fraction(2), False),),
+        identity="li-ones", params={"r": 2, "order": 4},
+        rows=(ReportRow("log-power", 0, Fraction(1), Fraction(2)),),
     )
     monkeypatch.setattr("polybern.verify.verify_li_ones", lambda r, order: fake)
     code, out, _ = run(capsys, "verify", "--identity", "li-ones", "--r", "2", "--order", "4")
@@ -764,6 +764,17 @@ def test_json_writer_renders_value_rows_as_their_objects(rows):
     keys = tuple(rows[0]) if rows else ("n",)
     values = [tuple(row.values()) for row in rows]
     assert cli._json_text({"rows": cli._Rows(keys, values)}) == json.dumps({"rows": rows}, indent=2)
+
+
+@pytest.mark.parametrize("report", [
+    verify.verify_li_ones(2, 3),
+    verify.verify_difference((1, 1), Fraction(1, 2), 0, 2, 3),
+])
+def test_json_writer_renders_report_rows_as_value_rows(report):
+    value = cli._json_value(report)
+    rows = [row.to_json_dict() for row in report.rows]
+    assert type(value["rows"]) is cli._Rows
+    assert cli._json_text(value["rows"]) == json.dumps(rows, indent=2)
 
 
 def test_json_writer_holds_a_large_text_about_twice():

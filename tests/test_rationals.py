@@ -14,21 +14,24 @@ from polybern.rationals import (
     format_rational,
     inv_pow,
     parse_rational,
-    rat,
 )
+from polybern.series import TruncatedSeries
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
 
 def test_rat_normalizes_sign_and_gcd():
-    assert rat(2, -4) == Fraction(-1, 2)
-    assert rat(0, 7) == Fraction(0, 1)
-    assert rat(6, 3) == Fraction(2, 1)
+    assert parse_rational("-2/4") == Fraction(-1, 2)
+    assert parse_rational("0/7") == Fraction(0, 1)
+    assert parse_rational("6/3") == Fraction(2, 1)
+    assert parse_rational("-0/5") == 0 and parse_rational("-0/5").denominator == 1
 
 
 def test_rat_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
+        parse_rational("1/0")
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("0/0")
 
 
 def test_inv_pow_values():
@@ -51,7 +54,7 @@ def test_field_axioms(a, b, c):
 
 @given(a=rationals)
 def test_canonical_form_is_idempotent(a):
-    again = rat(a.numerator, a.denominator)
+    again = parse_rational(f"{a.numerator}/{a.denominator}")
     assert again == a
     assert again.denominator > 0
     from math import gcd
@@ -83,6 +86,16 @@ def test_as_rational_takes_exact_values_only():
     for bad in (0.5, 1.0, Decimal("0.5"), None):
         with pytest.raises(TypeError):
             as_rational(bad)
+
+
+def test_as_rational_refuses_a_bool():
+    # as series coefficients do: a bool is a flag, not a number
+    with pytest.raises(TypeError):
+        TruncatedSeries([True])
+    with pytest.raises(TypeError):
+        as_rational(True)
+    with pytest.raises(TypeError):
+        special.degenerate_exp(True, 1, 3)
 
 
 def test_format_rational_refuses_a_float():

@@ -15,6 +15,7 @@ from polybern.rationals import decimal_string
 from polybern.special import one_minus_exp_neg
 from polybern.verify import (
     ReportRow,
+    ResidualTable,
     VerificationReport,
     _binomial_convolution,
     _u_powers,
@@ -270,12 +271,34 @@ def test_addition_at_x_zero_matches_expansion():
 # -- report contracts ----------------------------------------------------------------
 
 def test_report_status_reflects_rows():
-    good = ReportRow(check="c", n=0, lhs=Fraction(1), rhs=Fraction(1), equal=True)
-    bad = ReportRow(check="c", n=1, lhs=Fraction(1), rhs=Fraction(2), equal=False)
-    report = VerificationReport("demo", {}, "fail", (good, bad))
+    good = ReportRow(check="c", n=0, lhs=Fraction(1), rhs=Fraction(1))
+    bad = ReportRow(check="c", n=1, lhs=Fraction(1), rhs=Fraction(2))
+    report = VerificationReport("demo", {}, (good, bad))
     data = oracles.report_dict(report)
     assert data["status"] == "fail"
     assert data["rows"][1] == {"check": "c", "n": 1, "lhs": "1/1", "rhs": "2/1", "equal": False}
+
+def test_report_status_is_read_from_its_rows():
+    rows = (ReportRow("c", 0, HALF, HALF), ReportRow("c", 1, THIRD, Fraction(2, 6)))
+    assert VerificationReport("demo", {}, rows).status == "pass"
+    unequal = rows + (ReportRow("c", 2, HALF, THIRD),)
+    assert VerificationReport("demo", {}, unequal).status == "fail"
+
+def test_report_with_residuals_is_diagnostic():
+    # the residuals decide, whatever the rows say
+    rows = (ReportRow("partial-sum-at-M", 0, HALF, HALF),)
+    residuals = ResidualTable(0, [HALF], [[0, 1]], [1, 2])
+    report = VerificationReport("demo", {}, rows, residuals)
+    assert report.status == "diagnostic"
+    assert oracles.report_dict(report)["status"] == "diagnostic"
+    assert VerificationReport("demo", {}, rows, ()).status == "pass"
+
+@given(lhs=st.fractions(max_denominator=9), rhs=st.fractions(max_denominator=9))
+@example(lhs=Fraction(2, 4), rhs=HALF)
+def test_report_row_equal_follows_its_values(lhs, rhs):
+    row = ReportRow("c", 0, lhs, rhs)
+    assert row.equal is (lhs == rhs)
+    assert row.to_json_dict()["equal"] is (lhs == rhs)
 
 def test_exact_identities_never_diagnostic():
     reports = [
