@@ -176,3 +176,16 @@ def test_only_the_requested_format_is_built(capsys, monkeypatch):
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
             "error: CSV output is only available for flat tables (numbers, stirling)"]
+
+
+def test_caps_manifest(capsys, monkeypatch):
+    # every family, series, table and exact identity at the caps, and each
+    # call one past a cap: exit code and the SHA-256 of stdout and stderr,
+    # as tests/write_caps_manifest.py wrote them
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    for entry in json.loads((GOLDEN / "caps.json").read_text()):
+        code = main(entry["argv"])
+        out, err = capsys.readouterr()
+        digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err)]
+        assert [code, *digests] == [entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"]], entry["argv"]

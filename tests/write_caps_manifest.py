@@ -1,0 +1,95 @@
+"""Write ``tests/golden/caps.json``: the byte-identity manifest at the caps.
+
+Each entry is one ``polybern`` argv with its exit code and the SHA-256 of
+its stdout and of its stderr.  The calls run every family at the order
+cap, the named series, both large Stirling tables, ``verify --all`` and
+every exact identity at the caps, and each refused call one past a cap.
+``test_golden.test_caps_manifest`` replays them in one process.  A change
+that alters one of these outputs on purpose rewrites the manifest with
+
+    PYTHONPATH=src python tests/write_caps_manifest.py
+
+and names each changed argv in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+MANIFEST = Path(__file__).resolve().parent / "golden" / "caps.json"
+
+# the cap values of polybern.cli, spelled out so that a changed cap shows here
+ORDER, TRUNCATE, MAX_N, DEPTH, WEIGHT, TERM = 128, 160, 256, 16, 32, 256
+LX = ["--lambda=-7/9", "--x=8/9"]
+CAP = f"--order={ORDER}"
+TWOS = ",".join(["2"] * DEPTH)
+
+ARGV = [
+    # every family at the order cap
+    ["numbers", "--family=degen-multi-poly", "--ks=32", *LX, CAP],
+    ["numbers", "--family=degen-multi-poly", f"--ks={TWOS}", *LX, CAP],
+    ["numbers", "--family=degen-multi-poly", "--ks=-16,-16", *LX, CAP],
+    ["numbers", "--family=multi-poly", "--ks=16,16", "--x=8/9", CAP],
+    ["numbers", "--family=poly", "--k=32", "--x=8/9", CAP],
+    ["numbers", "--family=poly", "--k=-32", "--x=8/9", CAP],
+    ["numbers", "--family=type2-poly", "--k=32", "--x=255/256", CAP],
+    ["numbers", "--family=type2-poly", "--k=-32", "--x=255/256", CAP],
+    ["numbers", "--family=carlitz", f"--r={DEPTH}", *LX, CAP],
+    # the named series
+    ["series", "--name=multi-polylog", "--ks=16,16", CAP],
+    ["series", "--name=polyexp", "--k=32", CAP],
+    ["series", "--name=one-minus-exp-neg", CAP],
+    ["series", "--name=log1p", CAP],
+    ["series", "--name=degenerate-exp", *LX, CAP],
+    # the Stirling tables
+    ["stirling", "--kind=first-signed", f"--max-n={MAX_N}"],
+    ["stirling", "--kind=second", f"--max-n={MAX_N}"],
+    # the sweep and every exact identity
+    ["verify", "--all", CAP, f"--truncate={TRUNCATE}"],
+    ["verify", "--identity=expansion", "--ks=1,1,1", *LX, CAP],
+    ["verify", "--identity=li-ones", f"--r={DEPTH}", CAP],
+    ["verify", "--identity=deriv", "--ks=32", CAP],
+    ["verify", "--identity=chain-stirling", "--ks=0,32", *LX, CAP],
+    ["verify", "--identity=chain-stirling", "--ks=3,2,1", *LX, CAP],
+    ["verify", "--identity=addition", "--ks=2,1", *LX, "--y=1/3", CAP],
+    ["verify", "--identity=resummation", "--ks=1,-48", *LX, CAP],
+    ["verify", "--identity=difference", "--ks=2,-8", *LX, CAP],
+    # refused one past each cap
+    ["numbers", "--family=degen-multi-poly", "--ks=2", *LX, f"--order={ORDER + 1}"],
+    ["verify", "--identity=resummation", "--ks=2,1", *LX, "--order=4", f"--truncate={TRUNCATE + 1}"],
+    ["stirling", "--kind=second", f"--max-n={MAX_N + 1}"],
+    ["numbers", "--family=degen-multi-poly", "--ks=" + ",".join(["1"] * (DEPTH + 1)), *LX, "--order=4"],
+    ["numbers", "--family=poly", f"--k={WEIGHT + 1}", "--order=4"],
+    ["numbers", "--family=degen-multi-poly", "--ks=2", f"--lambda={TERM + 1}", "--order=4"],
+    ["verify", "--identity=difference", f"--ks=1,-{TRUNCATE + 1}", *LX, "--order=1"],
+    ["verify", "--identity=resummation", "--ks=1,-49", *LX, CAP],
+    ["verify", "--identity=resummation", "--ks=2,1", *LX, CAP, "--truncate=48"],
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(argv: list[str]) -> dict:
+    """One manifest entry: run ``argv`` through ``polybern.cli.main`` in
+    this process, at 80 columns (argparse wraps its usage text to the
+    terminal width) and without ``POLYBERN_FORMAT``."""
+    from polybern.cli import main
+
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("POLYBERN_FORMAT", None)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue()),
+            "stderr_sha256": _sha256(err.getvalue())}
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(json.dumps([run(argv) for argv in ARGV], indent=1) + "\n")
