@@ -421,8 +421,11 @@ def _append_json(value, indent: str, out: list[str]):
         if None in columns:
             raise TypeError("_Rows values must be JSON scalars")
         names = [encode_basestring_ascii(k).replace("%", "%%") for k in value.keys]
-        template = "{" + ",".join(f"{inner}  {name}: %s" for name in names) + inner + "}"
-        texts = [template % row for row in zip(*columns)]
+        if not names:  # each row is the empty object
+            texts = ["{}"] * len(value.values)
+        else:
+            template = "{" + ",".join(f"{inner}  {name}: %s" for name in names) + inner + "}"
+            texts = [template % row for row in zip(*columns)]
     elif isinstance(value, (list, tuple)):
         texts = _scalars(value)
     else:

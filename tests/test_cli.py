@@ -732,7 +732,7 @@ _json_scalars = st.none() | st.booleans() | st.integers() | st.integers(max_valu
 
 @st.composite
 def _same_keyed_rows(draw):
-    keys = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(_texts, min_size=0, max_size=4, unique=True))
     return [dict(zip(keys, draw(st.tuples(*[_json_scalars] * len(keys))))) for _ in range(draw(st.integers(0, 4)))]
 
 
@@ -760,6 +760,8 @@ def test_json_writer_matches_json_dumps(value):
 
 @settings(max_examples=100, deadline=None)
 @given(rows=_same_keyed_rows())
+@example(rows=[{}, {}])
+@example(rows=[])
 def test_json_writer_renders_value_rows_as_their_objects(rows):
     keys = tuple(rows[0]) if rows else ("n",)
     values = [tuple(row.values()) for row in rows]
