@@ -10,23 +10,24 @@ values beta_n are defined through
 where Li is the multiple polylogarithm and e_lam the degenerate
 exponential.  Every family in this module, and every right-hand side in
 :mod:`polybern.verify` that needs one, runs through one pipeline,
-:func:`_gf_values`: a caller passes only the numerator of its generating
-function (here Li_{k_1,...,k_r}(1 - e^{-t})), which must have valuation r.
-The pipeline divides by t^r (the valuation is asserted), multiplies by
-the inverse of the unit power ((e_lam(t) - 1)/t)^r and by e_lam^x(t), and
-scales.  It runs on ints over one denominator per stage, with one
+:func:`_gf_values`: a caller passes only the numerator N of its generating
+function (here Li_{k_1,...,k_r}(1 - e^{-t})), which must have valuation r,
+as its EGF ints d * k! [t^k] N over one denominator d.  That is the form
+each numerator builder makes, so no numerator passes through Fractions.
+The pipeline checks the valuation on the ints, divides by t^r, multiplies
+by the inverse of the unit power ((e_lam(t) - 1)/t)^r and by e_lam^x(t),
+and scales.  It runs on ints over one denominator per stage, with one
 Fraction per value: the unit and e_lam^x come from the int form of the
 degenerate exponential, and the power, the inverse and the products from
 the int kernels of :mod:`polybern.series`.  The numerators are what the
 identities test, and they stay on separate routes: the Carlitz family
 passes t^r / r!, which the all-ones index vector must reproduce through
 the polylog composition.  The main family composes its polylog with
-1 - e^{-t}, which :meth:`~polybern.series.TruncatedSeries.compose`
-recognizes as alpha (e^{beta t} - 1) and sums over the exponentials
-e^{-jt} in O(N^2) (the chain-stirling check builds its numerator from
-Stirling numbers of the second kind instead); the type-2 family does not
-compose, but reads the powers of its inner series log(1+t) from the
-signed Stirling table of the first kind.
+1 - e^{-t} = -(e^{-t} - 1) through :func:`~polybern.series._compose`, which
+sums over the exponentials e^{-jt} in O(N^2) (the chain-stirling check
+builds its numerator from Stirling numbers of the second kind instead);
+the type-2 family does not compose, but reads the powers of its inner
+series log(1+t) from the signed Stirling table of the first kind.
 
 The pipeline is linear in the numerator, so the m-series identities take
 the families of every shifted tail from one integer basis
@@ -47,16 +48,9 @@ from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
-from .rationals import as_rational, format_rational
-from .series import TruncatedSeries, _inverse, _over_common, _power, _product, _reduced
-from .special import (
-    _degenerate_exp_ints,
-    index_vector,
-    multi_polylog,
-    one_minus_exp_neg,
-    polyexp,
-    stirling_table,
-)
+from .rationals import as_rational, format_rational, inv_pow
+from .series import ValuationError, _compose, _inverse, _over_common, _power, _product, _reduced
+from .special import _degenerate_exp_ints, index_vector, multi_polylog, stirling_table
 
 
 @dataclass(frozen=True)
@@ -115,19 +109,21 @@ class SequenceResult:
         return "\n".join(lines) + "\n"
 
 
-def _gf_values(numerator: TruncatedSeries, r: int, lam, x, order: int) -> tuple[Fraction, ...]:
+def _gf_values(egf: Sequence[int], egf_den: int, r: int, lam, x, order: int) -> tuple[Fraction, ...]:
     """The generating-function pipeline every family runs through.
 
-    Computes n! [t^n] of  r! * numerator(t) / (e_lam(t)-1)^r * e_lam^x(t)
-    for n <= order.  ``numerator`` must carry order + r coefficients: it
-    has valuation r, and dividing by t^r eats exactly that many orders.
-    The valuation is asserted, not assumed; a violation raises
-    ValuationError and means a math bug upstream.
+    Computes n! [t^n] of  r! * N(t) / (e_lam(t)-1)^r * e_lam^x(t)  for
+    n <= order, with the numerator N given by its EGF ints
+    egf[k] = egf_den * k! [t^k] N for k <= order + r: N has valuation r,
+    and dividing by t^r eats exactly that many orders.  The valuation is
+    checked on the ints, not assumed; a violation raises ValuationError and
+    means a math bug upstream.
 
-    The quotient by t^r is multiplied by the inverse of the unit power
-    ((e_lam(t)-1)/t)^r and by e_lam^x(t); the values are then r! n! times
-    the coefficients.  This is the only place the EGF convention is
-    applied.
+    The quotient N / t^r is the ints egf[k + r] * (order + r)! / (k + r)!
+    over egf_den * (order + r)!, reduced once.  It is multiplied by the
+    inverse of the unit power ((e_lam(t)-1)/t)^r and by e_lam^x(t); the
+    values are then r! n! times the coefficients.  This is the only place
+    the EGF convention is applied.
 
     Every stage runs on ints over one denominator, reduced once by a gcd
     over the vector: the unit and e_lam^x come from the int form of the
@@ -136,15 +132,18 @@ def _gf_values(numerator: TruncatedSeries, r: int, lam, x, order: int) -> tuple[
     recurrence of the series module, and the products are plain int
     convolutions.  One Fraction is built per value.
     """
-    shifted = numerator.div_tpow(r)
-    n = min(shifted.order, order)
-    factor, den = _reduced(*_degenerate_exp_ints(x, lam, n))
+    if any(egf[:r]):
+        raise ValuationError("valuation too small")
+    factor, den = _reduced(*_degenerate_exp_ints(x, lam, order))
     if r:
-        unit, unit_den = _degenerate_exp_ints(1, lam, n + 1)
+        unit, unit_den = _degenerate_exp_ints(1, lam, order + 1)
         power, power_den = _power(*_reduced(unit[1:], unit_den), r)
         inverse, inverse_den = _inverse(power, power_den)
         factor, den = _reduced(_product(inverse, factor), inverse_den * den)
-    num, num_den = _over_common(shifted.coeffs[: n + 1])
+    # (order + r)! / (k + r)! for k = order down to 0
+    lift = list(accumulate(range(order + r, r, -1), mul, initial=1))
+    num, num_den = _reduced(list(map(mul, egf[r : order + r + 1], reversed(lift))),
+                            egf_den * lift[-1] * factorial(r))
     den *= num_den
     values = []
     scale = factorial(r)
@@ -167,26 +166,27 @@ def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
     if r < 1:
         raise ValueError("r must be at least 1")
     query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)
-    numerator = TruncatedSeries.monomial(r, order + r, Fraction(1, factorial(r)))
-    return SequenceResult("carlitz", query, _gf_values(numerator, r, query.lam, query.x, order))
+    egf = [0] * r + [1] + [0] * order
+    return SequenceResult("carlitz", query, _gf_values(egf, 1, r, query.lam, query.x, order))
 
 
 def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> SequenceResult:
     """The degenerate multi-poly-Bernoulli polynomial values beta_n(x).
 
     The numerator of :func:`_gf_values` is the multiple polylog in x
-    composed with 1 - e^{-t}.  An empty ``ks`` selects the order-0 family
-    (values (x)_{n,lam}, see :class:`FamilyQuery`), whose numerator is the
-    empty chain sum 1.
+    composed with 1 - e^{-t}, as the EGF ints of
+    :func:`~polybern.series._compose`.  An empty ``ks`` selects the
+    order-0 family (values (x)_{n,lam}, see :class:`FamilyQuery`), whose
+    numerator is the empty chain sum 1.
     """
     query = FamilyQuery(ks=tuple(ks), lam=lam, x=x, order=order)
     r = len(query.ks)
     work = order + r
     if r:
-        numerator = multi_polylog(query.ks, work).compose(one_minus_exp_neg(work))
+        egf, den = _compose(multi_polylog(query.ks, work).coeffs, Fraction(-1), Fraction(-1))
     else:
-        numerator = TruncatedSeries.one(order)
-    values = _gf_values(numerator, r, query.lam, query.x, order)
+        egf, den = [1] + [0] * order, 1
+    values = _gf_values(egf, den, r, query.lam, query.x, order)
     return SequenceResult("degen-multi-poly", query, values)
 
 
@@ -203,15 +203,16 @@ def shifted_tail_basis(ks: Sequence[int], lam, x, order: int) -> tuple[list[list
     Column p is that pipeline run on the numerator Li_ks[p] * u^p alone,
     with u = 1 - e^{-t}; the columns p < s are zero, as the coefficients
     are.  The values of the numerator u^p are held as ints over one
-    denominator: :func:`_gf_values` gives them at p = s, and one more
-    factor u is the integer EGF convolution with k! u_k = (-1)^(k+1),
-    carried from one p to the next.
+    denominator: :func:`_gf_values` gives them at p = s, from the EGF ints
+    n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n, and one more factor u is
+    the integer EGF convolution with k! u_k = (-1)^(k+1), carried from one
+    p to the next.
     """
     ks = index_vector(ks)
     s = len(ks)
     li, li_den = _over_common(multi_polylog(ks, order + s).coeffs)
-    u = one_minus_exp_neg(order + s)
-    column, den = _over_common(_gf_values(u**s, s, lam, x, order))
+    u_s = [sum(comb(s, j) * (-1) ** j * (-j) ** n for j in range(s + 1)) for n in range(order + s + 1)]
+    column, den = _over_common(_gf_values(u_s, 1, s, lam, x, order))
     weights = [[(-1) ** (k + 1) * comb(n, k) for k in range(1, n + 1)] for n in range(order + 1)]
     columns = [[0] * (order + 1)] * s
     for p in range(s, order + s + 1):
@@ -242,23 +243,20 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     k = 1 again gives the ordinary Bernoulli polynomials.
 
     The numerator is not composed: with a_p the polyexponential
-    coefficients and s the signed Stirling numbers of the first kind,
-    n! [t^n] log(1+t)^p = p! s(n, p), so
+    coefficients, p! a_p = p^(1-k), and s the signed Stirling numbers of
+    the first kind, n! [t^n] log(1+t)^p = p! s(n, p), so
 
-        n! [t^n] Ei_k(log(1+t)) = sum_p s(n, p) * p! * a_p,
+        n! [t^n] Ei_k(log(1+t)) = sum_p s(n, p) * p^(1-k),
 
-    summed over ints on the common denominator of the p! * a_p.  That is
-    O(order^2) integer work instead of the O(order^3) of a composition.
+    summed over ints on the common denominator of the p^(1-k): these are
+    the EGF ints the pipeline takes.  That is O(order^2) integer work
+    instead of the O(order^3) of a composition.
     """
     work = order + 1
-    facts = list(accumulate(range(1, work + 1), mul, initial=1))
-    weights, den = _over_common([f * a for f, a in zip(facts, polyexp(k, work))])
-    signed = stirling_table("first_signed", work).rows
-    numerator = TruncatedSeries(
-        Fraction(sum(map(mul, signed[n], weights)), den * facts[n]) for n in range(work + 1)
-    )
+    weights, den = _over_common([Fraction(0)] + [inv_pow(p, k - 1) for p in range(1, work + 1)])
+    egf = [sum(map(mul, row, weights)) for row in stirling_table("first_signed", work).rows]
     query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
-    values = _gf_values(numerator, 1, query.lam, query.x, order)
+    values = _gf_values(egf, den, 1, query.lam, query.x, order)
     return SequenceResult("type2-poly", query, values)
 
 

@@ -25,8 +25,11 @@ are also what the family pipeline runs on directly.
 
 Composition takes only the inner series the families need: one of the
 form alpha (e^{beta t} - 1), as 1 - e^{-t} is, composed in O(N^2) through
-the expansion of its powers in exponentials (:func:`_compose_exponential`).
-Any other inner series, such as log(1 + t) or t, is refused.
+the expansion of its powers in exponentials (:func:`_compose`).  Any other
+inner series, such as log(1 + t) or t, is refused.  The kernel returns
+the EGF ints of the result over one denominator, the numerator form the
+family pipeline takes, so the families call it with alpha = beta = -1
+and no Fraction in between.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ Scalar = Union[int, Fraction]
 class ValuationError(ArithmeticError):
     """A series had a nonzero coefficient below a required valuation.
 
-    Raised by :meth:`TruncatedSeries.div_tpow`.  This is a correctness
-    guard, not an input error: a nonzero coefficient below the expected
-    valuation of a generating-function numerator indicates an upstream
-    math bug (most plausibly in chain-sum construction), so callers should
-    not catch and continue.
+    Raised by :meth:`TruncatedSeries.div_tpow` and by the family pipeline
+    :func:`polybern.families._gf_values`.  This is a correctness guard,
+    not an input error: a nonzero coefficient below the expected valuation
+    of a generating-function numerator indicates an upstream math bug
+    (most plausibly in chain-sum construction), so callers should not
+    catch and continue.
     """
 
 
@@ -130,9 +134,9 @@ def _is_exponential(units: list[int]) -> bool:
     return all(units[k + 1] * u1 == units[k] * u2 for k in range(2, len(units) - 1))
 
 
-def _compose_exponential(outer: Sequence[Fraction], units: list[int], d: int) -> list[Fraction]:
-    """f(u) for u = alpha (e^{beta t} - 1), given by its EGF ints ``units``
-    over d (see :func:`_is_exponential`), up to the order len(units) - 1.
+def _compose(outer: Sequence[Fraction], alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
+    """f(u) for u = alpha (e^{beta t} - 1), up to the order len(outer) - 1,
+    as its EGF ints E over one denominator D: E[n] / D = n! [t^n] f(u).
 
     Expanding u^m = alpha^m sum_j C(m,j) (-1)^(m-j) e^{j beta t} gives
 
@@ -142,30 +146,24 @@ def _compose_exponential(outer: Sequence[Fraction], units: list[int], d: int) ->
     so n! [t^n] f(u) = sum_j c_j (j beta)^n.  The c_j are the coefficients
     of the polynomial sum_m alpha^m a_m (y - 1)^m: a Taylor shift by -1 of
     ints, O(N^2) subtractions.  The power sums are O(N^2) small-int
-    products.
+    products.  Orders 0 and 1 need no special case.
     """
-    target = len(units) - 1
-    beta = Fraction(units[2], units[1])
-    alpha = Fraction(units[1], d) / beta
+    target = len(outer) - 1
     a, den = _over_common(outer)
     pa, qa = alpha.numerator, alpha.denominator
+    pb, qb = beta.numerator, beta.denominator
     # c_j * qa^target * den
     c = [a_m * pa**m * qa ** (target - m) for m, a_m in enumerate(a)]
     for i in range(target):
         for j in range(target - 1, i - 1, -1):
             c[j] -= c[j + 1]
-    den *= qa**target
-    out = []
+    egf = []
     powers = c  # c_j * j^n
-    num_scale = 1  # beta.numerator^n
-    den_scale = den  # beta.denominator^n * n! * den
     for n in range(target + 1):
         if n:
             powers = list(map(mul, powers, range(target + 1)))
-            num_scale *= beta.numerator
-            den_scale *= beta.denominator * n
-        out.append(Fraction(num_scale * sum(powers), den_scale))
-    return out
+        egf.append(pb**n * qb ** (target - n) * sum(powers))
+    return egf, den * qa**target * qb**target
 
 
 class TruncatedSeries:
@@ -178,19 +176,6 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = cs
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
-    @classmethod
-    def monomial(cls, power: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
-        """The series coeff * t**power known up to ``order``."""
-        if not 0 <= power <= order:
-            raise ValueError("monomial power must lie within the order")
-        cs = [Fraction(0)] * (order + 1)
-        cs[power] = _coeff(coeff)
-        return cls(cs)
 
     @property
     def order(self) -> int:
@@ -265,11 +250,12 @@ class TruncatedSeries:
         With U_k = d * k! * u_k, d the least common denominator of the
         k! * u_k, u has that form up to its order when the U_k are
         geometric from k = 1 on (U_{k+1} U_1 = U_k U_2, with U_1 and U_2
-        nonzero), and :func:`_compose_exponential` sums the outer series
-        over the exponentials e^{j beta t} in O(N^2).  This is the route
-        of 1 - e^{-t}, the inner series of the polylog families.  Up to
-        order 1 the result is a_0 + a_1 u_1 t for any inner series; any
-        other inner series raises ValueError.
+        nonzero), and :func:`_compose` sums the outer series over the
+        exponentials e^{j beta t} in O(N^2); its EGF ints become one
+        Fraction per coefficient.  This is the route of 1 - e^{-t}, the
+        inner series of the polylog families.  Up to order 1 the result is
+        a_0 + a_1 u_1 t for any inner series; any other inner series raises
+        ValueError.
         """
         if inner._coeffs[0] != 0:
             raise ValueError("composition requires zero constant term")
@@ -282,7 +268,9 @@ class TruncatedSeries:
         units, d = _over_common([facts[k] * inner._coeffs[k] for k in range(target + 1)])
         if not _is_exponential(units):
             raise ValueError("composition takes only an inner series alpha (e^{beta t} - 1)")
-        return TruncatedSeries(_compose_exponential(self._coeffs[: target + 1], units, d))
+        beta = Fraction(units[2], units[1])
+        egf, den = _compose(self._coeffs[: target + 1], Fraction(units[1], d) / beta, beta)
+        return TruncatedSeries(Fraction(e, den * facts[n]) for n, e in enumerate(egf))
 
     def div_tpow(self, r: int) -> "TruncatedSeries":
         """Exact division by t**r, dropping the order by r.

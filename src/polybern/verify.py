@@ -320,7 +320,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     the scaling, which both sides carry by construction, come from the one
     pipeline :func:`~polybern.families._gf_values`.  Weights and u-powers
     are ints on common denominators: the numerator is one matrix-vector
-    product.
+    product, whose ints are the EGF ints the pipeline takes, over the
+    weights' denominator.
     """
     ks, lam, x = _depth_two_args("chain-stirling", ks, lam, x)
     r = len(ks)
@@ -335,8 +336,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         coeffs = [0, *map(mul, accumulate(coeffs[:-1]), powers)]
         den *= power_den
     total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
-    numerator = TruncatedSeries(Fraction(t, den * factorial(l)) for l, t in enumerate(total))
-    rhs = _gf_values(numerator, r, lam, x, order)
+    rhs = _gf_values(total, den, r, lam, x, order)
 
     rows = [ReportRow("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
     return VerificationReport("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +17,7 @@ from oracles import (
     multi_poly_values,
     power_table_compose,
 )
-from polybern import families
+from polybern import families, series
 from polybern.families import (
     FamilyQuery,
     _gf_values,
@@ -29,12 +29,11 @@ from polybern.families import (
     shifted_tail_basis,
     type2_poly_bernoulli,
 )
-from polybern.series import TruncatedSeries, ValuationError
+from polybern.series import ValuationError
 from polybern.special import (
     falling_factorial,
     log1p_series,
     multi_polylog,
-    one_minus_exp_neg,
     polyexp,
 )
 from polybern.verify import verify_chain_stirling
@@ -290,12 +289,20 @@ def test_carlitz_agrees_with_the_oracle_route_at_all_ones(r, lam, x, order):
         multi_poly_values((1,) * r, lam, x, order)
 
 
+def egf_ints(coeffs):
+    """The EGF ints d * n! * c_n of the coefficients c_n, over d, the least
+    common denominator of the n! * c_n: the numerator form of _gf_values."""
+    scaled = [factorial(n) * c for n, c in enumerate(coeffs)]
+    den = lcm(*(c.denominator for c in scaled))
+    return [c.numerator * (den // c.denominator) for c in scaled], den
+
+
 def _type2_by_composition(k, x, order):
     # the numerator Ei_k(log(1+t)) composed through the oracles' power table,
     # not read from the signed Stirling table as type2_poly_bernoulli reads it
     work = order + 1
     numerator = power_table_compose(list(polyexp(k, work)), list(log1p_series(work)), work)
-    return _gf_values(TruncatedSeries(numerator), 1, 0, x, order)
+    return _gf_values(*egf_ints(numerator), 1, 0, x, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,9 +332,9 @@ def fraction_pipeline(numerator, r, lam, x, order):
     power = [Fraction(1)] + [Fraction(0)] * order
     for _ in range(r):
         power = convolve(power, unit, order)
-    quotient = long_divide(list(numerator.coeffs[r:]), power, order)
-    series = convolve(quotient, falling_egf(Fraction(x), lam, order), order)
-    return tuple(factorial(r) * factorial(n) * c for n, c in enumerate(series))
+    quotient = long_divide(numerator[r:], power, order)
+    product = convolve(quotient, falling_egf(Fraction(x), lam, order), order)
+    return tuple(factorial(r) * factorial(n) * c for n, c in enumerate(product))
 
 
 # at lam = 1, 1/2 and 1/3 some 1 - j lam is zero: the unit is a polynomial
@@ -345,24 +352,26 @@ pipeline_lams = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fract
 @example(r=4, lam=Fraction(1, 3), x=Fraction(0), order=40, data=None)
 @example(r=0, lam=Fraction(1), x=Fraction(-2, 3), order=40, data=None)
 def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
-    # data=None: the family numerator Li_{2,..,2}(1 - e^{-t}), else random
-    # rational coefficients from t^r on
+    # data=None: the EGF ints of the family numerator Li_{2,..,2}(1 - e^{-t}),
+    # else random ints from t^r on over a random denominator
     work = order + r
     if data is None:
-        numerator = multi_polylog((2,) * r, work).compose(one_minus_exp_neg(work)) if r else TruncatedSeries.one(work)
+        egf, den = series._compose(multi_polylog((2,) * r, work).coeffs, Fraction(-1), Fraction(-1)) \
+            if r else ([1] + [0] * order, 1)
     else:
-        tail = data.draw(st.lists(small_rationals, min_size=order + 1, max_size=order + 1), label="tail")
-        numerator = TruncatedSeries([0] * r + tail)
-    assert _gf_values(numerator, r, lam, x, order) == fraction_pipeline(numerator, r, lam, x, order)
+        tail = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1), label="tail")
+        egf, den = [0] * r + tail, data.draw(st.integers(1, 10**6), label="den")
+    numerator = [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
+    assert _gf_values(egf, den, r, lam, x, order) == fraction_pipeline(numerator, r, lam, x, order)
 
 
 def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):
     lam, x, order = Fraction(1, 3), Fraction(1, 2), 4
     for r in (1, 2, 3):
         for low in range(r):
-            bad = TruncatedSeries([0] * low + [1] + [0] * (r - low - 1) + [1] + [0] * order)
+            bad = [0] * low + [1] + [0] * (r - low - 1) + [1] + [0] * order
             with pytest.raises(ValuationError, match="valuation too small"):
-                _gf_values(bad, r, lam, x, order)
+                _gf_values(bad, 7, r, lam, x, order)
     # through a family: a polylog one index short has valuation r - 1 < r
     monkeypatch.setattr(families, "multi_polylog", lambda ks, work: multi_polylog(ks[:-1], work))
     with pytest.raises(ValuationError, match="valuation too small"):

@@ -32,6 +32,11 @@ def exp_series(order, sign=1):
     return TruncatedSeries([Fraction(sign**n, factorial(n)) for n in range(order + 1)])
 
 
+def t_power(m, order):
+    """t^m known up to ``order``; t^0 is the series 1."""
+    return TruncatedSeries([0] * m + [1] + [0] * (order - m))
+
+
 def test_construction_and_accessors():
     s = TruncatedSeries([1, Fraction(-1, 2), 0])
     assert s.order == 2
@@ -50,7 +55,7 @@ def test_mul_trivial_cases():
     one_minus = TruncatedSeries([1, -1, 0])
     assert (one_plus * one_minus).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
     a = TruncatedSeries([3, Fraction(1, 7), 2, 5])
-    assert a * TruncatedSeries.one(a.order) == a
+    assert a * t_power(0, a.order) == a
 
 
 def test_mul_exponential_inverse_pair():
@@ -76,7 +81,7 @@ def test_scalar_arithmetic():
 def test_invert_geometric():
     inv = TruncatedSeries([1, -1, 0, 0]).invert()
     assert inv.coeffs == (1, 1, 1, 1)
-    assert TruncatedSeries.one(3).invert() == TruncatedSeries.one(3)
+    assert t_power(0, 3).invert() == t_power(0, 3)
 
 
 def test_invert_bernoulli_unit():
@@ -118,7 +123,7 @@ def test_compose_square():
 
 def test_compose_with_identity_is_identity():
     a = TruncatedSeries([5, Fraction(2, 3), -1, 7])
-    t = TruncatedSeries.monomial(1, 3)
+    t = t_power(1, 3)
     with pytest.raises(ValueError, match=REFUSED):
         a.compose(t)
     assert power_table_compose(list(a), list(t), 3) == list(a)
@@ -127,7 +132,7 @@ def test_compose_with_identity_is_identity():
 def test_compose_refuses_an_inner_series_of_another_form():
     # log(1 + t), t and t + t^2; up to order 1 the result is a_0 + a_1 u_1 t
     # whatever the form of u, so there compose takes them
-    for inner in (log1p_series(6), TruncatedSeries.monomial(1, 6), TruncatedSeries([0, 1, 1, 0, 0, 0, 0])):
+    for inner in (log1p_series(6), t_power(1, 6), TruncatedSeries([0, 1, 1, 0, 0, 0, 0])):
         with pytest.raises(ValueError, match=REFUSED):
             exp_series(6).compose(inner)
         for order in (0, 1):
@@ -167,7 +172,7 @@ def test_compose_powers_of_the_inner_series_are_stirling_columns():
     u = one_minus_exp_neg(order)
     log1p = log1p_series(order)
     for m in range(order + 1):
-        power = TruncatedSeries.monomial(m, order)
+        power = t_power(m, order)
         expected_u = [Fraction((-1) ** (n + m) * factorial(m) * second.value(n, m), factorial(n))
                       for n in range(order + 1)]
         expected_log = [Fraction(factorial(m) * first.value(n, m), factorial(n)) for n in range(order + 1)]
@@ -183,14 +188,14 @@ def exp_minus_one(alpha, beta, order):
 def compose_and_route(outer, inner):
     """outer(inner), and whether compose took its e^{beta t} route."""
     calls = []
-    exponential = series._compose_exponential
+    exponential = series._compose
 
     def spy(*args):
         calls.append(args)
         return exponential(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_compose_exponential", spy)
+        patch.setattr(series, "_compose", spy)
         composed = outer.compose(inner)
     return composed, bool(calls)
 
@@ -254,6 +259,19 @@ def test_compose_routes_agree_at_large_order(alpha, beta, order):
     assert list(composed.coeffs) == power_table_compose(list(outer), list(inner), order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(outer=series_strategy(max_order=12))
+@example(outer=TruncatedSeries([Fraction(3, 7)]))
+@example(outer=TruncatedSeries([2, Fraction(-5, 3)]))
+@example(outer=TruncatedSeries([Fraction(0)] + [Fraction(1, n**2) for n in range(1, 13)]))
+def test_compose_kernel_ints_match_the_series_composition(outer):
+    # the EGF ints the families take, against compose with 1 - e^{-t}, which
+    # at orders 0 and 1 does not reach the kernel
+    egf, den = series._compose(outer.coeffs, Fraction(-1), Fraction(-1))
+    composed = outer.compose(one_minus_exp_neg(outer.order))
+    assert [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)] == list(composed.coeffs)
+
+
 def test_div_tpow():
     assert TruncatedSeries([0, 0, 1, 1]).div_tpow(2).coeffs == (1, 1)
     a = TruncatedSeries([2, 3])
@@ -283,7 +301,7 @@ def test_derive():
 def test_pow():
     a = TruncatedSeries([1, 1, 0, 0])
     assert (a**3).coeffs == (1, 3, 3, 1)
-    assert a**0 == TruncatedSeries.one(3)
+    assert a**0 == t_power(0, 3)
     with pytest.raises(ValueError):
         a**-1
 
@@ -301,7 +319,7 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60)
 @given(a=series_strategy(unit=True))
 def test_invert_is_right_inverse(a):
-    assert a * a.invert() == TruncatedSeries.one(a.order)
+    assert a * a.invert() == t_power(0, a.order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,7 +417,7 @@ def test_invert_matches_long_division_oracle(a):
 @pytest.mark.parametrize("order", [0, 7])
 def test_pow_zero_and_one(order):
     s = TruncatedSeries([Fraction(-3, 5)] + [Fraction(n, n + 2) for n in range(1, order + 1)])
-    assert s**0 == TruncatedSeries.one(order)
+    assert s**0 == t_power(0, order)
     assert s**1 == s
 
 
