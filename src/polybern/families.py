@@ -143,7 +143,7 @@ def _gf_values(egf: Sequence[int], egf_den: int, r: int, lam, x, order: int) -> 
     # (order + r)! / (k + r)! for k = order down to 0
     lift = list(accumulate(range(order + r, r, -1), mul, initial=1))
     num, num_den = _reduced(list(map(mul, egf[r : order + r + 1], reversed(lift))),
-                            egf_den * lift[-1] * factorial(r))
+                            egf_den * factorial(order + r))
     den *= num_den
     values = []
     scale = factorial(r)
