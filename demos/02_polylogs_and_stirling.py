@@ -29,7 +29,10 @@ print("Li_{-2}(x) :", multi_polylog((-2,), 6), " (weights n^2)")
 print()
 print("== Stirling triangles ==")
 second = stirling_table("second", 6)
-print(second.to_csv())
+print("n", *range(7), sep=",")
+for n, row in enumerate(second.rows):
+    print(n, *row, *[0] * (6 - n), sep=",")
+print()
 first = stirling_table("first_unsigned", 6)
 print("|S1(4,2)| =", first.value(4, 2), " S2(4,2) =", second.value(4, 2))
 

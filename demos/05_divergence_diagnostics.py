@@ -38,12 +38,9 @@ print()
 print("residual |LHS - partial sum| by M (20-significant-digit decimals):")
 header = "  n \\ M " + "".join(f"{m:>12}" for m in range(0, 10, 2))
 print(header)
+decimals = {(n, m): dec for n, m, dec in report.residuals.values()}
 for n in range(5):
-    cells = []
-    for m in range(0, 10, 2):
-        entry = next(r for r in report.residuals if r.n == n and r.m_truncation == m)
-        dec = entry.to_json_dict()["residual_decimal"]
-        cells.append(f"{dec[:11]:>12}")
+    cells = [f"{decimals[n, m][:11]:>12}" for m in range(0, 10, 2)]
     print(f"  n={n:<4}" + "".join(cells))
 print()
 print("the n=0 row never settles: its partial sums are 2, 0, 2, 0, ...")

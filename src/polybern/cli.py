@@ -5,6 +5,9 @@ Four verbs: ``series`` prints the exact coefficients of one named series,
 triangle, and ``verify`` runs one identity check (or a whole sweep with
 ``--all``, which takes none of the per-identity flags).  Output is JSON by
 default; CSV is available for the flat tables only (numbers, stirling).
+This module alone turns a result into output: :func:`_json_value` and
+:func:`_csv_text` read the fields of the library's result types, which
+carry data only.
 The POLYBERN_FORMAT environment variable changes the default format.
 Each series, family and identity is one ``Entry`` of a table, from which
 its flag checks and ``--all`` points are derived; the size refusals of the
@@ -22,7 +25,9 @@ success once they complete), 1 verification fail, 2 usage or environment
 error (including an unwritable ``--output``; a regular file is replaced
 atomically, so a failed write leaves its old content), 3 internal error (a
 valuation guard tripping means a bug in the math, not in the invocation;
-any other unexpected exception is reported the same way).
+any other unexpected exception is reported the same way, a ValueError from
+the library included, as the CLI refuses every bad invocation itself
+before any work).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import NamedTuple
 from .families import SequenceResult
 from .rationals import format_rational, parse_rational
 from .special import STIRLING_KINDS, StirlingTable, stirling_table
-from .verify import DEFAULT_M_TRUNCATION, RESIDUAL_KEYS, VerificationReport
+from .verify import DEFAULT_M_TRUNCATION, VerificationReport
 
 DEFAULT_ORDER = 16
 # The flags verify --all takes besides --order: parsed with default None so a
@@ -117,12 +122,14 @@ class Entry(NamedTuple):
     sees every call; the parameters besides ``order``, in signature order,
     each read from its flag (an ``m_truncation`` among them makes the entry
     an m-series identity, which :func:`_check_identity_size` bounds and
-    whose k_r the weight bound leaves free); the least order; and the
-    ``verify --all`` points: (largest order, all but m_truncation)."""
+    whose k_r the weight bound leaves free); the least order; the least
+    depth (length of ``ks``, or ``r``); and the ``verify --all`` points:
+    (largest order, all but m_truncation)."""
 
     function: str
     params: tuple[str, ...]
     least_order: int = 0
+    least_depth: int = 0
     sweep: tuple[tuple[int, dict], ...] = ()
 
 
@@ -138,23 +145,23 @@ FAMILIES = {
     "multi-poly": Entry("families.multi_poly_bernoulli", ("ks", "x")),
     "poly": Entry("families.poly_bernoulli", ("k", "x")),
     "type2-poly": Entry("families.type2_poly_bernoulli", ("k", "x")),
-    "carlitz": Entry("families.carlitz_degenerate", ("r", "lam", "x")),
+    "carlitz": Entry("families.carlitz_degenerate", ("r", "lam", "x"), least_depth=1),
 }
 _HALF, _THIRD, _ZERO = Fraction(1, 2), Fraction(1, 3), Fraction(0)
 IDENTITIES = {
     "expansion": Entry("verify.verify_polynomial_expansion", ("ks", "lam", "x"), sweep=tuple(
         (MAX_ORDER, {"ks": ks, "lam": _THIRD, "x": Fraction(2, 3)}) for ks in ((1, 2), (2, 1), (1, 1, 1)))),
-    "li-ones": Entry("verify.verify_li_ones", ("r",),
+    "li-ones": Entry("verify.verify_li_ones", ("r",), least_depth=1,
                      sweep=tuple((MAX_ORDER, {"r": r}) for r in (1, 2, 3, 4))),
     "deriv": Entry("verify.verify_deriv_recurrences", ("ks",), least_order=1,
                    sweep=tuple((MAX_ORDER, {"ks": ks}) for ks in ((2,), (2, 1), (3, 2)))),
-    "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), sweep=tuple(
+    "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), least_depth=2, sweep=tuple(
         (10, {"ks": ks, "lam": _HALF, "x": _ZERO}) for ks in ((1, 1), (2, 1)))),
-    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"),
+    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"), least_depth=2,
                          sweep=((6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}),
                                 (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
     "difference": Entry("verify.verify_difference", ("ks", "lam", "x", "m_truncation"),
-                        least_order=1, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
+                        least_order=1, least_depth=2, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
                                               (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
     "addition": Entry("verify.verify_addition", ("ks", "lam", "x", "y"),
                       sweep=((MAX_ORDER, {"ks": (2, 1), "lam": _THIRD, "x": _HALF, "y": _THIRD}),)),
@@ -268,14 +275,20 @@ def _call_from_flags(table: dict, name: str, args):
                      f"--{_flag(p)} needs |numerator| and denominator at most {MAX_RATIONAL_TERM}")
     kwargs["order"] = args.order
     _check_identity_size(entry, kwargs, name)
-    _check_indices(entry, kwargs)
+    _check_indices(entry, kwargs, name)
     return _function(entry)(**kwargs)
 
 
-def _check_indices(entry: Entry, kwargs: dict):
-    """Refuse an index vector past ``MAX_DEPTH`` or ``MAX_INDEX_WEIGHT``."""
+def _check_indices(entry: Entry, kwargs: dict, name: str):
+    """Refuse an index vector below the entry's least depth, in the words
+    of the function's own refusal, or past ``MAX_DEPTH`` or
+    ``MAX_INDEX_WEIGHT``."""
     ks = kwargs.get("ks", ())
-    _require(kwargs.get("r", len(ks)) <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
+    depth = kwargs.get("r", len(ks))
+    least = entry.least_depth
+    _require(depth >= least, f"r must be at least {least}" if "r" in kwargs
+             else f"{name} check needs depth r >= {least}")
+    _require(depth <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
     if "m_truncation" in entry.params:
         ks = ks[:-1]
     _require(sum(map(abs, ks)) + abs(kwargs.get("k", 0)) <= MAX_INDEX_WEIGHT,
@@ -301,7 +314,8 @@ def _cmd_series(args) -> tuple[dict, int]:
     for p in SERIES[args.name].params:
         value = getattr(args, p)
         params[_flag(p)] = format_rational(value) if isinstance(value, Fraction) else value
-    return {"series": args.name, "params": params} | series.to_json_dict(), EXIT_OK
+    coeffs = [format_rational(c) for c in series]
+    return {"series": args.name, "params": params, "order": series.order, "coeffs": coeffs}, EXIT_OK
 
 
 def _cmd_numbers(args) -> tuple[SequenceResult, int]:
@@ -309,6 +323,7 @@ def _cmd_numbers(args) -> tuple[SequenceResult, int]:
 
 
 def _cmd_stirling(args) -> tuple[StirlingTable, int]:
+    _require(args.max_n >= 0, "max_n must be non-negative")
     _require(args.max_n <= MAX_STIRLING_N, f"max-n must be at most {MAX_STIRLING_N}")
     return stirling_table(args.kind.replace("-", "_"), args.max_n), EXIT_OK
 
@@ -362,20 +377,40 @@ class _Rows(NamedTuple):
     values: list[tuple]
 
 
+# the keys of a report's row and residual objects, in output order
+ROW_KEYS = ("check", "n", "lhs", "rhs", "equal")
+RESIDUAL_KEYS = ("n", "M", "residual_decimal")
+
+
 def _json_value(result):
-    """The JSON value of a verb's result: a flat table's ``to_json_dict``;
-    a report's JSON object with its rows and its residual table each as a
-    ``_Rows``, so that no residual row becomes a dict; anything else as it
-    is."""
+    """The JSON value of a verb's result, built from its fields: a report
+    with its rows and residuals each as a ``_Rows`` of value tuples, so that
+    no row becomes a dict; a family table with its query's params; a
+    Stirling table with its rows as they are; anything else (the series
+    head of ``_cmd_series``, the reports of ``verify --all``) as it is."""
     if isinstance(result, VerificationReport):
-        head, residuals = result.json_parts()
-        rows = head["rows"]
-        head["rows"] = _Rows(tuple(rows[0]) if rows else (), [tuple(row.values()) for row in rows])
-        head["residuals"] = _Rows(RESIDUAL_KEYS, residuals)
-        return head
-    if isinstance(result, (SequenceResult, StirlingTable)):
-        return result.to_json_dict()
+        rows = [(r.check, r.n, format_rational(r.lhs), format_rational(r.rhs), r.equal) for r in result.rows]
+        residuals = result.residuals.values() if result.residuals else []
+        return {"identity": result.identity, "params": result.params, "status": result.status,
+                "rows": _Rows(ROW_KEYS, rows), "residuals": _Rows(RESIDUAL_KEYS, residuals)}
+    if isinstance(result, SequenceResult):
+        values = [format_rational(v) for v in result.values]
+        return {"family": result.family, **result.query.to_params_dict(), "values": values}
+    if isinstance(result, StirlingTable):
+        return {"kind": result.kind, "max_n": result.max_n, "rows": result.rows}
     return result
+
+
+def _csv_text(result: SequenceResult | StirlingTable) -> str:
+    """The CSV of a flat table: a family's ``n,value`` rows, or a Stirling
+    triangle as a rectangle, rows n and columns k, zero padded."""
+    if isinstance(result, SequenceResult):
+        lines = ["n,value", *(f"{n},{format_rational(v)}" for n, v in enumerate(result.values))]
+    else:
+        width = result.max_n + 1
+        lines = [",".join(map(str, ("n", *range(width))))]
+        lines += [",".join(map(str, (n, *row, *[0] * (width - len(row))))) for n, row in enumerate(result.rows)]
+    return "\n".join(lines) + "\n"
 
 
 # the JSON text of each scalar type the CLI emits
@@ -449,14 +484,11 @@ def _emit(result, fmt: str, output: str | None):
     """Write ``result`` to ``output`` (stdout when None) in ``fmt`` alone.
 
     A flat table (``numbers``, ``stirling``) is rendered only in the format
-    asked for: ``to_csv`` for CSV, its JSON value for JSON.  ``main``
+    asked for: :func:`_csv_text` for CSV, its JSON value for JSON.  ``main``
     refuses CSV for any other result before the verb runs.  Every JSON
     output is :func:`_json_value` written by :func:`_json_text`.
     """
-    if fmt == "csv":
-        text = result.to_csv()
-    else:
-        text = _json_text(_json_value(result)) + "\n"
+    text = _csv_text(result) if fmt == "csv" else _json_text(_json_value(result)) + "\n"
     if output:
         _write_output(output, text)
     else:
@@ -556,7 +588,7 @@ def main(argv=None) -> int:
         result, code = globals()[f"_cmd_{args.verb}"](args)
         _emit(result, fmt, args.output)
         return code
-    except (UsageError, ValueError, ZeroDivisionError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

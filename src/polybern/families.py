@@ -97,17 +97,6 @@ class SequenceResult:
     query: FamilyQuery
     values: tuple[Fraction, ...]
 
-    def to_json_dict(self) -> dict:
-        out = {"family": self.family}
-        out.update(self.query.to_params_dict())
-        out["values"] = [format_rational(v) for v in self.values]
-        return out
-
-    def to_csv(self) -> str:
-        lines = ["n,value"]
-        lines.extend(f"{n},{format_rational(v)}" for n, v in enumerate(self.values))
-        return "\n".join(lines) + "\n"
-
 
 def _gf_values(egf: Sequence[int], egf_den: int, r: int, lam, x, order: int) -> tuple[Fraction, ...]:
     """The generating-function pipeline every family runs through.

@@ -39,8 +39,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .rationals import format_rational
-
 Scalar = Union[int, Fraction]
 
 
@@ -304,11 +302,3 @@ class TruncatedSeries:
         return TruncatedSeries(
             [(n + 1) * self._coeffs[n + 1] for n in range(self.order)]
         )
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [format_rational(c) for c in self._coeffs],
-        }

@@ -158,22 +158,6 @@ class StirlingTable:
             return 0
         return self.rows[n][k]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "max_n": self.max_n,
-            "rows": [list(row) for row in self.rows],
-        }
-
-    def to_csv(self) -> str:
-        """Rectangular CSV, rows indexed by n, columns by k (zero padded)."""
-        width = self.max_n + 1
-        lines = ["n," + ",".join(str(k) for k in range(width))]
-        for n, row in enumerate(self.rows):
-            padded = list(row) + [0] * (width - len(row))
-            lines.append(str(n) + "," + ",".join(str(v) for v in padded))
-        return "\n".join(lines) + "\n"
-
 
 def stirling_table(kind: str, max_n: int) -> StirlingTable:
     """Build a Stirling triangle by its two-term recurrence.

@@ -35,8 +35,8 @@ Fraction, and the residual table keeps those columns as they are, builds
 a row only when one is read and renders its decimals straight from the
 ints (see :func:`_m_series` and :class:`ResidualTable`).
 
-Reports are deterministic: the same inputs always produce byte-identical
-JSON.
+Reports are deterministic: the same inputs always produce equal reports,
+which the CLI renders from their fields into byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -71,19 +71,9 @@ class ReportRow:
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "equal": self.equal,
-        }
-
 
 # the m-sum truncation M of verify_resummation and verify_difference unless one is given
 DEFAULT_M_TRUNCATION = 32
-RESIDUAL_KEYS = ("n", "M", "residual_decimal")
 
 
 def _residual_decimal(ln: int, ld: int, partial: int, den: int) -> str:
@@ -108,10 +98,6 @@ class ResidualRow:
     partial: int
     den: int
 
-    def to_json_dict(self) -> dict:
-        decimal = _residual_decimal(self.lhs.numerator, self.lhs.denominator, self.partial, self.den)
-        return dict(zip(RESIDUAL_KEYS, (self.n, self.m_truncation, decimal)))
-
 
 @dataclass(frozen=True, slots=True)
 class ResidualTable(Sequence):
@@ -122,8 +108,9 @@ class ResidualTable(Sequence):
     truncation M, and ``dens[M]``, the denominator every partial sum at M is
     over.  Row i * (M_top + 1) + M is the :class:`ResidualRow` of
     n = first_n + i at M, so the rows come in the order of n, then M, as the
-    columns do.  :meth:`values` renders every row's JSON values straight
-    from the ints.  Two tables are equal when these four fields are.
+    columns do.  :meth:`values` renders every row's (n, M, residual
+    decimal) straight from the ints, the tuples the CLI writes.  Two tables
+    are equal when these four fields are.
     """
 
     first_n: int
@@ -166,17 +153,6 @@ class VerificationReport:
         if self.residuals:
             return "diagnostic"
         return "pass" if all(r.equal for r in self.rows) else "fail"
-
-    def json_parts(self) -> tuple[dict, list[tuple[int, int, str]]]:
-        """The JSON object but for its residuals, and the residual rows'
-        values (n, M, residual_decimal) in ``RESIDUAL_KEYS`` order."""
-        head = {
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
-        return head, self.residuals.values() if self.residuals else []
 
 
 def _u_powers(top: int) -> list[list[int]]:

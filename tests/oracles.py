@@ -8,6 +8,7 @@ genuine two-route check.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, lcm
@@ -369,9 +370,60 @@ def residual(row) -> Fraction:
     return abs(row.lhs - Fraction(row.partial, row.den))
 
 
-def report_dict(report) -> dict:
-    """A verification report as one JSON-ready dict, built from its
-    ``json_parts`` for the standard library's encoder."""
-    head, residuals = report.json_parts()
-    head["residuals"] = [dict(zip(("n", "M", "residual_decimal"), values)) for values in residuals]
-    return head
+# -- the output shape of each result, built from its fields --------------------
+
+
+def _ratio(value) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def decimal_text(value: Fraction) -> str:
+    """``value`` to 20 significant digits, rounded half to even, by the
+    decimal module's own division."""
+    context = Context(prec=20, rounding=ROUND_HALF_EVEN)
+    return str(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+def json_dict(result) -> dict:
+    """The plain JSON dict of a verification report, a family table or a
+    Stirling table, for the standard library's encoder: every row and
+    residual an object, every rational a "p/q" string, every residual the
+    decimal of its exact Fraction."""
+    kind = type(result).__name__
+    if kind == "VerificationReport":
+        rows = [{"check": row.check, "n": row.n, "lhs": _ratio(row.lhs), "rhs": _ratio(row.rhs),
+                 "equal": row.lhs == row.rhs} for row in result.rows]
+        residuals = [{"n": row.n, "M": row.m_truncation, "residual_decimal": decimal_text(residual(row))}
+                     for row in result.residuals]
+        status = "diagnostic" if residuals else "pass" if all(row["equal"] for row in rows) else "fail"
+        return {"identity": result.identity, "params": result.params, "status": status,
+                "rows": rows, "residuals": residuals}
+    if kind == "SequenceResult":
+        query = result.query
+        return {"family": result.family, "ks": list(query.ks), "lambda": _ratio(query.lam),
+                "x": _ratio(query.x), "order": query.order, "values": [_ratio(v) for v in result.values]}
+    if kind == "StirlingTable":
+        return {"kind": result.kind, "max_n": result.max_n, "rows": [list(row) for row in result.rows]}
+    raise TypeError(f"no JSON shape for {kind}")
+
+
+def series_dict(name: str, params: dict, series) -> dict:
+    """The ``series`` verb's JSON dict: the name, the params as given and
+    the series' order and coefficients."""
+    coeffs = list(series.coeffs)
+    return {"series": name, "params": params, "order": len(coeffs) - 1, "coeffs": [_ratio(c) for c in coeffs]}
+
+
+def csv_text(result) -> str:
+    """The CSV of a family table (``n,value``) or of a Stirling table (a
+    square of side max_n + 1, rows n, columns k, zero outside the
+    triangle)."""
+    if type(result).__name__ == "SequenceResult":
+        lines = ["n,value"] + [f"{n},{_ratio(v)}" for n, v in enumerate(result.values)]
+    else:
+        side = result.max_n + 1
+        lines = ["n," + ",".join(str(k) for k in range(side))]
+        for n in range(side):
+            cells = [str(result.rows[n][k]) if k <= n else "0" for k in range(side)]
+            lines.append(f"{n}," + ",".join(cells))
+    return "".join(line + "\n" for line in lines)

@@ -12,15 +12,15 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polybern import cli, verify
+from polybern import cli, families, verify
 from polybern.cli import _ks_flag, main
 from polybern.families import degenerate_multi_poly_bernoulli
 from polybern.rationals import parse_rational
-from polybern.special import stirling_table
+from polybern.special import STIRLING_KINDS, stirling_table
 from polybern.verify import verify_difference, verify_resummation
 
 
@@ -175,6 +175,89 @@ def test_usage_errors_exit_two(capsys):
                          "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1")
     assert code == 2
     assert out == ""
+
+
+def _mostly(usual, odd):
+    """``usual`` nine times in ten, else one of the words ``odd``."""
+    return st.integers(0, 9).flatmap(lambda i: usual if i else st.sampled_from(odd))
+
+
+# the words each flag may take: small values in range, and now and then a
+# value past a cap or below a least value, or a malformed one
+_ratios = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_FLAG_WORDS = {
+    "--ks": _mostly(st.lists(_mostly(st.integers(-3, 3), [-33, 33, 161]), min_size=1, max_size=4).map(
+        lambda ks: ",".join(map(str, ks))), ["", ",", "1,a", "2", ",".join(["1"] * (cli.MAX_DEPTH + 1))]),
+    "--k": _mostly(st.integers(-3, 3), [-33, 33]),
+    "--r": _mostly(st.integers(1, 4), [-1, 0, cli.MAX_DEPTH, cli.MAX_DEPTH + 1]),
+    "--lambda": _mostly(_ratios, ["257", "1/0", "0.5"]),
+    "--x": _mostly(_ratios, ["1/257", "x"]),
+    "--y": _mostly(_ratios, ["-257"]),
+    "--order": _mostly(st.integers(0, 8), [-1, cli.MAX_ORDER + 1]),
+    "--truncate": _mostly(st.integers(0, 8), [-1, cli.MAX_M_TRUNCATION, cli.MAX_M_TRUNCATION + 1]),
+    "--jobs": _mostly(st.just(1), [-1, 0]),
+    "--max-n": _mostly(st.integers(0, 8), [-2, -1, cli.MAX_STIRLING_N + 1]),
+    "--format": _mostly(st.just("json"), ["csv", "xml"]),
+}
+_VERB_FLAGS = {
+    "series": ("--name", cli.SERIES, ("--ks", "--k", "--x", "--lambda", "--order", "--format")),
+    "numbers": ("--family", cli.FAMILIES, ("--ks", "--k", "--r", "--lambda", "--x", "--order", "--format")),
+    "stirling": ("--kind", {"second": (), "first-signed": (), "first-unsigned": (), "third": ()},
+                 ("--max-n", "--format")),
+    "verify": ("--identity", cli.IDENTITIES,
+               ("--ks", "--r", "--lambda", "--x", "--y", "--order", "--truncate", "--jobs", "--format")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one verb: its name flag (sometimes left out, or --all),
+    each flag the named entry takes most of the time and any other flag of
+    the verb now and then."""
+    verb = draw(st.sampled_from(tuple(_VERB_FLAGS)))
+    name_flag, names, flags = _VERB_FLAGS[verb]
+    name = draw(st.sampled_from(tuple(names)))
+    argv = [verb]
+    if draw(st.integers(0, 9)):
+        argv.append(f"{name_flag}={name}")
+    elif verb == "verify" and draw(st.booleans()):
+        argv.append("--all")
+    taken = {f"--{cli._flag(p)}" for p in getattr(names[name], "params", ())} | {"--order", "--max-n"}
+    for flag in flags:
+        if draw(st.integers(0, 19)) < (19 if flag in taken else 1):
+            argv.append(f"{flag}={draw(_FLAG_WORDS[flag])}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+@example(argv=["verify", "--identity=chain-stirling", "--ks=2", "--lambda=1/2", "--x=0"])
+@example(argv=["numbers", "--family=carlitz", "--r=0", "--lambda=1/3"])
+@example(argv=["verify", "--identity=li-ones", "--r=0"])
+@example(argv=["stirling", "--kind=second", "--max-n=-1"])
+def test_no_invocation_exits_three(capsys, monkeypatch, argv):
+    # exit 3 means a broken invariant: whatever the words, a call either
+    # runs (0, or 1 for a failing report) or is refused as a usage error (2)
+    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
+    assert code != 1 or '"status": "fail"' in out, argv
+
+
+def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
+    for name in ("families.carlitz_degenerate", "verify.verify_li_ones", "verify.verify_chain_stirling",
+                 "verify.verify_resummation", "verify.verify_difference"):
+        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
+    monkeypatch.setattr(cli, "stirling_table", _fail_if_called)
+    cases = [(("numbers", "--family=carlitz", "--r=0", "--lambda=1/3"), "r must be at least 1"),
+             (("verify", "--identity=li-ones", "--r=-1"), "r must be at least 1"),
+             (("stirling", "--kind=second", "--max-n=-1"), "max_n must be non-negative")]
+    cases += [(("verify", f"--identity={identity}", "--ks=2", "--lambda=1/3", "--x=0", "--order=2"),
+               f"{identity} check needs depth r >= 2") for identity in ("chain-stirling", "resummation", "difference")]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert _refused(err) and f"error: {message}" in err
 
 
 def test_env_var_sets_default_format(capsys, monkeypatch):
@@ -677,7 +760,7 @@ def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeyp
 def test_size_bounds_admit_the_sweep_at_the_caps():
     for identity, kwargs in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
         cli._check_identity_size(cli.IDENTITIES[identity], kwargs, identity)
-        cli._check_indices(cli.IDENTITIES[identity], kwargs)
+        cli._check_indices(cli.IDENTITIES[identity], kwargs, identity)
 
 
 def test_tables_match_the_functions(monkeypatch):
@@ -774,7 +857,7 @@ def test_json_writer_renders_value_rows_as_their_objects(rows):
 ])
 def test_json_writer_renders_report_rows_as_value_rows(report):
     value = cli._json_value(report)
-    rows = [row.to_json_dict() for row in report.rows]
+    rows = oracles.json_dict(report)["rows"]
     assert type(value["rows"]) is cli._Rows
     assert cli._json_text(value["rows"]) == json.dumps(rows, indent=2)
 
@@ -783,7 +866,7 @@ def test_json_writer_holds_a_large_text_about_twice():
     # the pieces are joined once, so the peak is about the pieces plus the
     # text; a writer that returned each level's text would peak at three
     # times the text
-    value = stirling_table("first_signed", 120).to_json_dict()
+    value = cli._json_value(stirling_table("first_signed", 120))
     tracemalloc.start()
     try:
         text = cli._json_text(value)
@@ -800,6 +883,60 @@ def test_json_writer_refuses_non_json_types(value):
         cli._json_text(value)
 
 
+# -- each result's output, built from its fields, against the oracle's ------------
+
+_orders = st.integers(0, 8)
+_ks = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+_ks2 = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(tuple)
+_truncations = st.integers(0, 8)
+_reports = st.one_of(
+    st.builds(verify.verify_li_ones, st.integers(1, 3), _orders),
+    st.builds(verify.verify_deriv_recurrences, _ks, st.integers(1, 8)),
+    st.builds(verify.verify_chain_stirling, _ks2, _ratios, _ratios, _orders),
+    st.builds(verify.verify_polynomial_expansion, _ks, _ratios, _ratios, _orders),
+    st.builds(verify.verify_addition, _ks, _ratios, _ratios, _ratios, _orders),
+    # k_r <= 0 gives an exact report, k_r >= 1 a diagnostic one
+    st.builds(verify.verify_resummation, _ks2, _ratios, _ratios, _orders, _truncations),
+    st.builds(verify.verify_difference, _ks2, _ratios, _ratios, st.integers(1, 8), _truncations),
+    # any rows, so that some reports fail
+    st.builds(lambda check, rows: verify.VerificationReport(check, {"order": len(rows)}, tuple(rows)), _texts,
+              st.lists(st.builds(verify.ReportRow, _texts, _orders, _ratios, _ratios), max_size=3)),
+)
+_tables = st.one_of(
+    st.builds(families.degenerate_multi_poly_bernoulli, _ks | st.just(()), _ratios, _ratios, _orders),
+    st.builds(families.multi_poly_bernoulli, _ks, _ratios, _orders),
+    st.builds(families.poly_bernoulli, st.integers(-3, 3), _ratios, _orders),
+    st.builds(families.type2_poly_bernoulli, st.integers(-3, 3), _ratios, _orders),
+    st.builds(families.carlitz_degenerate, st.integers(1, 3), _ratios, _ratios, _orders),
+    st.builds(stirling_table, st.sampled_from(STIRLING_KINDS), _orders),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=_reports | _tables)
+def test_each_result_renders_as_the_oracle_builds_it(result):
+    assert cli._json_text(cli._json_value(result)) == json.dumps(oracles.json_dict(result), indent=2)
+    if not isinstance(result, verify.VerificationReport):
+        assert cli._csv_text(result) == oracles.csv_text(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(tuple(cli.SERIES)), ks=_ks, k=st.integers(-3, 3), x=_ratios, lam=_ratios,
+       order=_orders)
+def test_series_head_renders_as_the_oracle_builds_it(name, ks, k, x, lam, order):
+    params = cli.SERIES[name].params
+    words = {"ks": ",".join(map(str, ks)), "k": k, "x": x, "lam": lam}
+    argv = ["series", f"--name={name}", f"--order={order}", *(f"--{cli._flag(p)}={words[p]}" for p in params)]
+    head, code = cli._cmd_series(cli._build_parser().parse_args(argv))
+    values = {"ks": ks, "k": k, "x": x, "lam": lam}
+    series = cli._function(cli.SERIES[name])(**{p: values[p] for p in params}, order=order)
+    echoed = {"ks": list(ks), "k": k, "x": f"{x.numerator}/{x.denominator}",
+              "lam": f"{lam.numerator}/{lam.denominator}"}
+    shown = {"order": order} | {cli._flag(p): echoed[p] for p in params}
+    assert code == 0
+    assert cli._json_text(cli._json_value(head)) == json.dumps(oracles.series_dict(name, shown, series), indent=2)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--identity=resummation", "--ks=2,2,1", "--lambda=-7/9", "--x=8/9", "--order=5", "--truncate=20"),
     ("verify", "--identity=difference", "--ks=1,1", "--lambda=1/2", "--x=0", "--order=5", "--truncate=9"),
@@ -812,5 +949,6 @@ def test_library_and_cli_render_a_report_alike(capsys, argv):
                    int(flags.get("truncate", cli.DEFAULT_M_TRUNCATION)))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    # the stdlib encoder on the library's report, against the CLI's own writer
-    assert out == json.dumps(oracles.report_dict(report), indent=2) + "\n"
+    # the stdlib encoder on the oracle's dict of the library's report,
+    # against the CLI's own writer
+    assert out == json.dumps(oracles.json_dict(report), indent=2) + "\n"

@@ -1,5 +1,5 @@
-"""Smoke test: every demo script and README's quick start run against this
-checkout."""
+"""Every demo script prints its pinned output (``tests/golden/demo-*.out``),
+and README's quick start runs, against this checkout."""
 
 import os
 import re
@@ -23,6 +23,7 @@ def run_python(args):
 def test_demo_runs(script):
     proc = run_python([str(script)])
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "golden" / f"demo-{script.stem}.out").read_text()
 
 
 def test_readme_quick_start_runs():

@@ -17,8 +17,6 @@ import pytest
 
 from polybern import cli
 from polybern.cli import main
-from polybern.families import SequenceResult
-from polybern.special import StirlingTable
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -151,21 +149,19 @@ def test_help_golden_output(name, capsys, monkeypatch):
         assert capsys.readouterr().out.encode("utf-8") == _golden(name)
 
 
-def _refuse(self):
+def _refuse(result):
     raise AssertionError("built a format that was not asked for")
 
 
 def test_only_the_requested_format_is_built(capsys, monkeypatch):
     monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
     with monkeypatch.context() as patch:
-        patch.setattr(SequenceResult, "to_csv", _refuse)
-        patch.setattr(StirlingTable, "to_csv", _refuse)
+        patch.setattr(cli, "_csv_text", _refuse)
         for name in ("numbers-degen-multi-poly", "stirling-second"):
             assert main(CASES[name]) == 0, name
             assert capsys.readouterr().out.encode("utf-8") == _golden(name)
     with monkeypatch.context() as patch:
-        patch.setattr(SequenceResult, "to_json_dict", _refuse)
-        patch.setattr(StirlingTable, "to_json_dict", _refuse)
+        patch.setattr(cli, "_json_value", _refuse)
         for name in ("numbers-csv", "stirling-csv"):
             assert main(CASES[name]) == 0, name
             assert capsys.readouterr().out.encode("utf-8") == _golden(name)

@@ -1,5 +1,6 @@
 """Truncated power series: ring laws, inversion, composition, shifts."""
 
+import json
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, brute_compose, convolve, long_divide, power_table_compose
-from polybern import series
+from polybern import cli, series
+from polybern.rationals import parse_rational
 from polybern.series import TruncatedSeries, ValuationError
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 
@@ -421,8 +423,11 @@ def test_pow_zero_and_one(order):
     assert s**1 == s
 
 
-def test_json_round_trip():
-    a = TruncatedSeries([Fraction(1), Fraction(-1, 2), Fraction(1, 12)])
-    data = a.to_json_dict()
-    assert data == {"order": 2, "coeffs": ["1/1", "-1/2", "1/12"]}
+def test_json_round_trip(capsys):
+    # the series verb writes the order and the "p/q" coefficients, which
+    # parse back to the series
+    assert cli.main(["series", "--name", "log1p", "--order", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["order"], data["coeffs"]) == (3, ["0/1", "1/1", "-1/2", "1/3"])
+    assert TruncatedSeries(map(parse_rational, data["coeffs"])) == log1p_series(3)
 

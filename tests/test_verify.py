@@ -1,5 +1,6 @@
 """Identity harness: exact checks, diagnostic branches, report contracts."""
 
+import json
 import pickle
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from math import comb, factorial, gcd
 
 import oracles
+from polybern import cli
 from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
 from polybern.rationals import decimal_string
 from polybern.special import one_minus_exp_neg
@@ -33,6 +35,10 @@ THIRD = Fraction(1, 3)
 
 def rows_for(report, check):
     return [r for r in report.rows if r.check == check]
+
+def rendered(report) -> dict:
+    """The report as the command line writes it, read back."""
+    return json.loads(cli._json_text(cli._json_value(report)))
 
 # -- polynomial expansion ------------------------------------------------------
 
@@ -204,14 +210,15 @@ def test_deep_residual_table_keeps_exact_rows():
     report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=160)
     n0 = [r for r in report.residuals if r.n == 0]
     assert [r.m_truncation for r in n0] == list(range(161))
+    decimals = report.residuals.values()
     for row in n0:
         assert oracles.residual(row) == 2**row.m_truncation
-        assert row.to_json_dict()["residual_decimal"] == decimal_string(Fraction(2**row.m_truncation))
-    for row in report.residuals:
+        assert decimals[row.m_truncation][2] == decimal_string(Fraction(2**row.m_truncation))
+    for row, (n, m, decimal) in zip(report.residuals, decimals, strict=True):
         residual = oracles.residual(row)
         assert type(residual) is Fraction and residual >= 0
         assert residual.denominator > 0 and gcd(residual.numerator, residual.denominator) == 1
-        assert row.to_json_dict()["residual_decimal"] == decimal_string(residual)
+        assert (n, m, decimal) == (row.n, row.m_truncation, decimal_string(residual))
 
 
 def test_resummation_usage_errors():
@@ -274,7 +281,7 @@ def test_report_status_reflects_rows():
     good = ReportRow(check="c", n=0, lhs=Fraction(1), rhs=Fraction(1))
     bad = ReportRow(check="c", n=1, lhs=Fraction(1), rhs=Fraction(2))
     report = VerificationReport("demo", {}, (good, bad))
-    data = oracles.report_dict(report)
+    data = rendered(report)
     assert data["status"] == "fail"
     assert data["rows"][1] == {"check": "c", "n": 1, "lhs": "1/1", "rhs": "2/1", "equal": False}
 
@@ -290,7 +297,7 @@ def test_report_with_residuals_is_diagnostic():
     residuals = ResidualTable(0, [HALF], [[0, 1]], [1, 2])
     report = VerificationReport("demo", {}, rows, residuals)
     assert report.status == "diagnostic"
-    assert oracles.report_dict(report)["status"] == "diagnostic"
+    assert rendered(report)["status"] == "diagnostic"
     assert VerificationReport("demo", {}, rows, ()).status == "pass"
 
 @given(lhs=st.fractions(max_denominator=9), rhs=st.fractions(max_denominator=9))
@@ -298,7 +305,7 @@ def test_report_with_residuals_is_diagnostic():
 def test_report_row_equal_follows_its_values(lhs, rhs):
     row = ReportRow("c", 0, lhs, rhs)
     assert row.equal is (lhs == rhs)
-    assert row.to_json_dict()["equal"] is (lhs == rhs)
+    assert rendered(VerificationReport("demo", {}, (row,)))["rows"][0]["equal"] is (lhs == rhs)
 
 def test_exact_identities_never_diagnostic():
     reports = [
@@ -315,16 +322,16 @@ def test_exact_identities_never_diagnostic():
         assert report.status == ("pass" if all(r.equal for r in report.rows) else "fail")
 
 def test_reports_are_deterministic():
-    a = verify_resummation((2, 1), THIRD, 0, 4, m_truncation=16).json_parts()
-    b = verify_resummation((2, 1), THIRD, 0, 4, m_truncation=16).json_parts()
+    a = rendered(verify_resummation((2, 1), THIRD, 0, 4, m_truncation=16))
+    b = rendered(verify_resummation((2, 1), THIRD, 0, 4, m_truncation=16))
     assert a == b
-    c = verify_chain_stirling((2, 1), THIRD, HALF, 6).json_parts()
-    d = verify_chain_stirling((2, 1), THIRD, HALF, 6).json_parts()
+    c = rendered(verify_chain_stirling((2, 1), THIRD, HALF, 6))
+    d = rendered(verify_chain_stirling((2, 1), THIRD, HALF, 6))
     assert c == d
 
 def test_residual_rows_render_as_decimals():
     report = verify_resummation((1, 1), HALF, 0, 2, m_truncation=3)
-    entry = report.residuals[0].to_json_dict()
+    entry = rendered(report)["residuals"][0]
     assert set(entry) == {"n", "M", "residual_decimal"}
     assert entry["residual_decimal"] == decimal_string(oracles.residual(report.residuals[0]))
 
@@ -433,8 +440,8 @@ def test_residual_table_reads_as_the_eager_rows(check, ks):
         with pytest.raises(IndexError):
             table[i]
     assert list(reversed(table)) == list(table)[::-1]
-    data = oracles.report_dict(report)["residuals"]
-    assert data == [row.to_json_dict() for row in table]
+    data = rendered(report)["residuals"]
+    assert data == oracles.json_dict(report)["residuals"]
     assert data == [dict(zip(("n", "M", "residual_decimal"), values)) for values in table.values()]
 
 
@@ -466,6 +473,6 @@ def test_diagnostic_report_pickles():
     report = verify_difference((2, 2, 1), THIRD, HALF, 5, m_truncation=9)
     again = pickle.loads(pickle.dumps(report))
     assert again == report
-    assert again.json_parts() == report.json_parts()
+    assert rendered(again) == rendered(report)
     assert [(row.n, row.m_truncation, oracles.residual(row)) for row in again.residuals] == \
         [(row.n, row.m_truncation, oracles.residual(row)) for row in report.residuals]
