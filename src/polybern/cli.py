@@ -5,10 +5,11 @@ Four verbs: ``series`` prints the exact coefficients of one named series,
 triangle, and ``verify`` runs one identity check (or a whole sweep with
 ``--all``, which takes none of the per-identity flags).  Output is JSON by
 default; CSV is available for the flat tables only (numbers, stirling).
+Each verb's parser lists the formats it writes, so the argv alone decides
+the output and argparse refuses any other format before any work.
 This module alone turns a result into output: :func:`_json_value` and
 :func:`_csv_text` read the fields of the library's result types, which
 carry data only.
-The POLYBERN_FORMAT environment variable changes the default format.
 Each series, family and identity is one ``Entry`` of a table, from which
 its flag checks and ``--all`` points are derived; the size refusals of the
 m-series identities follow from their ``m_truncation`` parameter.
@@ -180,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default from POLYBERN_FORMAT, else json)")
+    def common(p, formats=("json",)):
+        p.add_argument("--format", choices=formats, default="json", help="output format (default json)")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     p_series = sub.add_parser("series", help="coefficients of one named series")
@@ -202,13 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_numbers.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
     p_numbers.add_argument("--x", type=_rational_flag, default=Fraction(0))
     p_numbers.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    common(p_numbers)
+    common(p_numbers, ("json", "csv"))
 
     p_stirling = sub.add_parser("stirling", help="Stirling triangle")
     p_stirling.add_argument("--kind", required=True,
                             choices=tuple(kind.replace("_", "-") for kind in STIRLING_KINDS))
     p_stirling.add_argument("--max-n", type=int, required=True)
-    common(p_stirling)
+    common(p_stirling, ("json", "csv"))
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--identity", choices=tuple(IDENTITIES))
@@ -484,9 +484,9 @@ def _emit(result, fmt: str, output: str | None):
     """Write ``result`` to ``output`` (stdout when None) in ``fmt`` alone.
 
     A flat table (``numbers``, ``stirling``) is rendered only in the format
-    asked for: :func:`_csv_text` for CSV, its JSON value for JSON.  ``main``
-    refuses CSV for any other result before the verb runs.  Every JSON
-    output is :func:`_json_value` written by :func:`_json_text`.
+    asked for: :func:`_csv_text` for CSV, its JSON value for JSON.  No other
+    verb's parser takes CSV.  Every JSON output is :func:`_json_value`
+    written by :func:`_json_text`.
     """
     text = _csv_text(result) if fmt == "csv" else _json_text(_json_value(result)) + "\n"
     if output:
@@ -575,18 +575,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage and 0 for --help; pass both through
         return int(exc.code or 0)
 
-    env_format = os.environ.get("POLYBERN_FORMAT")
     try:
-        fmt = args.format
-        if fmt is None:
-            if env_format is not None and env_format not in ("json", "csv"):
-                raise UsageError(f"POLYBERN_FORMAT must be json or csv, got {env_format!r}")
-            fmt = env_format or "json"
-        # only the flat tables have a CSV form; refuse the rest before any work
-        if fmt == "csv" and args.verb not in ("numbers", "stirling"):
-            raise UsageError("CSV output is only available for flat tables (numbers, stirling)")
         result, code = globals()[f"_cmd_{args.verb}"](args)
-        _emit(result, fmt, args.output)
+        _emit(result, args.format, args.output)
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,0 +1,126 @@
+"""The fault matrix: which identity check catches which one-line fault.
+
+Each fault is one edit of the package: a file under ``src/polybern``, an
+old text that occurs exactly once in the whole package, and the text that
+replaces it.  For each fault the runner copies ``src/`` to a temporary
+directory, applies the edit there, and runs the calls of ``CALLS`` one
+after another through ``polybern.cli.main`` in one fresh interpreter that
+imports the copy.  A call's verdict is ``"pass"`` (exit 0), ``"fail"``
+(exit 1, a failed verification) or any other exit code as an int (3 for an
+internal error such as a tripped valuation guard).  The row ``"none"`` runs
+the unmodified package, where every call passes.
+
+Only verdicts are recorded, never output bytes: the matrix shows what the
+identities themselves catch, not what a golden file pins.
+``tests/golden/mutants.json`` holds the matrix and
+``test_mutants.test_fault_matrix`` replays it.  A change to the faults,
+the calls or the checks rewrites it with
+
+    python tests/mutants.py
+
+and names each changed verdict in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MATRIX = Path(__file__).resolve().parent / "golden" / "mutants.json"
+
+LX = ["--lambda=-7/9", "--x=8/9"]
+ORDER = "--order=8"
+CALLS = {
+    "all": ["verify", "--all", ORDER],
+    "chain-stirling": ["verify", "--identity=chain-stirling", "--ks=2,1", *LX, ORDER],
+    "resummation": ["verify", "--identity=resummation", "--ks=2,-2", *LX, ORDER],
+    "difference": ["verify", "--identity=difference", "--ks=2,-2", *LX, ORDER],
+    "expansion": ["verify", "--identity=expansion", "--ks=2,1", *LX, ORDER],
+    "addition": ["verify", "--identity=addition", "--ks=2,1", *LX, ORDER, "--y=1/3"],
+}
+
+# name: (file under src/polybern, old text, new text)
+FAULTS = {
+    "gf-scale-start": ("families.py", "scale = factorial(r)", "scale = factorial(r + 1)"),
+    "gf-scale-step": ("families.py", "scale *= k", "scale *= k + 1"),
+    "gf-exp-x-at-minus-lambda": ("families.py", "_reduced(*_degenerate_exp_ints(x, lam, order))",
+                                 "_reduced(*_degenerate_exp_ints(x, -lam, order))"),
+    "gf-unit-power-r-plus-1": ("families.py", "unit_den), r)", "unit_den), r + 1)"),
+    "inverse-without-a1": ("series.py", "a[n:0:-1]", "a[n:1:-1]"),
+    "degenerate-exp-step": ("special.py", "(start - j * step)", "(start - (j + 1) * step)"),
+    "family-compose-alpha-plus-1": ("families.py", "coeffs, Fraction(-1), Fraction(-1))",
+                                    "coeffs, Fraction(1), Fraction(-1))"),
+    "u-powers-unsigned": ("verify.py", "signed[(l - m) & 1]", "signed[0]"),
+    "tail-basis-u-sign": ("families.py", "(-1) ** (k + 1) * comb(n, k)", "(-1) ** k * comb(n, k)"),
+    "polylog-non-strict-chains": (
+        "special.py",
+        "nxt.append(inv_pow(m, k) * running)\n            running += level[m - 1]",
+        "running += level[m - 1]\n            nxt.append(inv_pow(m, k) * running)"),
+    "product-without-a0-term": ("series.py", "a[: k + 1], rb[n - 1 - k :]", "a[1 : k + 1], rb[n - k :]"),
+    "power-base-den-unsquared": ("series.py", "base[1] * base[1])", "base[1])"),
+    "compose-shift-by-plus-1": ("series.py", "c[j] -= c[j + 1]", "c[j] += c[j + 1]"),
+    "binomial-convolution-unweighted": ("verify.py", "map(mul, map(mul, row, a), b[n::-1])",
+                                        "map(mul, a, b[n::-1])"),
+    "combine-minus-1-as-1": ("verify.py", "vector if c == 1 else", "vector if abs(c) == 1 else"),
+    "stirling-second-k-off-by-one": ("special.py", "zip(range(1, n + 1), above, prev)",
+                                     "zip(range(n), above, prev)"),
+}
+
+# run in a fresh interpreter: import the package from the copy given as the
+# first argument, run each argv of the second one and print the exit codes
+_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from polybern import cli
+if not cli.__file__.startswith(sys.argv[1]):
+    sys.exit(f"imported {cli.__file__}, not the copy")
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def _verdict(code: int) -> str | int:
+    return {0: "pass", 1: "fail"}.get(code, code)
+
+
+def _apply(package: Path, fault: tuple[str, str, str]):
+    """Make the one edit ``fault`` in the package copy ``package``; refuse
+    an old text that does not occur exactly once in the whole package."""
+    name, old, new = fault
+    counts = {path.name: path.read_text().count(old) for path in package.glob("*.py")}
+    if sum(counts.values()) != 1 or counts.get(name) != 1:
+        raise ValueError(f"{old!r} must occur exactly once in the package, in {name}: {counts}")
+    path = package / name
+    path.write_text(path.read_text().replace(old, new))
+
+
+def verdicts(fault: tuple[str, str, str] | None) -> dict[str, str | int]:
+    """The verdict of each call on a copy of ``src/`` with ``fault`` (none
+    for the unmodified package)."""
+    with tempfile.TemporaryDirectory() as temp:
+        copy = Path(temp) / "src"
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        if fault:
+            _apply(copy / "polybern", fault)
+        done = subprocess.run([sys.executable, "-B", "-c", _CHILD, str(copy), json.dumps(list(CALLS.values()))],
+                              capture_output=True, text=True, timeout=300)
+    if done.returncode:
+        raise RuntimeError(f"the calls did not run:\n{done.stderr}")
+    return dict(zip(CALLS, map(_verdict, json.loads(done.stdout))))
+
+
+def matrix() -> dict[str, dict[str, str | int]]:
+    """Each fault's verdicts, after those of the unmodified package."""
+    return {"none": verdicts(None)} | {name: verdicts(fault) for name, fault in FAULTS.items()}
+
+
+if __name__ == "__main__":
+    MATRIX.write_text(json.dumps(matrix(), indent=1) + "\n")

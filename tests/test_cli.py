@@ -1,5 +1,6 @@
 """Command-line contract: dispatch, formats, exit codes, round trips."""
 
+import functools
 import inspect
 import json
 import os
@@ -235,10 +236,9 @@ def _argvs(draw):
 @example(argv=["numbers", "--family=carlitz", "--r=0", "--lambda=1/3"])
 @example(argv=["verify", "--identity=li-ones", "--r=0"])
 @example(argv=["stirling", "--kind=second", "--max-n=-1"])
-def test_no_invocation_exits_three(capsys, monkeypatch, argv):
+def test_no_invocation_exits_three(capsys, argv):
     # exit 3 means a broken invariant: whatever the words, a call either
     # runs (0, or 1 for a failing report) or is refused as a usage error (2)
-    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
     code, out, err = run(capsys, *argv)
     assert code in (0, 1, 2) and "internal error" not in err, (argv, err)
     assert code != 1 or '"status": "fail"' in out, argv
@@ -258,16 +258,6 @@ def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert _refused(err) and f"error: {message}" in err
-
-
-def test_env_var_sets_default_format(capsys, monkeypatch):
-    monkeypatch.setenv("POLYBERN_FORMAT", "csv")
-    code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "1", "--order", "2")
-    assert code == 0
-    assert out.startswith("n,value")
-    monkeypatch.setenv("POLYBERN_FORMAT", "yaml")
-    code, _, _ = run(capsys, "numbers", "--family", "poly", "--k", "1", "--order", "2")
-    assert code == 2
 
 
 def test_output_file(tmp_path, capsys):
@@ -693,21 +683,15 @@ def _fail_if_called(*args, **kwargs):
 
 
 def test_csv_for_nested_output_is_refused_before_any_work(capsys, monkeypatch):
-    monkeypatch.delenv("POLYBERN_FORMAT", raising=False)
     calls = [("series", "--name=log1p", "--order=4"),
              ("verify", "--identity=li-ones", "--r=2", "--order=4"),
              ("verify", "--all", f"--order={cli.MAX_ORDER}")]
     monkeypatch.setattr(cli, "_cmd_series", _fail_if_called)
     monkeypatch.setattr(cli, "_cmd_verify", _fail_if_called)
-    # the flag, then the environment variable
-    for flag, env in ((("--format=csv",), None), ((), "csv")):
-        if env:
-            monkeypatch.setenv("POLYBERN_FORMAT", env)
-        for argv in calls:
-            code, out, err = run(capsys, *argv, *flag)
-            assert (code, out) == (2, ""), (argv, flag, env)
-            assert _refused(err) and \
-                "error: CSV output is only available for flat tables (numbers, stirling)" in err
+    for argv in calls:
+        code, out, err = run(capsys, *argv, "--format=csv")
+        assert (code, out) == (2, ""), argv
+        assert f"polybern {argv[0]}: error: argument --format: invalid choice: 'csv'" in err
 
 
 def test_m_series_exact_branch_cap(capsys, monkeypatch):
@@ -852,10 +836,13 @@ def test_json_writer_renders_value_rows_as_their_objects(rows):
 
 
 @pytest.mark.parametrize("report", [
-    verify.verify_li_ones(2, 3),
-    verify.verify_difference((1, 1), Fraction(1, 2), 0, 2, 3),
+    functools.partial(verify.verify_li_ones, 2, 3),
+    functools.partial(verify.verify_difference, (1, 1), Fraction(1, 2), 0, 2, 3),
 ])
 def test_json_writer_renders_report_rows_as_value_rows(report):
+    # each report is built here, not at import, so a fault on its path
+    # fails this test alone instead of the collection of the module
+    report = report()
     value = cli._json_value(report)
     rows = oracles.json_dict(report)["rows"]
     assert type(value["rows"]) is cli._Rows

@@ -79,11 +79,10 @@ def _sha256(text: str) -> str:
 def run(argv: list[str]) -> dict:
     """One manifest entry: run ``argv`` through ``polybern.cli.main`` in
     this process, at 80 columns (argparse wraps its usage text to the
-    terminal width) and without ``POLYBERN_FORMAT``."""
+    terminal width)."""
     from polybern.cli import main
 
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("POLYBERN_FORMAT", None)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
