@@ -46,7 +46,6 @@ from .special import (
 )
 from .verify import (
     ReportRow,
-    ResidualRow,
     VerificationReport,
     verify_addition,
     verify_chain_stirling,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilyQuery",
     "ReportRow",
-    "ResidualRow",
     "SequenceResult",
     "StirlingTable",
     "TruncatedSeries",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
@@ -82,9 +82,8 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
-@cache
-def _context(digits: int) -> Context:
-    return Context(prec=digits, rounding=ROUND_HALF_EVEN)
+# 20 significant digits, rounded half to even: the residual decimals' precision
+_CONTEXT = Context(prec=20, rounding=ROUND_HALF_EVEN)
 
 
 @lru_cache(maxsize=1024)
@@ -92,37 +91,31 @@ def _power_of_ten(exponent: int) -> int:
     return 10**exponent
 
 
-def decimal_string(value: Fraction | int, digits: int = 20, *, den: int = 1) -> str:
-    """Render the exact rational value/den (den > 0, unreduced pairs allowed)
-    as a decimal string with ``digits`` significant digits, round half to
-    even: the string ``Decimal(p) / Decimal(q)`` gives at that precision.
-    ``digits`` < 1 raises ValueError.  Used only for residual reporting;
-    never fed back into computation.
+def decimal_string(num: int, den: int) -> str:
+    """Render the exact rational num/den, for ints num >= 0 and den > 0
+    (unreduced pairs allowed), as a decimal string with 20 significant
+    digits, round half to even: the string ``Decimal(num) / Decimal(den)``
+    gives at that precision.  Used only for residual reporting; never fed
+    back into computation.
 
-    One divmod cuts the long p and q down to Q = floor(|p| 10^s / q), at
-    least digits + 2 digits long, and Decimal rounds and writes Q / 10^s.
-    An inexact Q first gets its low bit set (round to odd): the rounding
-    boundaries of ``digits`` digits are then even integers at Q's scale,
-    so Q rounds as the exact value does.
+    One divmod cuts the long num and den down to Q = floor(num 10^s / den),
+    at least 22 digits long, and Decimal rounds and writes Q / 10^s.  An
+    inexact Q first gets its low bit set (round to odd): the rounding
+    boundaries of 20 digits are then even integers at Q's scale, so Q
+    rounds as the exact value does.  Zero is the exact Q = 0, written "0".
     """
-    # first, so that the context refuses digits < 1 for zero too
-    context = _context(digits)
-    p, q = value.numerator, value.denominator * den
-    if not p:
-        return "0"
-    magnitude = -p if p < 0 else p
-    # |p|/q > 2^(bits(p) - 1 - bits(q)); 30103/100000 overshoots log10(2) by
-    # less than one digit at any size here, which the + 2 (not + 1) absorbs
-    shift = digits + 2 - ((magnitude.bit_length() - q.bit_length() - 1) * 30103 // 100000)
+    # num/den > 2^(bits(num) - 1 - bits(den)); 30103/100000 overshoots
+    # log10(2) by less than one digit at any size here, which the 22 digits
+    # (not 21) absorb
+    shift = 22 - ((num.bit_length() - den.bit_length() - 1) * 30103 // 100000)
     if shift >= 0:
-        quotient, remainder = divmod(magnitude * _power_of_ten(shift), q)
+        quotient, remainder = divmod(num * _power_of_ten(shift), den)
     else:
-        quotient, remainder = divmod(magnitude, q * _power_of_ten(-shift))
+        quotient, remainder = divmod(num, den * _power_of_ten(-shift))
     if remainder:
-        quotient |= 1
-        return str(Decimal(quotient if p > 0 else -quotient).scaleb(-shift, context))
+        return str(Decimal(quotient | 1).scaleb(-shift, _CONTEXT))
     # an exact quotient is divided by 10^|s|, so Decimal strips its trailing
     # zeros down to the ideal exponent 0 (scaleb would keep them); 10^|s| is
     # built from its digits, as Decimal(int) is slow on a long int
-    operation = context.divide if shift >= 0 else context.multiply
-    return str(operation(Decimal(quotient if p > 0 else -quotient), Decimal("1" + "0" * abs(shift))))
+    operation = _CONTEXT.divide if shift >= 0 else _CONTEXT.multiply
+    return str(operation(Decimal(quotient), Decimal("1" + "0" * abs(shift))))

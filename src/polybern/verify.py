@@ -31,9 +31,10 @@ build all that does not depend on m once per call and sum over ints on a
 running denominator, over every m at once: m is the innermost axis of
 each vector they build, and each n's partial sums, one per truncation M,
 are one int column summed over m.  Only the final row of each n is a
-Fraction, and the residual table keeps those columns as they are, builds
-a row only when one is read and renders its decimals straight from the
-ints (see :func:`_m_series` and :class:`ResidualTable`).
+Fraction, and the residual table is those columns as they are, with one
+left-hand side per n and one denominator per M; it renders its decimals
+straight from the ints, 20 significant digits each (see
+:func:`_m_series` and :class:`ResidualTable`).
 
 Reports are deterministic: the same inputs always produce equal reports,
 which the CLI renders from their fields into byte-identical JSON.
@@ -42,7 +43,7 @@ which the CLI renders from their fields into byte-identical JSON.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
@@ -76,41 +77,19 @@ class ReportRow:
 DEFAULT_M_TRUNCATION = 32
 
 
-def _residual_decimal(ln: int, ld: int, partial: int, den: int) -> str:
-    """|ln/ld - partial/den| as a decimal, rendered from the unreduced pair
-    |ln den - partial ld| / (ld den) with no gcd."""
-    return decimal_string(abs(ln * den - partial * ld), den=ld * den)
-
-
 @dataclass(frozen=True, slots=True)
-class ResidualRow:
-    """|lhs - partial sum at M| for one n and one truncation M.
+class ResidualTable:
+    """The residuals |lhs - partial sum at M| of a diagnostic m-series
+    report, as the columns the m-sum made.
 
-    The row keeps the exact parts, not the residual: ``lhs``, the Fraction
-    shared by every row of its n, and the partial sum as the int
-    ``partial`` over ``den``, the running denominator shared by every row of
-    its M.
-    """
-
-    n: int
-    m_truncation: int
-    lhs: Fraction
-    partial: int
-    den: int
-
-
-@dataclass(frozen=True, slots=True)
-class ResidualTable(Sequence):
-    """The residual rows of a diagnostic m-series report, built on access.
-
-    The table keeps what the m-sum made: ``lhs[i]``, the left-hand side at
-    n = first_n + i, its column ``partials[i]`` of int partial sums, one per
-    truncation M, and ``dens[M]``, the denominator every partial sum at M is
-    over.  Row i * (M_top + 1) + M is the :class:`ResidualRow` of
-    n = first_n + i at M, so the rows come in the order of n, then M, as the
-    columns do.  :meth:`values` renders every row's (n, M, residual
-    decimal) straight from the ints, the tuples the CLI writes.  Two tables
-    are equal when these four fields are.
+    ``lhs[i]`` is the left-hand side at n = first_n + i, ``partials[i]`` its
+    column of int partial sums, one per truncation M, and ``dens[M]`` the
+    denominator every partial sum at M is over, so the exact residual at n
+    and M is ``abs(lhs[i] - Fraction(partials[i][M], dens[M]))``.  The
+    table's length is its number of residuals, one per n and M, and
+    :meth:`values` renders each one's (n, M, residual decimal) straight
+    from the ints, the tuples the CLI writes.  Two tables are equal when
+    these four fields are.
     """
 
     first_n: int
@@ -121,29 +100,33 @@ class ResidualTable(Sequence):
     def __len__(self) -> int:
         return len(self.lhs) * len(self.dens)
 
-    def __getitem__(self, index: int) -> ResidualRow:
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("residual table index out of range")
-        i, m = divmod(index % size, len(self.dens))
-        return ResidualRow(self.first_n + i, m, self.lhs[i], self.partials[i][m], self.dens[m])
-
     def values(self) -> list[tuple[int, int, str]]:
-        """(n, M, residual_decimal) of every row, in row order."""
+        """(n, M, residual_decimal) of every residual, in the order of n,
+        then M; each decimal is rendered from the unreduced pair
+        |ln den - partial ld| / (ld den), with no gcd."""
         out = []
         for n, (lhs, column) in enumerate(zip(self.lhs, self.partials), self.first_n):
             ln, ld = lhs.numerator, lhs.denominator
-            out += [(n, m, _residual_decimal(ln, ld, partial, den))
+            out += [(n, m, decimal_string(abs(ln * den - partial * ld), ld * den))
                     for m, (partial, den) in enumerate(zip(column, self.dens))]
         return out
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The rows of one identity check, and its residual table when it is an
+    m-series diagnostic.
+
+    ``rows`` holds each check's exact left- and right-hand side at n.
+    ``residuals`` is the :class:`ResidualTable` of an m-series at k_r >= 1,
+    whose infinite sum is reported as partial sums, and the empty tuple for
+    every exact check.
+    """
+
     identity: str
     params: dict
     rows: tuple[ReportRow, ...]
-    residuals: Sequence[ResidualRow] = field(default=())
+    residuals: ResidualTable | tuple[()] = ()
 
     @property
     def status(self) -> str:

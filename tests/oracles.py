@@ -365,9 +365,15 @@ def m_series_partial_sums(lhs, term_by_m, k_r, first_n, order):
 # -- reports, read through their exact parts ---------------------------------
 
 
-def residual(row) -> Fraction:
-    """|lhs - partial sum| of a residual row, as one canonical Fraction."""
-    return abs(row.lhs - Fraction(row.partial, row.den))
+def residual_triples(table) -> list[tuple[int, int, Fraction]]:
+    """(n, M, |lhs - partial sum at M|) of every residual of a report's
+    table, read from its exact columns in the order of n, then M, each
+    residual one canonical Fraction; none for an exact report's ()."""
+    if not table:
+        return []
+    return [(n, m, abs(lhs - Fraction(partial, den)))
+            for n, (lhs, column) in enumerate(zip(table.lhs, table.partials), table.first_n)
+            for m, (partial, den) in enumerate(zip(column, table.dens))]
 
 
 # -- the output shape of each result, built from its fields --------------------
@@ -393,11 +399,11 @@ def json_dict(result) -> dict:
     if kind == "VerificationReport":
         rows = [{"check": row.check, "n": row.n, "lhs": _ratio(row.lhs), "rhs": _ratio(row.rhs),
                  "equal": row.lhs == row.rhs} for row in result.rows]
-        residuals = [{"n": row.n, "M": row.m_truncation, "residual_decimal": decimal_text(residual(row))}
-                     for row in result.residuals]
-        status = "diagnostic" if residuals else "pass" if all(row["equal"] for row in rows) else "fail"
+        table = [{"n": n, "M": m, "residual_decimal": decimal_text(value)}
+                 for n, m, value in residual_triples(result.residuals)]
+        status = "diagnostic" if table else "pass" if all(row["equal"] for row in rows) else "fail"
         return {"identity": result.identity, "params": result.params, "status": status,
-                "rows": rows, "residuals": residuals}
+                "rows": rows, "residuals": table}
     if kind == "SequenceResult":
         query = result.query
         return {"family": result.family, "ks": list(query.ks), "lambda": _ratio(query.lam),

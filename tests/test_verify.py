@@ -2,8 +2,8 @@
 
 import json
 import pickle
-from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from math import comb, factorial, gcd
 
 import oracles
-from polybern import cli
-from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli
+from polybern import cli, verify
+from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli, shifted_tail_basis
 from polybern.rationals import decimal_string
 from polybern.special import one_minus_exp_neg
 from polybern.verify import (
@@ -171,8 +171,9 @@ def test_resummation_finite_branch_various():
 def test_resummation_diagnostic_emits_residuals():
     report = verify_resummation((2, 1), THIRD, 0, 6, m_truncation=40)
     assert report.status == "diagnostic"
-    assert {r.n for r in report.residuals} == set(range(7))
-    assert max(r.m_truncation for r in report.residuals) == 40
+    triples = oracles.residual_triples(report.residuals)
+    assert {n for n, _, _ in triples} == set(range(7))
+    assert max(m for _, m, _ in triples) == 40
     # 7 orders x 41 partial sums
     assert len(report.residuals) == 7 * 41
 
@@ -184,23 +185,20 @@ def test_resummation_n0_row_matches_closed_form():
     lhs0 = degenerate_multi_poly_bernoulli(ks, HALF, 0, 0).values[0]
     assert lhs0 == 1
     report = verify_resummation(ks, HALF, 0, 4, m_truncation=12)
+    n0_residuals = {m: value for n, m, value in oracles.residual_triples(report.residuals) if n == 0}
     expected_partial = Fraction(0)
     for m in range(13):
         expected_partial += 2 * (-1) ** m * comb(ks[-1] + m - 1, m)
-        row = next(
-            r for r in report.residuals if r.n == 0 and r.m_truncation == m
-        )
-        assert oracles.residual(row) == abs(lhs0 - expected_partial)
+        assert n0_residuals[m] == abs(lhs0 - expected_partial)
     # the m-series oscillates at n = 0: the 2,0,2,0,... partial sums never
     # reach the exact value 1 (they are Abel-summable to it, not convergent)
-    n0_residuals = [oracles.residual(r) for r in report.residuals if r.n == 0]
-    assert all(res == 1 for res in n0_residuals)
+    assert all(res == 1 for res in n0_residuals.values())
 
 def test_resummation_n0_residual_doubles_at_depth_three():
     # at depth 3 the n = 0 summands grow like 2^m: the partial sums diverge
     # geometrically instead of oscillating as they do at depth 2
     report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=12)
-    n0 = [(r.m_truncation, oracles.residual(r)) for r in report.residuals if r.n == 0]
+    n0 = [(m, value) for n, m, value in oracles.residual_triples(report.residuals) if n == 0]
     assert n0 == [(m, 2**m) for m in range(13)]
 
 
@@ -208,17 +206,17 @@ def test_deep_residual_table_keeps_exact_rows():
     # at M = 160 the n = 0 residual 2^M still renders as the Fraction's
     # decimal, and every residual is a canonical Fraction
     report = verify_resummation((2, 2, 1), THIRD, 0, 1, m_truncation=160)
-    n0 = [r for r in report.residuals if r.n == 0]
-    assert [r.m_truncation for r in n0] == list(range(161))
+    triples = oracles.residual_triples(report.residuals)
+    n0 = [(m, value) for n, m, value in triples if n == 0]
+    assert [m for m, _ in n0] == list(range(161))
     decimals = report.residuals.values()
-    for row in n0:
-        assert oracles.residual(row) == 2**row.m_truncation
-        assert decimals[row.m_truncation][2] == decimal_string(Fraction(2**row.m_truncation))
-    for row, (n, m, decimal) in zip(report.residuals, decimals, strict=True):
-        residual = oracles.residual(row)
+    for m, value in n0:
+        assert value == 2**m
+        assert decimals[m][2] == decimal_string(2**m, 1)
+    for (n, m, residual), values in zip(triples, decimals, strict=True):
         assert type(residual) is Fraction and residual >= 0
         assert residual.denominator > 0 and gcd(residual.numerator, residual.denominator) == 1
-        assert (n, m, decimal) == (row.n, row.m_truncation, decimal_string(residual))
+        assert values == (n, m, decimal_string(residual.numerator, residual.denominator))
 
 
 def test_resummation_usage_errors():
@@ -333,7 +331,8 @@ def test_residual_rows_render_as_decimals():
     report = verify_resummation((1, 1), HALF, 0, 2, m_truncation=3)
     entry = rendered(report)["residuals"][0]
     assert set(entry) == {"n", "M", "residual_decimal"}
-    assert entry["residual_decimal"] == decimal_string(oracles.residual(report.residuals[0]))
+    first = oracles.residual_triples(report.residuals)[0][2]
+    assert entry["residual_decimal"] == decimal_string(first.numerator, first.denominator)
 
 # -- m-series summands against the per-m oracle ---------------------------------
 
@@ -370,7 +369,7 @@ def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncatio
         rows, residuals = oracles.m_series_partial_sums(lhs, term_by_m, k_r, first_n, order)
         assert [(row.n, row.lhs, row.rhs) for row in report.rows] == \
             [(n, lhs[n], partial) for n, partial in rows]
-        assert [(res.n, res.m_truncation, oracles.residual(res)) for res in report.residuals] == residuals
+        assert oracles.residual_triples(report.residuals) == residuals
         assert report.params["m_truncation"] == m_top
 
 
@@ -404,7 +403,7 @@ def test_m_series_matches_the_per_m_oracle_at_the_long_m_shape(check, ks):
     lhs, rows, residuals = _oracle_sums(check, ks, lam, x, 6, 160)
     assert report.status == "diagnostic" and report.params["m_truncation"] == 160
     assert [(row.n, row.lhs, row.rhs) for row in report.rows] == [(n, lhs[n], partial) for n, partial in rows]
-    assert [(res.n, res.m_truncation, oracles.residual(res)) for res in report.residuals] == residuals
+    assert oracles.residual_triples(report.residuals) == residuals
 
 
 @pytest.mark.parametrize("check", [verify_resummation, verify_difference])
@@ -419,7 +418,74 @@ def test_m_series_exact_branch_takes_the_integer_powers(check):
     assert residuals == [] and report.residuals == ()
 
 
-# -- the residual table: rows built on access, against the oracle's eager rows ---
+# -- the band structure a closed-form verdict for the m-series rests on ---------
+#
+# With A the weight table an identity hands to verify._m_series (row n_r - 1
+# is A[n_r]) and B the basis of the shifted tail (k_1, ..., k_{r-1}), the
+# m-th summand at n is a sum over the weights
+# W_n[n_r][p] = sum_j C(n, j) A[n_r][j] B[n-j][p] times (p/n_r)^m.  The
+# largest ratio p/n_r with a nonzero weight decides how the summands grow
+# with m, so these tests pin the zero patterns of A and B that bound it.
+
+premise_indices = st.lists(st.integers(min_value=-2, max_value=3), min_size=2, max_size=3)
+premise_args = dict(ks=premise_indices, lam=small_rationals, x=small_rationals,
+                    order=st.integers(min_value=1, max_value=6))
+
+
+def _weight_table(check, ks, lam, x, order):
+    """The weight table (its rows n_r = 1, 2, ...) that ``check`` passes to
+    verify._m_series, read by a spy around it."""
+    seen, m_series = [], verify._m_series
+
+    def spy(*args):
+        seen.append(args[-2])  # the table, then its denominator
+        return m_series(*args)
+
+    with mock.patch.object(verify, "_m_series", spy):
+        check(ks, lam, x, order, m_truncation=0)
+    (table,) = seen
+    return table
+
+
+@settings(max_examples=50, deadline=None)
+@given(**premise_args)
+def test_shifted_tail_basis_is_banded(ks, lam, x, order):
+    # B[i][p] = 0 past p = i + r - 1, and B[i][i + r - 1] != 0
+    r = len(ks)
+    basis, _ = shifted_tail_basis(ks[:-1], lam, x, order)
+    for i, row in enumerate(basis):
+        assert row[i + r - 1] != 0, i
+        assert not any(row[i + r:]), i
+
+
+@settings(max_examples=50, deadline=None)
+@given(**premise_args)
+def test_m_series_weight_tables_are_banded(ks, lam, x, order):
+    # A[n_r][j] = 0 for j < n_r - 1 (resummation) or j < n_r (difference),
+    # with A[1][0] and A[1][1] the first nonzero entries of row n_r = 1
+    for check, lag in ((verify_resummation, 1), (verify_difference, 0)):
+        table = _weight_table(check, ks, lam, x, order)
+        for n_r, row in enumerate(table, 1):
+            assert not any(row[:n_r - lag]), (check.__name__, n_r)
+        assert table[0][1 - lag] != 0, check.__name__
+
+
+@settings(max_examples=50, deadline=None)
+@given(**premise_args)
+def test_m_series_weights_reach_ratio_n_plus_r_minus_one(ks, lam, x, order):
+    # the largest p/n_r with W_n[n_r][p] != 0 is n + r - 1 for resummation
+    # and n + r - 2 for difference (n >= 1)
+    r = len(ks)
+    basis, _ = shifted_tail_basis(ks[:-1], lam, x, order)
+    for check, first_n, top in ((verify_resummation, 0, r - 1), (verify_difference, 1, r - 2)):
+        table = _weight_table(check, ks, lam, x, order)
+        for n in range(first_n, order + 1):
+            ratios = [Fraction(p, n_r) for n_r, row in enumerate(table, 1) for p in range(len(basis[0]))
+                      if sum(comb(n, j) * row[j] * basis[n - j][p] for j in range(n + 1))]
+            assert max(ratios) == n + top, (check.__name__, n)
+
+
+# -- the residual table: its columns, against the oracle's eager residuals ------
 
 
 @pytest.mark.parametrize("check", [verify_resummation, verify_difference])
@@ -429,17 +495,7 @@ def test_residual_table_reads_as_the_eager_rows(check, ks):
     table, expected = report.residuals, _oracle_sums(check, ks, Fraction(-2, 5), THIRD, 4, 6)[2]
     rows_of_n = 4 if check is verify_difference else 5  # difference starts at n = 1
     assert len(table) == len(expected) == rows_of_n * 7
-
-    def triple(row):
-        return row.n, row.m_truncation, oracles.residual(row)
-
-    assert [triple(row) for row in table] == expected
-    for i in range(-len(table), len(table)):
-        assert triple(table[i]) == expected[i], i
-    for i in (len(table), -len(table) - 1):
-        with pytest.raises(IndexError):
-            table[i]
-    assert list(reversed(table)) == list(table)[::-1]
+    assert oracles.residual_triples(table) == expected
     data = rendered(report)["residuals"]
     assert data == oracles.json_dict(report)["residuals"]
     assert data == [dict(zip(("n", "M", "residual_decimal"), values)) for values in table.values()]
@@ -454,12 +510,7 @@ def test_residual_decimals_match_decimal_at_full_size(check, ks, order, m_trunca
     # residual pairs of thousands of bits, where the hypothesis test of
     # decimal_string draws only up to about 200
     report = check(ks, Fraction(-7, 9), Fraction(8, 9), order, m_truncation=m_truncation)
-    context = Context(prec=20, rounding=ROUND_HALF_EVEN)
-    expected = []
-    for row in report.residuals:
-        ln, ld = row.lhs.numerator, row.lhs.denominator
-        p, q = abs(ln * row.den - row.partial * ld), ld * row.den
-        expected.append((row.n, row.m_truncation, str(context.divide(Decimal(p), Decimal(q)))))
+    expected = [(n, m, oracles.decimal_text(value)) for n, m, value in oracles.residual_triples(report.residuals)]
     assert report.residuals.values() == expected
 
 
@@ -474,5 +525,4 @@ def test_diagnostic_report_pickles():
     again = pickle.loads(pickle.dumps(report))
     assert again == report
     assert rendered(again) == rendered(report)
-    assert [(row.n, row.m_truncation, oracles.residual(row)) for row in again.residuals] == \
-        [(row.n, row.m_truncation, oracles.residual(row)) for row in report.residuals]
+    assert oracles.residual_triples(again.residuals) == oracles.residual_triples(report.residuals)
