@@ -15,19 +15,24 @@ function (here Li_{k_1,...,k_r}(1 - e^{-t})), which must have valuation r,
 as its EGF ints d * k! [t^k] N over one denominator d.  That is the form
 each numerator builder makes, so no numerator passes through Fractions.
 The pipeline checks the valuation on the ints, divides by t^r, multiplies
-by the inverse of the unit power ((e_lam(t) - 1)/t)^r and by e_lam^x(t),
-and scales.  It runs on ints over one denominator per stage, with one
+by the inverse of the unit power ((e_lam(t) - 1)/t)^r and, for each x it
+is given, by e_lam^x(t), and scales: the quotient by t^r and the inverse
+unit power do not depend on x and are built once, so the identities that
+need a family at two arguments (x + y and x, x + 1 and x) take both from
+one call.  It runs on ints over one denominator per stage, with one
 Fraction per value: the unit and e_lam^x come from the int form of the
 degenerate exponential, and the power, the inverse and the products from
-the int kernels of :mod:`polybern.series`.  The numerators are what the
-identities test, and they stay on separate routes: the Carlitz family
-passes t^r / r!, which the all-ones index vector must reproduce through
-the polylog composition.  The main family composes its polylog with
+the int kernels of :mod:`polybern.series`.  The numerators are what the identities test, and
+they stay on separate routes: the Carlitz family passes t^r / r!, which
+the all-ones index vector must reproduce through the polylog composition.
+The main family (:func:`_polylog_family`) takes the multiple polylog as
+the ints of its chain-sum recurrence and composes it with
 1 - e^{-t} = -(e^{-t} - 1) through :func:`~polybern.series._compose`, which
 sums over the exponentials e^{-jt} in O(N^2) (the chain-stirling check
-builds its numerator from Stirling numbers of the second kind instead);
-the type-2 family does not compose, but reads the powers of its inner
-series log(1+t) from the signed Stirling table of the first kind.
+builds its numerator from its own prefix sums and Stirling numbers of the
+second kind instead); the type-2 family does not compose, but reads the
+powers of its inner series log(1+t) from the signed Stirling table of the
+first kind.
 
 The pipeline is linear in the numerator, so the m-series identities take
 the families of every shifted tail from one integer basis
@@ -50,7 +55,7 @@ from typing import Sequence
 
 from .rationals import as_rational, format_rational, inv_pow
 from .series import ValuationError, _compose, _inverse, _over_common, _power, _product, _reduced
-from .special import _degenerate_exp_ints, index_vector, multi_polylog, stirling_table
+from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
 
 
 @dataclass(frozen=True)
@@ -98,21 +103,28 @@ class SequenceResult:
     values: tuple[Fraction, ...]
 
 
-def _gf_values(egf: Sequence[int], egf_den: int, r: int, lam, x, order: int) -> tuple[Fraction, ...]:
+def _gf_values(
+    egf: Sequence[int], egf_den: int, r: int, lam, xs: Sequence, order: int
+) -> tuple[tuple[Fraction, ...], ...]:
     """The generating-function pipeline every family runs through.
 
     Computes n! [t^n] of  r! * N(t) / (e_lam(t)-1)^r * e_lam^x(t)  for
-    n <= order, with the numerator N given by its EGF ints
-    egf[k] = egf_den * k! [t^k] N for k <= order + r: N has valuation r,
-    and dividing by t^r eats exactly that many orders.  The valuation is
-    checked on the ints, not assumed; a violation raises ValuationError and
-    means a math bug upstream.
+    n <= order and for each x of ``xs``, one value tuple per x, with the
+    numerator N given by its EGF ints egf[k] = egf_den * k! [t^k] N for
+    k <= order + r: N has valuation r, and dividing by t^r eats exactly
+    that many orders.  The valuation is checked on the ints, not assumed; a
+    violation raises ValuationError and means a math bug upstream.
 
     The quotient N / t^r is the ints egf[k + r] * (order + r)! / (k + r)!
-    over egf_den * (order + r)!, reduced once.  It is multiplied by the
-    inverse of the unit power ((e_lam(t)-1)/t)^r and by e_lam^x(t); the
-    values are then r! n! times the coefficients.  This is the only place
-    the EGF convention is applied.
+    over egf_den * (order + r)!, reduced once, and the inverse of the unit
+    power ((e_lam(t)-1)/t)^r is built once: neither depends on x.  For each
+    x the inverse is multiplied by e_lam^x(t), and that product by the
+    quotient; the values are r! n! times the coefficients.  This is the
+    only place the EGF convention is applied.  The inverse times
+    e_lam^x(t) reduces to about the size of the inverse, so each x costs
+    one product with the quotient, whose ints are the large ones for a
+    large index; the quotient times the inverse, shared by every x, would
+    be as large as the quotient and cost one more such product.
 
     Every stage runs on ints over one denominator, reduced once by a gcd
     over the vector: the unit and e_lam^x come from the int form of the
@@ -123,24 +135,26 @@ def _gf_values(egf: Sequence[int], egf_den: int, r: int, lam, x, order: int) -> 
     """
     if any(egf[:r]):
         raise ValuationError("valuation too small")
-    factor, den = _reduced(*_degenerate_exp_ints(x, lam, order))
-    if r:
-        unit, unit_den = _degenerate_exp_ints(1, lam, order + 1)
-        power, power_den = _power(*_reduced(unit[1:], unit_den), r)
-        inverse, inverse_den = _inverse(power, power_den)
-        factor, den = _reduced(_product(inverse, factor), inverse_den * den)
     # (order + r)! / (k + r)! for k = order down to 0
     lift = list(accumulate(range(order + r, r, -1), mul, initial=1))
     num, num_den = _reduced(list(map(mul, egf[r : order + r + 1], reversed(lift))),
                             egf_den * factorial(order + r))
-    den *= num_den
-    values = []
-    scale = factorial(r)
-    for k, c in enumerate(_product(num, factor)):
-        if k:
-            scale *= k
-        values.append(Fraction(scale * c, den))
-    return tuple(values)
+    unit, unit_den = _degenerate_exp_ints(1, lam, order + 1)
+    power, power_den = _power(*_reduced(unit[1:], unit_den), r)
+    inverse, inverse_den = _inverse(power, power_den)
+    out = []
+    for x in xs:
+        factor, den = _reduced(*_degenerate_exp_ints(x, lam, order))
+        factor, den = _reduced(_product(inverse, factor), inverse_den * den)
+        den *= num_den
+        values = []
+        scale = factorial(r)
+        for k, c in enumerate(_product(num, factor)):
+            if k:
+                scale *= k
+            values.append(Fraction(scale * c, den))
+        out.append(tuple(values))
+    return tuple(out)
 
 
 def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
@@ -156,26 +170,37 @@ def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
         raise ValueError("r must be at least 1")
     query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)
     egf = [0] * r + [1] + [0] * order
-    return SequenceResult("carlitz", query, _gf_values(egf, 1, r, query.lam, query.x, order))
+    (values,) = _gf_values(egf, 1, r, query.lam, (query.x,), order)
+    return SequenceResult("carlitz", query, values)
+
+
+def _polylog_family(
+    ks: tuple[int, ...], lam: Fraction, xs: Sequence[Fraction], order: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The values beta_n(x) for n <= order of the degenerate
+    multi-poly-Bernoulli family, one tuple per x of ``xs``.
+
+    The numerator is the multiple polylog in x, as the ints of
+    :func:`~polybern.special._multi_polylog_ints`, composed with
+    1 - e^{-t} by :func:`~polybern.series._compose`.  It is built once,
+    and :func:`_gf_values` builds the inverse unit power once, for every x.
+    An empty ``ks`` gives the empty chain sum 1, hence the values
+    (x)_{n,lam}.
+    """
+    work = order + len(ks)
+    egf, den = _compose(*_multi_polylog_ints(ks, work), Fraction(-1), Fraction(-1))
+    return _gf_values(egf, den, len(ks), lam, xs, order)
 
 
 def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> SequenceResult:
     """The degenerate multi-poly-Bernoulli polynomial values beta_n(x).
 
-    The numerator of :func:`_gf_values` is the multiple polylog in x
-    composed with 1 - e^{-t}, as the EGF ints of
-    :func:`~polybern.series._compose`.  An empty ``ks`` selects the
-    order-0 family (values (x)_{n,lam}, see :class:`FamilyQuery`), whose
-    numerator is the empty chain sum 1.
+    Computed by :func:`_polylog_family` at the one x.  An empty ``ks``
+    selects the order-0 family (values (x)_{n,lam}, see
+    :class:`FamilyQuery`), whose numerator is the empty chain sum 1.
     """
     query = FamilyQuery(ks=tuple(ks), lam=lam, x=x, order=order)
-    r = len(query.ks)
-    work = order + r
-    if r:
-        egf, den = _compose(multi_polylog(query.ks, work).coeffs, Fraction(-1), Fraction(-1))
-    else:
-        egf, den = [1] + [0] * order, 1
-    values = _gf_values(egf, den, r, query.lam, query.x, order)
+    (values,) = _polylog_family(query.ks, query.lam, (query.x,), order)
     return SequenceResult("degen-multi-poly", query, values)
 
 
@@ -199,9 +224,9 @@ def shifted_tail_basis(ks: Sequence[int], lam, x, order: int) -> tuple[list[list
     """
     ks = index_vector(ks)
     s = len(ks)
-    li, li_den = _over_common(multi_polylog(ks, order + s).coeffs)
+    li, li_den = _multi_polylog_ints(ks, order + s)
     u_s = [sum(comb(s, j) * (-1) ** j * (-j) ** n for j in range(s + 1)) for n in range(order + s + 1)]
-    column, den = _over_common(_gf_values(u_s, 1, s, lam, x, order))
+    column, den = _over_common(_gf_values(u_s, 1, s, lam, (x,), order)[0])
     weights = [[(-1) ** (k + 1) * comb(n, k) for k in range(1, n + 1)] for n in range(order + 1)]
     columns = [[0] * (order + 1)] * s
     for p in range(s, order + s + 1):
@@ -245,7 +270,7 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     weights, den = _over_common([Fraction(0)] + [inv_pow(p, k - 1) for p in range(1, work + 1)])
     egf = [sum(map(mul, row, weights)) for row in stirling_table("first_signed", work).rows]
     query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
-    values = _gf_values(egf, den, 1, query.lam, query.x, order)
+    (values,) = _gf_values(egf, den, 1, query.lam, (query.x,), order)
     return SequenceResult("type2-poly", query, values)
 
 

@@ -26,10 +26,11 @@ are also what the family pipeline runs on directly.
 Composition takes only the inner series the families need: one of the
 form alpha (e^{beta t} - 1), as 1 - e^{-t} is, composed in O(N^2) through
 the expansion of its powers in exponentials (:func:`_compose`).  Any other
-inner series, such as log(1 + t) or t, is refused.  The kernel returns
-the EGF ints of the result over one denominator, the numerator form the
-family pipeline takes, so the families call it with alpha = beta = -1
-and no Fraction in between.
+inner series, such as log(1 + t) or t, is refused.  The kernel takes the
+outer series as ints over one denominator and returns the EGF ints of the
+result over one denominator, the numerator form the family pipeline
+takes, so the families pass it the multiple polylog's ints with
+alpha = beta = -1 and no Fraction in between.
 """
 
 from __future__ import annotations
@@ -132,9 +133,12 @@ def _is_exponential(units: list[int]) -> bool:
     return all(units[k + 1] * u1 == units[k] * u2 for k in range(2, len(units) - 1))
 
 
-def _compose(outer: Sequence[Fraction], alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
-    """f(u) for u = alpha (e^{beta t} - 1), up to the order len(outer) - 1,
+def _compose(a: Sequence[int], den: int, alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
+    """f(u) for u = alpha (e^{beta t} - 1), up to the order len(a) - 1,
     as its EGF ints E over one denominator D: E[n] / D = n! [t^n] f(u).
+    The outer series f comes as ints over one denominator,
+    a_m = a[m] / den, the form :func:`_over_common` makes and the
+    multiple polylog's int kernel returns.
 
     Expanding u^m = alpha^m sum_j C(m,j) (-1)^(m-j) e^{j beta t} gives
 
@@ -146,8 +150,7 @@ def _compose(outer: Sequence[Fraction], alpha: Fraction, beta: Fraction) -> tupl
     ints, O(N^2) subtractions.  The power sums are O(N^2) small-int
     products.  Orders 0 and 1 need no special case.
     """
-    target = len(outer) - 1
-    a, den = _over_common(outer)
+    target = len(a) - 1
     pa, qa = alpha.numerator, alpha.denominator
     pb, qb = beta.numerator, beta.denominator
     # c_j * qa^target * den
@@ -267,7 +270,7 @@ class TruncatedSeries:
         if not _is_exponential(units):
             raise ValueError("composition takes only an inner series alpha (e^{beta t} - 1)")
         beta = Fraction(units[2], units[1])
-        egf, den = _compose(self._coeffs[: target + 1], Fraction(units[1], d) / beta, beta)
+        egf, den = _compose(*_over_common(self._coeffs[: target + 1]), Fraction(units[1], d) / beta, beta)
         return TruncatedSeries(Fraction(e, den * facts[n]) for n, e in enumerate(egf))
 
     def div_tpow(self, r: int) -> "TruncatedSeries":

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .rationals import as_rational, inv_pow
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _reduced
 
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
 
@@ -107,6 +109,29 @@ def polyexp(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _multi_polylog_ints(ks: Sequence[int], order: int) -> tuple[list[int], int]:
+    """The multiple polylogarithm Li_ks up to x^order as ints over their
+    least common denominator: coefficient n is ints[n] / den.
+
+    Chains are summed by their last element, from the empty chain that ends
+    at 0: c_j[q] = q^-k_j * sum_{n<q} c_{j-1}[n], one prefix sum per index.
+    For k_j >= 0 the powers q^-k_j are the ints (L/q)^k_j over L^k_j,
+    L = lcm(1..order); for k_j < 0 they are the ints q^-k_j.  The product
+    of the per-index denominators is reduced once at the end.  An empty
+    ``ks`` gives the empty chain sum, the constant 1.
+    """
+    top = lcm(*range(1, order + 1))
+    chains, den = [1] + [0] * order, 1
+    for k in ks:
+        if k >= 0:
+            powers, scale = [(top // q) ** k for q in range(1, order + 1)], top**k
+        else:
+            powers, scale = [q**-k for q in range(1, order + 1)], 1
+        chains = [0, *map(mul, accumulate(chains[:-1]), powers)]
+        den *= scale
+    return _reduced(chains, den)
+
+
 def multi_polylog(ks: Sequence[int], order: int) -> TruncatedSeries:
     """Multiple polylogarithm of depth r = len(ks) as a series in x.
 
@@ -114,26 +139,19 @@ def multi_polylog(ks: Sequence[int], order: int) -> TruncatedSeries:
     of the product of n_i^{-k_i}, times n^{-k_r}.  It vanishes for n < r
     (the shortest chain is 1 < 2 < ... < r).
 
-    Computed by the prefix-sum recurrence A_1(m) = m^{-k_1},
+    Computed over ints by the prefix-sum recurrence of
+    :func:`_multi_polylog_ints`, A_1(m) = m^{-k_1},
     A_j(m) = m^{-k_j} * sum_{m' < m} A_{j-1}(m'), answer A_r(n); cost
-    O(r * order).  Chain enumeration would visit C(n-1, r-1) chains per
+    O(r * order) int operations.  The family pipeline and the identity
+    checks read those ints directly; this is the series form of the
+    ``series`` verb.  Chain enumeration would visit C(n-1, r-1) chains per
     coefficient and is kept only as a test oracle.
     """
     ks = index_vector(ks)
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = [Fraction(0)] * (order + 1)
-    level = [inv_pow(m, ks[0]) for m in range(1, order + 1)]
-    for k in ks[1:]:
-        running = Fraction(0)
-        nxt = []
-        for m in range(1, order + 1):
-            nxt.append(inv_pow(m, k) * running)
-            running += level[m - 1]
-        level = nxt
-    for n in range(1, order + 1):
-        coeffs[n] = level[n - 1]
-    return TruncatedSeries(coeffs)
+    ints, den = _multi_polylog_ints(ks, order)
+    return TruncatedSeries(Fraction(c, den) for c in ints)
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,14 @@ from operator import add, floordiv, mul
 from .families import (
     FamilyQuery,
     _gf_values,
+    _polylog_family,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     shifted_tail_basis,
 )
 from .rationals import as_rational, decimal_string, format_rational, inv_pow
 from .series import TruncatedSeries, _over_common
-from .special import index_vector, multi_polylog, stirling_table
+from .special import _multi_polylog_ints, index_vector, multi_polylog, stirling_table
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,15 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     The falling products (y)_{j,lam} = y (y - lam) ... (y - (j-1) lam) come
     from their own recurrence, not from the degenerate exponential the
     family pipeline takes them from, and the sum is one integer binomial
-    convolution over common denominators.
+    convolution over common denominators.  Both sides' family values come
+    from one pipeline call at x + y and x.
     """
     ks = index_vector(ks)
+    if order < 0:
+        raise ValueError("order must be non-negative")
     lam, x, y = as_rational(lam), as_rational(x), as_rational(y)
-    shifted = degenerate_multi_poly_bernoulli(ks, lam, x + y, order).values
-    base, base_den = _over_common(degenerate_multi_poly_bernoulli(ks, lam, x, order).values)
+    shifted, base = _polylog_family(ks, lam, (x + y, x), order)
+    base, base_den = _over_common(base)
     falling = accumulate((y - j * lam for j in range(order)), mul, initial=Fraction(1))
     falling, falling_den = _over_common(list(falling))
     den = base_den * falling_den
@@ -251,16 +255,17 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     ks = index_vector(ks)
     if order < 1:
         raise ValueError("order must be at least 1")
-    li = multi_polylog(ks, order)
-    lowered = multi_polylog(ks[:-1] + (ks[-1] - 1,), order)
-    lhs10 = li.derive().mul_tpow(1)
-    rows = [ReportRow("x-derivative", n, lhs10[n], lowered[n]) for n in range(order + 1)]
+    li, li_den = _multi_polylog_ints(ks, order)
+    lowered, lowered_den = _multi_polylog_ints(ks[:-1] + (ks[-1] - 1,), order)
+    # x d/dx multiplies coefficient n by n
+    rows = [ReportRow("x-derivative", n, Fraction(n * li[n], li_den), Fraction(lowered[n], lowered_den))
+            for n in range(order + 1)]
     if len(ks) >= 2:
-        tail_one = ks[:-1] + (1,)
-        d = multi_polylog(tail_one, order).derive()
-        lhs11 = [d[n] - d[n - 1] if n else d[0] for n in range(order)]
-        dropped = multi_polylog(ks[:-1], order)
-        rows += [ReportRow("one-minus-x-derivative", n, lhs11[n], dropped[n]) for n in range(order)]
+        tail, tail_den = _multi_polylog_ints(ks[:-1] + (1,), order)
+        dropped, dropped_den = _multi_polylog_ints(ks[:-1], order)
+        # coefficient n of (1 - x) d/dx is (n + 1) c[n + 1] - n c[n]
+        rows += [ReportRow("one-minus-x-derivative", n, Fraction((n + 1) * tail[n + 1] - n * tail[n], tail_den),
+                           Fraction(dropped[n], dropped_den)) for n in range(order)]
     return VerificationReport("deriv", {"ks": list(ks), "order": order}, tuple(rows))
 
 
@@ -295,7 +300,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         coeffs = [0, *map(mul, accumulate(coeffs[:-1]), powers)]
         den *= power_den
     total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
-    rhs = _gf_values(total, den, r, lam, x, order)
+    (rhs,) = _gf_values(total, den, r, lam, (x,), order)
 
     rows = [ReportRow("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
     return VerificationReport("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
@@ -474,7 +479,6 @@ def verify_difference(
     if order < 1:
         raise ValueError("difference check needs order >= 1")
 
-    upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
-    base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
+    upper, base = _polylog_family(ks, lam, (x + 1, x), order)
     lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
     return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, _u_powers(order)[1:], 1)

@@ -53,14 +53,11 @@ FAULTS = {
     "gf-unit-power-r-plus-1": ("families.py", "unit_den), r)", "unit_den), r + 1)"),
     "inverse-without-a1": ("series.py", "a[n:0:-1]", "a[n:1:-1]"),
     "degenerate-exp-step": ("special.py", "(start - j * step)", "(start - (j + 1) * step)"),
-    "family-compose-alpha-plus-1": ("families.py", "coeffs, Fraction(-1), Fraction(-1))",
-                                    "coeffs, Fraction(1), Fraction(-1))"),
+    "family-compose-alpha-plus-1": ("families.py", "work), Fraction(-1), Fraction(-1))",
+                                    "work), Fraction(1), Fraction(-1))"),
     "u-powers-unsigned": ("verify.py", "signed[(l - m) & 1]", "signed[0]"),
     "tail-basis-u-sign": ("families.py", "(-1) ** (k + 1) * comb(n, k)", "(-1) ** k * comb(n, k)"),
-    "polylog-non-strict-chains": (
-        "special.py",
-        "nxt.append(inv_pow(m, k) * running)\n            running += level[m - 1]",
-        "running += level[m - 1]\n            nxt.append(inv_pow(m, k) * running)"),
+    "polylog-non-strict-chains": ("special.py", "accumulate(chains[:-1])", "list(accumulate(chains))[1:]"),
     "product-without-a0-term": ("series.py", "a[: k + 1], rb[n - 1 - k :]", "a[1 : k + 1], rb[n - k :]"),
     "power-base-den-unsquared": ("series.py", "base[1] * base[1])", "base[1])"),
     "compose-shift-by-plus-1": ("series.py", "c[j] -= c[j + 1]", "c[j] += c[j + 1]"),
@@ -69,6 +66,7 @@ FAULTS = {
     "combine-minus-1-as-1": ("verify.py", "vector if c == 1 else", "vector if abs(c) == 1 else"),
     "stirling-second-k-off-by-one": ("special.py", "zip(range(1, n + 1), above, prev)",
                                      "zip(range(n), above, prev)"),
+    "quotient-first-x-only": ("families.py", "for x in xs:", "for x in [xs[0]] * len(xs):"),
 }
 
 # run in a fresh interpreter: import the package from the copy given as the

@@ -117,6 +117,20 @@ def chain_coefficient(ks: tuple[int, ...], n: int) -> Fraction:
     return total * last
 
 
+def polylog_prefix_sums(ks: tuple[int, ...], order: int) -> list[Fraction]:
+    """Coefficients x^0..x^order of the multiple polylogarithm by the prefix
+    sums A_j(m) = m^-k_j * sum_{m' < m} A_{j-1}(m') on Fractions, with
+    A_0 the empty chain at 0 (the constant 1 for an empty ``ks``)."""
+    level = [Fraction(1)] + [Fraction(0)] * order
+    for k in ks:
+        running, nxt = Fraction(0), [Fraction(0)]
+        for m in range(1, order + 1):
+            running += level[m - 1]
+            nxt.append(running * (Fraction(1, m**k) if k >= 0 else m ** (-k)))
+        level = nxt
+    return level
+
+
 def count_set_partitions(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k blocks.
 

@@ -32,9 +32,9 @@ from polybern.families import (
 )
 from polybern.series import ValuationError
 from polybern.special import (
+    _multi_polylog_ints,
     falling_factorial,
     log1p_series,
-    multi_polylog,
     polyexp,
 )
 from polybern.verify import verify_chain_stirling
@@ -304,7 +304,7 @@ def _type2_by_composition(k, x, order):
     # not read from the signed Stirling table as type2_poly_bernoulli reads it
     work = order + 1
     numerator = power_table_compose(list(polyexp(k, work)), list(log1p_series(work)), work)
-    return _gf_values(*egf_ints(numerator), 1, 0, x, order)
+    return _gf_values(*egf_ints(numerator), 1, 0, (x,), order)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,13 +358,12 @@ def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
     # else random ints from t^r on over a random denominator
     work = order + r
     if data is None:
-        egf, den = series._compose(multi_polylog((2,) * r, work).coeffs, Fraction(-1), Fraction(-1)) \
-            if r else ([1] + [0] * order, 1)
+        egf, den = series._compose(*_multi_polylog_ints((2,) * r, work), Fraction(-1), Fraction(-1))
     else:
         tail = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1), label="tail")
         egf, den = [0] * r + tail, data.draw(st.integers(1, 10**6), label="den")
     numerator = [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
-    assert _gf_values(egf, den, r, lam, x, order) == fraction_pipeline(numerator, r, lam, x, order)
+    assert _gf_values(egf, den, r, lam, (x,), order) == (fraction_pipeline(numerator, r, lam, x, order),)
 
 
 def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):
@@ -373,8 +372,54 @@ def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):
         for low in range(r):
             bad = [0] * low + [1] + [0] * (r - low - 1) + [1] + [0] * order
             with pytest.raises(ValuationError, match="valuation too small"):
-                _gf_values(bad, 7, r, lam, x, order)
+                _gf_values(bad, 7, r, lam, (x,), order)
     # through a family: a polylog one index short has valuation r - 1 < r
-    monkeypatch.setattr(families, "multi_polylog", lambda ks, work: multi_polylog(ks[:-1], work))
+    monkeypatch.setattr(families, "_multi_polylog_ints", lambda ks, work: _multi_polylog_ints(ks[:-1], work))
     with pytest.raises(ValuationError, match="valuation too small"):
         degenerate_multi_poly_bernoulli((2, 1), lam, x, order)
+
+
+def _numerator(kind, ks, order):
+    """A family numerator as EGF ints over one denominator, and its r:
+    the composed polylog, the Carlitz t^r / r!, or the type-2 Ei_k(log(1+t))
+    with k the first index (1 for none) through the oracles' power table."""
+    r = len(ks)
+    if kind == "polylog":
+        return (*series._compose(*_multi_polylog_ints(ks, order + r), Fraction(-1), Fraction(-1)), r)
+    if kind == "carlitz":
+        return [0] * r + [1] + [0] * order, 1, r
+    work = order + 1
+    numerator = power_table_compose(list(polyexp(ks[0] if ks else 1, work)), list(log1p_series(work)), work)
+    return (*egf_ints(numerator), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["polylog", "carlitz", "type2"]),
+    ks=st.lists(st.integers(min_value=-2, max_value=3), max_size=3).map(tuple),
+    lam=pipeline_lams,
+    xs=st.lists(small_rationals, min_size=1, max_size=4),
+    order=st.integers(min_value=0, max_value=12),
+)
+@example(kind="polylog", ks=(), lam=Fraction(1, 3), xs=[Fraction(1, 2), Fraction(-2)], order=8)
+@example(kind="polylog", ks=(2, 1), lam=Fraction(0), xs=[Fraction(1, 3), Fraction(1, 3), Fraction(0)], order=12)
+@example(kind="carlitz", ks=(1, 1, 1), lam=Fraction(-7, 9), xs=[Fraction(8, 9), Fraction(17, 9)], order=12)
+@example(kind="type2", ks=(3,), lam=Fraction(0), xs=[Fraction(2, 3), Fraction(2, 3)], order=12)
+def test_pipeline_at_several_x_is_the_pipeline_at_each_x(kind, ks, lam, xs, order):
+    # one pipeline call for every x against one call per x, and against the
+    # Fraction pipeline of the oracles at each x
+    egf, den, r = _numerator(kind, ks, order)
+    values = _gf_values(egf, den, r, lam, xs, order)
+    assert values == tuple(_gf_values(egf, den, r, lam, (x,), order)[0] for x in xs)
+    numerator = [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
+    assert values == tuple(fraction_pipeline(numerator, r, lam, x, order) for x in xs)
+    if kind == "polylog":
+        assert families._polylog_family(ks, lam, xs, order) == values
+        assert values == tuple(degenerate_multi_poly_bernoulli(ks, lam, x, order).values for x in xs)
+
+
+def test_empty_index_vector_gives_the_falling_products_at_each_x():
+    lam, order = Fraction(-1, 3), 6
+    xs = (Fraction(1, 2), Fraction(5), Fraction(1, 2))
+    expected = tuple(tuple(falling_factorial(x, n, lam) for n in range(order + 1)) for x in xs)
+    assert families._polylog_family((), lam, xs, order) == expected

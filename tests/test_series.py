@@ -269,7 +269,7 @@ def test_compose_routes_agree_at_large_order(alpha, beta, order):
 def test_compose_kernel_ints_match_the_series_composition(outer):
     # the EGF ints the families take, against compose with 1 - e^{-t}, which
     # at orders 0 and 1 does not reach the kernel
-    egf, den = series._compose(outer.coeffs, Fraction(-1), Fraction(-1))
+    egf, den = series._compose(*series._over_common(outer.coeffs), Fraction(-1), Fraction(-1))
     composed = outer.compose(one_minus_exp_neg(outer.order))
     assert [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)] == list(composed.coeffs)
 

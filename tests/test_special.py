@@ -4,13 +4,20 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_coefficient, count_permutations_by_cycles, count_set_partitions, power_table_compose
+from oracles import (
+    chain_coefficient,
+    count_permutations_by_cycles,
+    count_set_partitions,
+    polylog_prefix_sums,
+    power_table_compose,
+)
 from polybern import cli
-from polybern.series import TruncatedSeries
+from polybern.series import TruncatedSeries, _over_common
 from polybern.special import (
+    _multi_polylog_ints,
     degenerate_exp,
     falling_factorial,
     index_vector,
@@ -197,6 +204,27 @@ def test_dp_equals_chain_enumeration():
         s = multi_polylog(ks, 9)
         for n in range(10):
             assert s[n] == chain_coefficient(ks, n), (ks, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ks=st.lists(st.integers(min_value=-3, max_value=5), min_size=1, max_size=4).map(tuple),
+    order=st.integers(min_value=0, max_value=40),
+)
+@example(ks=(5, 5, 5, 5), order=40)
+@example(ks=(-3, -3, -3, -3), order=40)
+@example(ks=(2, 1), order=0)
+@example(ks=(1, 1, 1, 1), order=2)
+def test_polylog_ints_are_the_series_over_its_least_common_denominator(ks, order):
+    ints, den = _multi_polylog_ints(ks, order)
+    assert (ints, den) == _over_common(multi_polylog(ks, order).coeffs)
+    assert (ints, den) == _over_common(polylog_prefix_sums(ks, order))
+
+
+def test_polylog_ints_of_the_empty_index_vector_are_the_constant_one():
+    for order in (0, 1, 7):
+        assert _multi_polylog_ints((), order) == ([1] + [0] * order, 1)
+        assert polylog_prefix_sums((), order) == [1] + [0] * order
 
 
 def test_index_vector_validation():

@@ -273,6 +273,12 @@ def test_addition_at_x_zero_matches_expansion():
     exp_rows = {r.n: r.lhs for r in rows_for(expansion, "number-expansion")}
     assert add_rows == exp_rows
 
+def test_addition_and_expansion_refuse_a_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        verify_addition((2, 1), THIRD, HALF, THIRD, -1)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        verify_polynomial_expansion((2, 1), THIRD, HALF, -1)
+
 # -- report contracts ----------------------------------------------------------------
 
 def test_report_status_reflects_rows():
