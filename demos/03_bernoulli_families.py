@@ -15,11 +15,10 @@ from fractions import Fraction
 from polybern import (
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
-    falling_factorial,
-    falling_factorial_expansion,
     multi_poly_bernoulli,
     poly_bernoulli,
     type2_poly_bernoulli,
+    verify_polynomial_expansion,
 )
 
 third = Fraction(1, 3)
@@ -45,10 +44,9 @@ print("multi-poly at lam=0, ks=(1,2):", multi_poly_bernoulli((1, 2), 0, 5).value
 print()
 print("== polynomial structure through the falling-product basis ==")
 ks, lam, x, n = (2, 1), third, Fraction(2, 3), 5
-pairs = falling_factorial_expansion(ks, lam, n)
-print(f"beta_{n}(x) expands as sum of C(n,l)*beta_l times (x)_{{n-l,lam}}:")
-for coeff, idx in pairs:
-    print(f"  {coeff} * (x)_{{{idx},lam}}")
-value = sum(c * falling_factorial(x, m, lam) for c, m in pairs)
-direct = degenerate_multi_poly_bernoulli(ks, lam, x, n).values[n]
-print("evaluated at x=2/3:", value, "| direct pipeline:", direct, "| equal:", value == direct)
+print("ks=(2,1), lam=1/3, x=2/3: beta_n(x) against sum_l C(n,l) * beta_l * (x)_{n-l,lam},")
+print("with (x)_{m,lam} = x(x-lam)...(x-(m-1)lam):")
+report = verify_polynomial_expansion(ks, lam, x, n)
+for row in report.rows:
+    print(f"  n={row.n}: direct pipeline {row.lhs} | falling-product sum {row.rhs}")
+print("status:", report.status, "(every row equal)")

@@ -9,8 +9,9 @@ The package is organized bottom up:
     the exact coefficient field ("p/q" wire format, chain-sum weights,
     decimal rendering for diagnostics)
 ``series``
-    dense truncated power series (product, inversion, composition,
-    monomial shifts, derivative)
+    dense truncated power series (scalar multiple, power) and the int
+    kernels under the family pipeline (product, power, inversion,
+    composition with 1 - e^{-t})
 ``special``
     named series and tables (degenerate exponentials, multiple
     polylogarithms, polyexponentials, Stirling triangles)
@@ -27,7 +28,6 @@ from .families import (
     SequenceResult,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
-    falling_factorial_expansion,
     multi_poly_bernoulli,
     poly_bernoulli,
     type2_poly_bernoulli,
@@ -37,7 +37,6 @@ from .series import TruncatedSeries, ValuationError
 from .special import (
     StirlingTable,
     degenerate_exp,
-    falling_factorial,
     log1p_series,
     multi_polylog,
     one_minus_exp_neg,
@@ -70,8 +69,6 @@ __all__ = [
     "decimal_string",
     "degenerate_exp",
     "degenerate_multi_poly_bernoulli",
-    "falling_factorial",
-    "falling_factorial_expansion",
     "format_rational",
     "inv_pow",
     "log1p_series",

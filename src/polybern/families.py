@@ -272,21 +272,3 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
     (values,) = _gf_values(egf, den, 1, query.lam, (query.x,), order)
     return SequenceResult("type2-poly", query, values)
-
-
-def falling_factorial_expansion(ks: Sequence[int], lam, n: int) -> tuple[tuple[Fraction, int], ...]:
-    """Expansion of beta_n(x) in the falling-product basis (x)_{m,lam}.
-
-    Returns the n+1 pairs (C(n,l) * beta_l, n-l), meaning
-
-        beta_n(x) = sum_l C(n,l) * beta_l * (x)_{n-l,lam}
-
-    where beta_l are the family's numbers (x = 0).  Evaluating the pairs at
-    any rational x with :func:`~polybern.special.falling_factorial`
-    reproduces the polynomial values.
-    """
-    ks = index_vector(ks)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    numbers = degenerate_multi_poly_bernoulli(ks, lam, 0, n).values
-    return tuple((comb(n, l) * numbers[l], n - l) for l in range(n + 1))

@@ -1,36 +1,37 @@
-"""Dense truncated formal power series over exact rationals.
+"""Dense truncated formal power series over exact rationals, and the int
+kernels the family pipeline runs on.
 
 A :class:`TruncatedSeries` holds the coefficients ``c[0..order]`` of a
 formal power series in one variable ``t``; nothing beyond ``order`` is
-known, as opposed to zero.  The truncation order is part of the value and
-every binary operation truncates its result to the smaller operand order,
-so the order of a series is always a trustworthy statement of how many
-coefficients are exact.  Silent order extension is the classic source of
-wrong generating-function code and is never performed; the one deliberate
-exception is multiplication by a monomial ``t**r`` (:meth:`mul_tpow`),
-whose result is exactly determined up to ``order + r``.
+known, as opposed to zero.  The truncation order is part of the value:
+a scalar multiple and a power keep it, and the int product
+(:func:`_product`) truncates to the shorter operand, so the order of a
+series is always a trustworthy statement of how many coefficients are
+exact.  Silent order extension is the classic source of wrong
+generating-function code and is never performed.
 
 Coefficients are ``fractions.Fraction``; integers are accepted and
 coerced, floats are rejected.  Values are immutable and safe to share.
+The class is the value type of the named series in
+:mod:`polybern.special`; it multiplies by a scalar and raises to a power,
+and nothing more.
 
 Representation is dense: these series are dense in practice and orders
 stay at desk scale, so the O(N^2) product is the right trade against
-exactness (there is no useful FFT over rationals).  The inner work of
-products, powers, inversion and composition runs on Python ints, not
-Fractions: each operand is scaled over one common denominator
-(:func:`_over_common`), the sums are taken over the integers, and one
-Fraction is built per output coefficient.  The int kernels
-(:func:`_product`, :func:`_power`, :func:`_inverse`, :func:`_reduced`)
-are also what the family pipeline runs on directly.
+exactness (there is no useful FFT over rationals).  The work runs on
+Python ints, not Fractions: each operand is scaled over one common
+denominator (:func:`_over_common`), the sums are taken over the integers,
+and one Fraction is built per output coefficient.  The int kernels
+(:func:`_product`, :func:`_power`, :func:`_inverse`, :func:`_compose`,
+:func:`_reduced`) are what the family pipeline runs on directly.
 
-Composition takes only the inner series the families need: one of the
-form alpha (e^{beta t} - 1), as 1 - e^{-t} is, composed in O(N^2) through
-the expansion of its powers in exponentials (:func:`_compose`).  Any other
-inner series, such as log(1 + t) or t, is refused.  The kernel takes the
-outer series as ints over one denominator and returns the EGF ints of the
-result over one denominator, the numerator form the family pipeline
-takes, so the families pass it the multiple polylog's ints with
-alpha = beta = -1 and no Fraction in between.
+The composition kernel :func:`_compose` takes only the inner series the
+families need: one of the form alpha (e^{beta t} - 1), as 1 - e^{-t} is,
+composed in O(N^2) through the expansion of its powers in exponentials.
+It takes the outer series as ints over one denominator and returns the
+EGF ints of the result over one denominator, the numerator form the
+family pipeline takes, so the families pass it the multiple polylog's
+ints with alpha = beta = -1 and no Fraction in between.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ Scalar = Union[int, Fraction]
 class ValuationError(ArithmeticError):
     """A series had a nonzero coefficient below a required valuation.
 
-    Raised by :meth:`TruncatedSeries.div_tpow` and by the family pipeline
-    :func:`polybern.families._gf_values`.  This is a correctness guard,
-    not an input error: a nonzero coefficient below the expected valuation
-    of a generating-function numerator indicates an upstream math bug
-    (most plausibly in chain-sum construction), so callers should not
-    catch and continue.
+    Raised by the family pipeline :func:`polybern.families._gf_values`
+    when a numerator's EGF ints are nonzero below t^r.  This is a
+    correctness guard, not an input error: a nonzero coefficient below the
+    expected valuation of a generating-function numerator indicates an
+    upstream math bug (most plausibly in chain-sum construction), so
+    callers should not catch and continue.
     """
 
 
@@ -119,18 +120,6 @@ def _inverse(a: list[int], den: int) -> tuple[list[int], int]:
             db = grown
         scaled.append(bn.numerator * (db // q))
     return scaled, db
-
-
-def _is_exponential(units: list[int]) -> bool:
-    """Whether the EGF ints U_k = d k! u_k of an inner series u are geometric
-    from k = 1 on, with U_1 and U_2 nonzero: U_{k+1} U_1 = U_k U_2 for
-    k >= 1.  Then u = alpha (e^{beta t} - 1) up to its order, with
-    beta = U_2 / U_1 and alpha beta = U_1 / d.  ``units`` has at least
-    three entries."""
-    if not units[1] or not units[2]:
-        return False
-    u1, u2 = units[1], units[2]
-    return all(units[k + 1] * u1 == units[k] * u2 for k in range(2, len(units) - 1))
 
 
 def _compose(a: Sequence[int], den: int, alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
@@ -209,15 +198,10 @@ class TruncatedSeries:
         body = ", ".join(str(c) for c in self._coeffs)
         return f"TruncatedSeries([{body}])"
 
-    # -- ring operations ----------------------------------------------------
+    # -- scalar multiple and power ---------------------------------------------
 
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            a, da = _over_common(self._coeffs[: n + 1])
-            b, db = _over_common(other._coeffs[: n + 1])
-            den = da * db
-            return TruncatedSeries(Fraction(c, den) for c in _product(a, b))
+        """A scalar multiple; a series operand is refused like a float."""
         c = _coeff(other)
         return TruncatedSeries([c * ci for ci in self._coeffs])
 
@@ -225,83 +209,6 @@ class TruncatedSeries:
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer (invert first for negative powers)")
+            raise ValueError("series exponent must be a non-negative integer")
         power, den = _power(*_over_common(self._coeffs), exponent)
         return TruncatedSeries(Fraction(c, den) for c in power)
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the same order.
-
-        The coefficients are held as ints over their common denominator and
-        inverted by the int recurrence of :func:`_inverse`.  Requires a unit
-        series (nonzero constant term).
-        """
-        if self._coeffs[0] == 0:
-            raise ValueError("non-unit series")
-        inverse, den = _inverse(*_over_common(self._coeffs))
-        return TruncatedSeries(Fraction(c, den) for c in inverse)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)) for an inner series u = alpha (e^{beta t} - 1).
-
-        ``inner`` must have zero constant term; then coefficient n of the
-        result depends only on coefficients up to n of both operands, so
-        the result is exact up to min(order, inner.order).
-
-        With U_k = d * k! * u_k, d the least common denominator of the
-        k! * u_k, u has that form up to its order when the U_k are
-        geometric from k = 1 on (U_{k+1} U_1 = U_k U_2, with U_1 and U_2
-        nonzero), and :func:`_compose` sums the outer series over the
-        exponentials e^{j beta t} in O(N^2); its EGF ints become one
-        Fraction per coefficient.  This is the route of 1 - e^{-t}, the
-        inner series of the polylog families.  Up to order 1 the result is
-        a_0 + a_1 u_1 t for any inner series; any other inner series raises
-        ValueError.
-        """
-        if inner._coeffs[0] != 0:
-            raise ValueError("composition requires zero constant term")
-        target = min(self.order, inner.order)
-        if target <= 1:  # a_0 + a_1 u_1 t, whatever the form of u
-            return TruncatedSeries(map(mul, self._coeffs[: target + 1], (1,) + inner._coeffs[1:2]))
-        facts = [1]
-        for n in range(1, target + 1):
-            facts.append(facts[-1] * n)
-        units, d = _over_common([facts[k] * inner._coeffs[k] for k in range(target + 1)])
-        if not _is_exponential(units):
-            raise ValueError("composition takes only an inner series alpha (e^{beta t} - 1)")
-        beta = Fraction(units[2], units[1])
-        egf, den = _compose(*_over_common(self._coeffs[: target + 1]), Fraction(units[1], d) / beta, beta)
-        return TruncatedSeries(Fraction(e, den * facts[n]) for n, e in enumerate(egf))
-
-    def div_tpow(self, r: int) -> "TruncatedSeries":
-        """Exact division by t**r, dropping the order by r.
-
-        Every coefficient below r must be zero; a nonzero one raises
-        :class:`ValuationError` instead of being silently discarded.
-        """
-        if r < 0:
-            raise ValueError("shift must be non-negative")
-        if r == 0:
-            return self
-        if r > self.order:
-            raise ValueError("shift exceeds series order")
-        if any(c != 0 for c in self._coeffs[:r]):
-            raise ValuationError("valuation too small")
-        return TruncatedSeries(self._coeffs[r:])
-
-    def mul_tpow(self, r: int) -> "TruncatedSeries":
-        """Multiply by t**r.  The product is exactly determined up to
-        order + r, so this is the one operation allowed to raise the order
-        (it inverts :meth:`div_tpow`).
-        """
-        if r < 0:
-            raise ValueError("shift must be non-negative")
-        return TruncatedSeries((Fraction(0),) * r + self._coeffs)
-
-    def derive(self) -> "TruncatedSeries":
-        """Formal derivative; the order drops by one."""
-        if self.order == 0:
-            raise ValueError("derivative of an order-0 series has no known coefficients")
-        return TruncatedSeries(
-            [(n + 1) * self._coeffs[n + 1] for n in range(self.order)]
-        )

@@ -34,18 +34,6 @@ def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def falling_factorial(x, n: int, lam) -> Fraction:
-    """The product x (x - lam) ... (x - (n-1) lam); equals x**n at lam = 0."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    x = as_rational(x)
-    lam = as_rational(lam)
-    result = Fraction(1)
-    for j in range(n):
-        result *= x - j * lam
-    return result
-
-
 def _degenerate_exp_ints(x, lam, order: int) -> tuple[list[int], int]:
     """The degenerate exponential (1 + lam*t)^(x/lam) as ints E[0..order]
     over one denominator D: coefficient n is E[n] / D.

@@ -208,6 +208,15 @@ def bernoulli_polynomial(n: int, x: Fraction, numbers: list[Fraction] | None = N
 # -- the family pipeline, from scratch ---------------------------------------
 
 
+def falling_factorial(x, n: int, lam) -> Fraction:
+    """The falling product x (x - lam) ... (x - (n-1) lam), one factor at a
+    time; x**n at lam = 0."""
+    result = Fraction(1)
+    for j in range(n):
+        result *= Fraction(x) - j * Fraction(lam)
+    return result
+
+
 def falling_egf(base: Fraction, lam: Fraction, order: int) -> list[Fraction]:
     """Coefficients (base)_{n,lam} / n! of e_lam^base(t), n <= order, the
     falling products base (base - lam) ... (base - (n-1) lam) by their own

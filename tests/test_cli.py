@@ -75,8 +75,8 @@ def test_numbers_other_families(capsys):
 
 
 def test_order_zero_calls(capsys):
-    # a depth-1 family at order 0 composes at order 1, where compose takes
-    # any inner series
+    # a depth-1 family at order 0 composes only up to order 1, the
+    # shortest composition the kernel is given
     code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "2", "--order", "0")
     assert code == 0 and json.loads(out)["values"] == ["1/1"]
     code, out, _ = run(capsys, "verify", "--identity", "expansion", "--ks", "2", "--lambda", "1/3",

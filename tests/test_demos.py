@@ -1,5 +1,6 @@
 """Every demo script prints its pinned output (``tests/golden/demo-*.out``),
-and README's quick start runs, against this checkout."""
+README's quick start runs, and README names the library surface as
+``polybern.__all__`` has it, against this checkout."""
 
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import polybern
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,3 +36,12 @@ def test_readme_quick_start_runs():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1/2", "pass"]
+
+
+def test_readme_library_surface_names_every_export():
+    # the paragraph that lists the library surface names each name of
+    # polybern.__all__ in backticks, and no other bare name
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Library surface:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+    assert named == set(polybern.__all__)

@@ -14,6 +14,7 @@ from oracles import (
     bernoulli_polynomial,
     convolve,
     falling_egf,
+    falling_factorial,
     long_divide,
     multi_poly_values,
     power_table_compose,
@@ -24,7 +25,6 @@ from polybern.families import (
     _gf_values,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
-    falling_factorial_expansion,
     multi_poly_bernoulli,
     poly_bernoulli,
     shifted_tail_basis,
@@ -33,11 +33,10 @@ from polybern.families import (
 from polybern.series import ValuationError
 from polybern.special import (
     _multi_polylog_ints,
-    falling_factorial,
     log1p_series,
     polyexp,
 )
-from polybern.verify import verify_chain_stirling
+from polybern.verify import verify_chain_stirling, verify_polynomial_expansion
 
 
 def beta0_closed_form(ks):
@@ -167,42 +166,49 @@ def test_type2_poly_bernoulli():
 # -- falling-factorial expansion -------------------------------------------------
 
 
+def falling_expansion(numbers, x, lam, n):
+    """sum_l C(n,l) beta_l (x)_{n-l,lam}, the falling products from the oracles."""
+    return sum(comb(n, l) * numbers[l] * falling_factorial(x, n - l, lam) for l in range(n + 1))
+
+
 def test_expansion_base_case():
-    pairs = falling_factorial_expansion((1, 2), Fraction(1, 3), 0)
-    assert pairs == ((Fraction(1, 2), 0),)
+    # beta_0(x) = beta_0 = 2!/(1 * 2^2) whatever x is
+    (row,) = verify_polynomial_expansion((1, 2), Fraction(1, 3), Fraction(2, 3), 0).rows
+    assert (row.n, row.lhs, row.rhs) == (0, Fraction(1, 2), Fraction(1, 2))
 
 
 def test_expansion_evaluates_to_numbers_at_zero():
     ks = (2, 1)
     lam = Fraction(1, 5)
     numbers = degenerate_multi_poly_bernoulli(ks, lam, 0, 6).values
+    report = verify_polynomial_expansion(ks, lam, 0, 6)
+    assert [row.rhs for row in report.rows] == list(numbers)
     for n in range(7):
-        pairs = falling_factorial_expansion(ks, lam, n)
-        at_zero = sum(c * falling_factorial(0, m, lam) for c, m in pairs)
-        assert at_zero == numbers[n]
+        assert falling_expansion(numbers, 0, lam, n) == numbers[n]
 
 
 def test_expansion_evaluates_to_polynomials():
     ks = (2, 1)
     lam = Fraction(1, 3)
     x = Fraction(2, 3)
+    numbers = degenerate_multi_poly_bernoulli(ks, lam, 0, 8).values
     direct = degenerate_multi_poly_bernoulli(ks, lam, x, 8).values
     for n in range(9):
-        pairs = falling_factorial_expansion(ks, lam, n)
-        assert len(pairs) == n + 1
-        value = sum(c * falling_factorial(x, m, lam) for c, m in pairs)
-        assert value == direct[n]
+        assert falling_expansion(numbers, x, lam, n) == direct[n]
 
 
 def test_expansion_pair_structure():
+    # the report's rows: the family at x against its falling-product expansion
     ks = (1, 1)
     lam = Fraction(1, 2)
+    x = Fraction(-3, 7)
     n = 5
     numbers = degenerate_multi_poly_bernoulli(ks, lam, 0, n).values
-    pairs = falling_factorial_expansion(ks, lam, n)
-    for l, (coeff, idx) in enumerate(pairs):
-        assert idx == n - l
-        assert coeff == comb(n, l) * numbers[l]
+    direct = degenerate_multi_poly_bernoulli(ks, lam, x, n).values
+    rows = [row for row in verify_polynomial_expansion(ks, lam, x, n).rows if row.check == "number-expansion"]
+    assert [row.n for row in rows] == list(range(n + 1))
+    assert [row.lhs for row in rows] == list(direct)
+    assert [row.rhs for row in rows] == [falling_expansion(numbers, x, lam, m) for m in range(n + 1)]
 
 
 # -- serialization ---------------------------------------------------------------

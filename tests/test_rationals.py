@@ -113,16 +113,16 @@ def test_format_rational_refuses_a_float():
     lambda f: families.multi_poly_bernoulli((2, 1), f, 2),
     lambda f: families.poly_bernoulli(2, f, 2),
     lambda f: families.type2_poly_bernoulli(2, f, 2),
-    lambda f: families.falling_factorial_expansion((2, 1), f, 2),
     lambda f: families.shifted_tail_basis((2,), f, 0, 2),
+    lambda f: families.shifted_tail_basis((2,), 0, f, 2),
     lambda f: special.degenerate_exp(f, Fraction(1, 4), 2),
     lambda f: special.degenerate_exp(Fraction(1, 2), f, 2),
-    lambda f: special.falling_factorial(f, 2, 0),
-    lambda f: special.falling_factorial(1, 2, f),
     lambda f: verify.verify_chain_stirling((2, 1), f, 0, 2),
+    lambda f: verify.verify_resummation((2, 0), f, 0, 2),
     lambda f: verify.verify_resummation((2, 0), 0, f, 2),
     lambda f: verify.verify_difference((2, 0), f, 0, 2),
     lambda f: verify.verify_polynomial_expansion((2, 1), 0, f, 2),
+    lambda f: verify.verify_addition((2, 1), 0, f, 0, 2),
     lambda f: verify.verify_addition((2, 1), 0, 0, f, 2),
 ])
 def test_public_entries_refuse_a_float(call):

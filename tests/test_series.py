@@ -1,4 +1,5 @@
-"""Truncated power series: ring laws, inversion, composition, shifts."""
+"""Truncated power series and the int kernels under the family pipeline:
+products, powers, inversion and composition against the oracles."""
 
 import json
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, brute_compose, convolve, long_divide, power_table_compose
-from polybern import cli, series
+from polybern import cli
 from polybern.rationals import parse_rational
-from polybern.series import TruncatedSeries, ValuationError
+from polybern.series import TruncatedSeries, _compose, _inverse, _over_common, _product
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 
 coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
@@ -39,6 +40,24 @@ def t_power(m, order):
     return TruncatedSeries([0] * m + [1] + [0] * (order - m))
 
 
+def product(a, b):
+    """The truncated product of two series through the int kernel."""
+    (ia, da), (ib, db) = _over_common(a.coeffs), _over_common(b.coeffs)
+    return [Fraction(c, da * db) for c in _product(ia, ib)]
+
+
+def inverse(a):
+    """The inverse of a unit series through the int kernel."""
+    ints, den = _inverse(*_over_common(a.coeffs))
+    return [Fraction(c, den) for c in ints]
+
+
+def compose(outer, alpha, beta):
+    """outer(alpha (e^{beta t} - 1)) through the int kernel, as Fractions."""
+    egf, den = _compose(*_over_common(list(outer)), Fraction(alpha), Fraction(beta))
+    return [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
+
+
 def test_construction_and_accessors():
     s = TruncatedSeries([1, Fraction(-1, 2), 0])
     assert s.order == 2
@@ -53,11 +72,9 @@ def test_construction_and_accessors():
 
 
 def test_mul_trivial_cases():
-    one_plus = TruncatedSeries([1, 1, 0])
-    one_minus = TruncatedSeries([1, -1, 0])
-    assert (one_plus * one_minus).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
+    assert _product([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
     a = TruncatedSeries([3, Fraction(1, 7), 2, 5])
-    assert a * t_power(0, a.order) == a
+    assert product(a, t_power(0, a.order)) == list(a)
 
 
 def test_mul_exponential_inverse_pair():
@@ -65,40 +82,40 @@ def test_mul_exponential_inverse_pair():
     n = 6
     expected = convolve(list(exp_series(n)), list(exp_series(n, sign=-1)), n)
     assert expected == [Fraction(1)] + [Fraction(0)] * n
-    assert (exp_series(n) * exp_series(n, sign=-1)).coeffs == tuple(expected)
+    assert product(exp_series(n), exp_series(n, sign=-1)) == expected
 
 
 def test_mul_truncates_to_min_order():
-    a = TruncatedSeries([1, 2, 3])
-    b = TruncatedSeries([1, 1])
-    assert (a * b).order == 1
+    assert _product([1, 2, 3], [1, 1]) == [1, 3]
 
 
 def test_scalar_arithmetic():
     a = TruncatedSeries([1, 2, 3])
     assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     assert (2 * a).coeffs == (2, 4, 6)
+    # the product of two series is the int kernel's alone
+    with pytest.raises(TypeError):
+        a * a
 
 
 def test_invert_geometric():
-    inv = TruncatedSeries([1, -1, 0, 0]).invert()
-    assert inv.coeffs == (1, 1, 1, 1)
-    assert t_power(0, 3).invert() == t_power(0, 3)
+    assert _inverse([1, -1, 0, 0], 1) == ([1, 1, 1, 1], 1)
+    assert _inverse([1, 0, 0, 0], 1) == ([1, 0, 0, 0], 1)
 
 
 def test_invert_bernoulli_unit():
     # ((e^t-1)/t)^-1 carries B_n/n!; oracle is the classical recurrence
     order = 8
     unit = TruncatedSeries([Fraction(1, factorial(n + 1)) for n in range(order + 1)])
-    inv = unit.invert()
+    inv = inverse(unit)
     for n, b in enumerate(bernoulli_numbers(order)):
         assert inv[n] == b / factorial(n)
-    assert inv.coeffs[:3] == (Fraction(1), Fraction(-1, 2), Fraction(1, 12))
+    assert inv[:3] == [Fraction(1), Fraction(-1, 2), Fraction(1, 12)]
 
 
 def test_invert_requires_unit():
-    with pytest.raises(ValueError, match="non-unit"):
-        TruncatedSeries([0, 1]).invert()
+    with pytest.raises(ZeroDivisionError):
+        _inverse([0, 1], 1)
 
 
 def test_compose_log_of_exp_is_identity():
@@ -108,43 +125,20 @@ def test_compose_log_of_exp_is_identity():
     inner = TruncatedSeries([Fraction(0)] + [Fraction((-1) ** (m + 1), factorial(m)) for m in range(1, n + 1)])
     expected = brute_compose(list(outer), list(inner), n)
     assert expected == [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    assert outer.compose(inner).coeffs == tuple(expected)
-
-
-REFUSED = "composition takes only an inner series alpha"
+    assert compose(outer, -1, -1) == expected
 
 
 def test_compose_square():
-    # t + t^2 is not alpha (e^{beta t} - 1): compose refuses it, the oracle squares it
+    # t + t^2 is not alpha (e^{beta t} - 1): the kernel does not take it, the oracle squares it
     outer = TruncatedSeries([0, 0, 1, 0])
     inner = TruncatedSeries([0, 1, 1, 0])
-    with pytest.raises(ValueError, match=REFUSED):
-        outer.compose(inner)
     assert power_table_compose(list(outer), list(inner), 3) == [0, 0, 1, 2]
 
 
 def test_compose_with_identity_is_identity():
     a = TruncatedSeries([5, Fraction(2, 3), -1, 7])
     t = t_power(1, 3)
-    with pytest.raises(ValueError, match=REFUSED):
-        a.compose(t)
     assert power_table_compose(list(a), list(t), 3) == list(a)
-
-
-def test_compose_refuses_an_inner_series_of_another_form():
-    # log(1 + t), t and t + t^2; up to order 1 the result is a_0 + a_1 u_1 t
-    # whatever the form of u, so there compose takes them
-    for inner in (log1p_series(6), t_power(1, 6), TruncatedSeries([0, 1, 1, 0, 0, 0, 0])):
-        with pytest.raises(ValueError, match=REFUSED):
-            exp_series(6).compose(inner)
-        for order in (0, 1):
-            outer = exp_series(order, sign=-1)
-            assert list(outer.compose(inner).coeffs) == brute_compose(list(outer), list(inner), order)
-
-
-def test_compose_requires_zero_constant():
-    with pytest.raises(ValueError, match="zero constant"):
-        TruncatedSeries([1, 1]).compose(TruncatedSeries([1, 1]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -171,35 +165,19 @@ def test_compose_powers_of_the_inner_series_are_stirling_columns():
     order = 40
     second = stirling_table("second", order)
     first = stirling_table("first_signed", order)
-    u = one_minus_exp_neg(order)
     log1p = log1p_series(order)
     for m in range(order + 1):
         power = t_power(m, order)
         expected_u = [Fraction((-1) ** (n + m) * factorial(m) * second.value(n, m), factorial(n))
                       for n in range(order + 1)]
         expected_log = [Fraction(factorial(m) * first.value(n, m), factorial(n)) for n in range(order + 1)]
-        assert list(power.compose(u).coeffs) == expected_u, m
+        assert compose(power, -1, -1) == expected_u, m
         assert power_table_compose(list(power), list(log1p), order) == expected_log, m
 
 
 def exp_minus_one(alpha, beta, order):
     """alpha (e^{beta t} - 1) up to ``order``."""
     return TruncatedSeries([Fraction(0)] + [alpha * beta**k / factorial(k) for k in range(1, order + 1)])
-
-
-def compose_and_route(outer, inner):
-    """outer(inner), and whether compose took its e^{beta t} route."""
-    calls = []
-    exponential = series._compose
-
-    def spy(*args):
-        calls.append(args)
-        return exponential(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_compose", spy)
-        composed = outer.compose(inner)
-    return composed, bool(calls)
 
 
 nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
@@ -216,39 +194,10 @@ nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).f
 @example(outer=TruncatedSeries([Fraction(1, n + 1) for n in range(11)]), alpha=Fraction(1), beta=Fraction(1), order=10)
 @example(outer=TruncatedSeries([0, 0, 1]), alpha=Fraction(3, 2), beta=Fraction(-2, 5), order=2)
 def test_compose_with_an_exponential_inner_series_matches_brute_force(outer, alpha, beta, order):
-    # the examples: 1 - e^{-t}, e^t - 1, and the shortest inner series the route takes
+    # the examples: 1 - e^{-t}, e^t - 1, and t^2 composed at order 2
     inner = exp_minus_one(alpha, beta, order)
     target = min(outer.order, order)
-    composed, exponential = compose_and_route(outer, inner)
-    assert exponential == (target >= 2)
-    assert composed.order == target
-    assert list(composed.coeffs) == brute_compose(list(outer), list(inner), target)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    outer=series_strategy(min_order=4, max_order=12),
-    alpha=nonzero_rationals,
-    beta=nonzero_rationals,
-    off=st.data(),
-)
-@example(
-    outer=TruncatedSeries([Fraction(1, n * n + 1) for n in range(11)]),
-    alpha=Fraction(-1), beta=Fraction(-1), off=None,
-)
-def test_compose_one_coefficient_off_an_exponential_is_refused(outer, alpha, beta, off):
-    # off=None: 1 - e^{-t} + t^5.  From order 4 on no single change keeps
-    # the inner series geometric; at order 3, negating U_2 would.
-    if off is None:
-        k, delta = 5, Fraction(1)
-    else:
-        k = off.draw(st.integers(min_value=1, max_value=outer.order), label="k")
-        delta = off.draw(nonzero_rationals, label="delta")
-    inner = list(exp_minus_one(alpha, beta, outer.order))
-    inner[k] += delta
-    with pytest.raises(ValueError, match=REFUSED):
-        outer.compose(TruncatedSeries(inner))
-    assert power_table_compose(list(outer), inner, outer.order) == brute_compose(list(outer), inner, outer.order)
+    assert compose(outer.coeffs[: target + 1], alpha, beta) == brute_compose(list(outer), list(inner), target)
 
 
 @pytest.mark.parametrize("alpha, beta, order", [(-1, -1, 128), (1, 1, 128), (Fraction(-7, 9), Fraction(5, 3), 48)])
@@ -256,9 +205,7 @@ def test_compose_routes_agree_at_large_order(alpha, beta, order):
     # the power table of the oracles is the reference
     outer = TruncatedSeries([Fraction(0)] + [Fraction(1, n**3) for n in range(1, order + 1)])
     inner = exp_minus_one(Fraction(alpha), Fraction(beta), order)
-    composed, exponential = compose_and_route(outer, inner)
-    assert exponential
-    assert list(composed.coeffs) == power_table_compose(list(outer), list(inner), order)
+    assert compose(outer, alpha, beta) == power_table_compose(list(outer), list(inner), order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,37 +214,11 @@ def test_compose_routes_agree_at_large_order(alpha, beta, order):
 @example(outer=TruncatedSeries([2, Fraction(-5, 3)]))
 @example(outer=TruncatedSeries([Fraction(0)] + [Fraction(1, n**2) for n in range(1, 13)]))
 def test_compose_kernel_ints_match_the_series_composition(outer):
-    # the EGF ints the families take, against compose with 1 - e^{-t}, which
-    # at orders 0 and 1 does not reach the kernel
-    egf, den = series._compose(*series._over_common(outer.coeffs), Fraction(-1), Fraction(-1))
-    composed = outer.compose(one_minus_exp_neg(outer.order))
-    assert [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)] == list(composed.coeffs)
-
-
-def test_div_tpow():
-    assert TruncatedSeries([0, 0, 1, 1]).div_tpow(2).coeffs == (1, 1)
-    a = TruncatedSeries([2, 3])
-    assert a.div_tpow(0) == a
-    n = 3
-    one_minus_exp = TruncatedSeries([Fraction(0)] + [Fraction((-1) ** (m + 1), factorial(m)) for m in range(1, n + 2)])
-    shifted = one_minus_exp.div_tpow(1)
-    assert shifted.coeffs == tuple(Fraction((-1) ** m, factorial(m + 1)) for m in range(n + 1))
-
-
-def test_div_tpow_guards_valuation():
-    with pytest.raises(ValuationError, match="valuation too small"):
-        TruncatedSeries([0, 1, 1]).div_tpow(2)
-    with pytest.raises(ValueError):
-        TruncatedSeries([0, 0]).div_tpow(3)
-
-
-def test_derive():
-    assert TruncatedSeries([1, 1, 1]).derive().coeffs == (1, 2)
-    assert TruncatedSeries([4, 0, 0, 0]).derive().coeffs == (0, 0, 0)
-    e = exp_series(4)
-    assert e.derive().coeffs == e.coeffs[:4]
-    with pytest.raises(ValueError):
-        TruncatedSeries([1]).derive()
+    # the EGF ints the families take, against the term-by-term composition
+    # with the named series 1 - e^{-t}
+    egf, den = _compose(*_over_common(outer.coeffs), Fraction(-1), Fraction(-1))
+    composed = brute_compose(list(outer), list(one_minus_exp_neg(outer.order)), outer.order)
+    assert [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)] == composed
 
 
 def test_pow():
@@ -308,20 +229,24 @@ def test_pow():
         a**-1
 
 
+int_series = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9)
+
+
 @settings(max_examples=60)
-@given(a=series_strategy(), b=series_strategy(), c=series_strategy())
+@given(a=int_series, b=int_series, c=int_series)
 def test_ring_laws(a, b, c):
-    assert a * b == b * a
-    n = min(a.order, b.order, c.order)
-    assert ((a * b) * c).coeffs[: n + 1] == (a * (b * c)).coeffs[: n + 1]
-    b_plus_c = TruncatedSeries(map(add, b, c))
-    assert (a * b_plus_c).coeffs[: n + 1] == tuple(map(add, a * b, a * c))[: n + 1]
+    assert _product(a, b) == _product(b, a)
+    assert _product(_product(a, b), c) == _product(a, _product(b, c))
+    n = min(len(b), len(c))
+    assert _product(a, list(map(add, b, c))) == list(map(add, _product(a, b[:n]), _product(a, c[:n])))
 
 
 @settings(max_examples=60)
 @given(a=series_strategy(unit=True))
 def test_invert_is_right_inverse(a):
-    assert a * a.invert() == t_power(0, a.order)
+    ints, den = _over_common(a.coeffs)
+    inv, inv_den = _inverse(ints, den)
+    assert _product(ints, inv) == [den * inv_den] + [0] * a.order
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,22 +262,21 @@ def test_compose_is_associative(f, g, h):
     assert power_table_compose(power_table_compose(f, g, n), h, n) == brute_compose(f, brute_compose(g, h, n), n)
 
 
+def derive(a):
+    """The formal derivative of a series held as ints."""
+    return [n * c for n, c in enumerate(a)][1:]
+
+
 @settings(max_examples=60)
-@given(a=series_strategy(min_order=1), b=series_strategy(min_order=1))
+@given(a=int_series.filter(lambda a: len(a) > 1), b=int_series.filter(lambda b: len(b) > 1))
 def test_product_rule(a, b):
-    n = min(a.order, b.order)
-    lhs = (a * b).derive()
-    rhs = map(add, a.derive() * b, a * b.derive())
-    assert lhs.coeffs == tuple(rhs)[:n]
+    n = min(len(a), len(b)) - 1
+    lhs = derive(_product(a, b))
+    rhs = map(add, _product(derive(a), b), _product(a, derive(b)))
+    assert lhs == list(rhs)[:n]
 
 
-@settings(max_examples=60)
-@given(a=series_strategy(), r=st.integers(min_value=0, max_value=4))
-def test_mul_then_div_tpow_round_trips(a, r):
-    assert a.mul_tpow(r).div_tpow(r) == a
-
-
-# Products and inversion run on ints over a common denominator; the oracles
+# Products, powers and inversion run on ints over a common denominator; the oracles
 # below work Fraction by Fraction and share no code with them.
 wide_coefficients = st.one_of(
     coefficients,
@@ -387,9 +311,7 @@ def geometric(p, q, order):
 @example(a=geometric(13, 17, 10), b=geometric(-19, 23, 10))
 def test_mul_matches_convolution_oracle(a, b):
     n = min(a.order, b.order)
-    product = a * b
-    assert product.order == n
-    assert list(product.coeffs) == convolve(list(a), list(b), n)
+    assert product(a, b) == convolve(list(a), list(b), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,9 +333,7 @@ def test_pow_matches_repeated_convolution_oracle(a, exponent):
 @example(a=TruncatedSeries([Fraction(-3, 5)] + list(geometric(13, 17, 10))[1:]))
 @example(a=TruncatedSeries([Fraction(-4, 9)] + [Fraction(1, factorial(n + 1)) for n in range(1, 12)]))
 def test_invert_matches_long_division_oracle(a):
-    inverse = a.invert()
-    assert inverse.order == a.order
-    assert list(inverse.coeffs) == long_divide([Fraction(1)], list(a), a.order)
+    assert inverse(a) == long_divide([Fraction(1)], list(a), a.order)
 
 
 @pytest.mark.parametrize("order", [0, 7])
