@@ -11,8 +11,9 @@ This module alone turns a result into output: :func:`_json_value` and
 :func:`_csv_text` read the fields of the library's result types, which
 carry data only.
 Each series, family and identity is one ``Entry`` of a table, from which
-its flag checks and ``--all`` points are derived; the size refusals of the
-m-series identities follow from their ``m_truncation`` parameter.
+its verb's parameter flags (typed by ``FLAG_TYPES``), its flag checks and
+``--all`` points are derived; the size refusals of the m-series
+identities follow from their ``m_truncation`` parameter.
 ``verify --all --jobs N`` runs the sweep on a process pool; the pool's
 modules (``concurrent.futures``, ``multiprocessing``) load only when one
 starts, as ``ProcessPoolExecutor`` is imported on its first access.
@@ -117,6 +118,12 @@ def _ks_flag(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"ks must be comma-separated integers, got {text!r}") from None
 
 
+# The flag type of each parameter an entry may name besides those of
+# FLAG_DEFAULTS, in the order the parsers declare them: series, numbers and
+# verify each take the flag of every parameter an entry of their table names
+FLAG_TYPES = {"ks": _ks_flag, "k": int, "r": int, "lam": _rational_flag, "x": _rational_flag, "y": _rational_flag}
+
+
 class Entry(NamedTuple):
     """One CLI name: its function as ``"module.function"``, looked up in
     that module at call time so that a seam or tracer replacing it there
@@ -185,23 +192,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json", help="output format (default json)")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
 
+    def params(p, table):
+        taken = {param for entry in table.values() for param in entry.params}
+        for param, kind in FLAG_TYPES.items():
+            if param in taken:
+                p.add_argument(f"--{_flag(param)}", dest=param, type=kind, default=None)
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+
     p_series = sub.add_parser("series", help="coefficients of one named series")
     p_series.add_argument("--name", required=True, choices=tuple(SERIES))
-    p_series.add_argument("--ks", type=_ks_flag, default=None)
-    p_series.add_argument("--k", type=int, default=None)
-    p_series.add_argument("--x", type=_rational_flag, default=None)
-    p_series.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
-    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    params(p_series, SERIES)
     common(p_series)
 
     p_numbers = sub.add_parser("numbers", help="value table of one family")
     p_numbers.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p_numbers.add_argument("--ks", type=_ks_flag, default=None)
-    p_numbers.add_argument("--k", type=int, default=None)
-    p_numbers.add_argument("--r", type=int, default=None)
-    p_numbers.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
-    p_numbers.add_argument("--x", type=_rational_flag, default=Fraction(0))
-    p_numbers.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    params(p_numbers, FAMILIES)
+    p_numbers.set_defaults(x=Fraction(0))
     common(p_numbers, ("json", "csv"))
 
     p_stirling = sub.add_parser("stirling", help="Stirling triangle")
@@ -213,12 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--identity", choices=tuple(IDENTITIES))
     p_verify.add_argument("--all", action="store_true", help="run the default sweep")
-    p_verify.add_argument("--ks", type=_ks_flag, default=None)
-    p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--lambda", dest="lam", type=_rational_flag, default=None)
-    p_verify.add_argument("--x", type=_rational_flag, default=None)
-    p_verify.add_argument("--y", type=_rational_flag, default=None)
-    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    params(p_verify, IDENTITIES)
     p_verify.add_argument("--truncate", dest="m_truncation", metavar="TRUNCATE", type=int, default=None,
                           help="m-sum truncation for the diagnostic identities")
     p_verify.add_argument("--jobs", type=int, default=None,

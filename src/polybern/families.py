@@ -27,7 +27,7 @@ they stay on separate routes: the Carlitz family passes t^r / r!, which
 the all-ones index vector must reproduce through the polylog composition.
 The main family (:func:`_polylog_family`) takes the multiple polylog as
 the ints of its chain-sum recurrence and composes it with
-1 - e^{-t} = -(e^{-t} - 1) through :func:`~polybern.series._compose`, which
+1 - e^{-t} through :func:`~polybern.series._compose`, which
 sums over the exponentials e^{-jt} in O(N^2) (the chain-stirling check
 builds its numerator from its own prefix sums and Stirling numbers of the
 second kind instead); the type-2 family does not compose, but reads the
@@ -188,7 +188,7 @@ def _polylog_family(
     (x)_{n,lam}.
     """
     work = order + len(ks)
-    egf, den = _compose(*_multi_polylog_ints(ks, work), Fraction(-1), Fraction(-1))
+    egf, den = _compose(*_multi_polylog_ints(ks, work))
     return _gf_values(egf, den, len(ks), lam, xs, order)
 
 

@@ -26,12 +26,12 @@ and one Fraction is built per output coefficient.  The int kernels
 :func:`_reduced`) are what the family pipeline runs on directly.
 
 The composition kernel :func:`_compose` takes only the inner series the
-families need: one of the form alpha (e^{beta t} - 1), as 1 - e^{-t} is,
-composed in O(N^2) through the expansion of its powers in exponentials.
-It takes the outer series as ints over one denominator and returns the
-EGF ints of the result over one denominator, the numerator form the
-family pipeline takes, so the families pass it the multiple polylog's
-ints with alpha = beta = -1 and no Fraction in between.
+families need, 1 - e^{-t}, composed in O(N^2) through the expansion of
+its powers in exponentials.  It takes the outer series as ints over one
+denominator and returns the EGF ints of the result over the same
+denominator, the numerator form the family pipeline takes, so the
+families pass it the multiple polylog's ints with no Fraction in
+between.
 """
 
 from __future__ import annotations
@@ -122,28 +122,26 @@ def _inverse(a: list[int], den: int) -> tuple[list[int], int]:
     return scaled, db
 
 
-def _compose(a: Sequence[int], den: int, alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
-    """f(u) for u = alpha (e^{beta t} - 1), up to the order len(a) - 1,
-    as its EGF ints E over one denominator D: E[n] / D = n! [t^n] f(u).
-    The outer series f comes as ints over one denominator,
+def _compose(a: Sequence[int], den: int) -> tuple[list[int], int]:
+    """f(u) for u = 1 - e^{-t}, up to the order len(a) - 1, as its EGF ints
+    E over the denominator ``den`` of the outer series f: E[n] / den =
+    n! [t^n] f(u).  The outer series comes as ints over that denominator,
     a_m = a[m] / den, the form :func:`_over_common` makes and the
     multiple polylog's int kernel returns.
 
-    Expanding u^m = alpha^m sum_j C(m,j) (-1)^(m-j) e^{j beta t} gives
+    Expanding u^m = (-1)^m sum_j C(m,j) (-1)^(m-j) e^{-jt} gives
 
-        f(u) = sum_j c_j e^{j beta t},
-        c_j  = sum_{m >= j} (-1)^(m-j) C(m,j) alpha^m a_m,
+        f(u) = sum_j c_j e^{-jt},
+        c_j  = sum_{m >= j} (-1)^(m-j) C(m,j) (-1)^m a_m,
 
-    so n! [t^n] f(u) = sum_j c_j (j beta)^n.  The c_j are the coefficients
-    of the polynomial sum_m alpha^m a_m (y - 1)^m: a Taylor shift by -1 of
+    so n! [t^n] f(u) = sum_j c_j (-j)^n.  The c_j are the coefficients
+    of the polynomial sum_m (-1)^m a_m (y - 1)^m: a Taylor shift by -1 of
     ints, O(N^2) subtractions.  The power sums are O(N^2) small-int
     products.  Orders 0 and 1 need no special case.
     """
     target = len(a) - 1
-    pa, qa = alpha.numerator, alpha.denominator
-    pb, qb = beta.numerator, beta.denominator
-    # c_j * qa^target * den
-    c = [a_m * pa**m * qa ** (target - m) for m, a_m in enumerate(a)]
+    # c_j * den
+    c = [-a_m if m & 1 else a_m for m, a_m in enumerate(a)]
     for i in range(target):
         for j in range(target - 1, i - 1, -1):
             c[j] -= c[j + 1]
@@ -152,8 +150,8 @@ def _compose(a: Sequence[int], den: int, alpha: Fraction, beta: Fraction) -> tup
     for n in range(target + 1):
         if n:
             powers = list(map(mul, powers, range(target + 1)))
-        egf.append(pb**n * qb ** (target - n) * sum(powers))
-    return egf, den * qa**target * qb**target
+        egf.append(-sum(powers) if n & 1 else sum(powers))
+    return egf, den
 
 
 class TruncatedSeries:

@@ -53,8 +53,7 @@ FAULTS = {
     "gf-unit-power-r-plus-1": ("families.py", "unit_den), r)", "unit_den), r + 1)"),
     "inverse-without-a1": ("series.py", "a[n:0:-1]", "a[n:1:-1]"),
     "degenerate-exp-step": ("special.py", "(start - j * step)", "(start - (j + 1) * step)"),
-    "family-compose-alpha-plus-1": ("families.py", "work), Fraction(-1), Fraction(-1))",
-                                    "work), Fraction(1), Fraction(-1))"),
+    "family-compose-alpha-plus-1": ("series.py", "-a_m if m & 1 else a_m", "a_m"),
     "u-powers-unsigned": ("verify.py", "signed[(l - m) & 1]", "signed[0]"),
     "tail-basis-u-sign": ("families.py", "(-1) ** (k + 1) * comb(n, k)", "(-1) ** k * comb(n, k)"),
     "polylog-non-strict-chains": ("special.py", "accumulate(chains[:-1])", "list(accumulate(chains))[1:]"),
@@ -67,6 +66,9 @@ FAULTS = {
     "stirling-second-k-off-by-one": ("special.py", "zip(range(1, n + 1), above, prev)",
                                      "zip(range(n), above, prev)"),
     "quotient-first-x-only": ("families.py", "for x in xs:", "for x in [xs[0]] * len(xs):"),
+    "inverse-den-times-q": ("series.py", "(db // q)", "(db * q)"),
+    "m-series-factor-times-term-den": ("verify.py", "(lifted // term_den)", "(lifted * term_den)"),
+    "m-series-row-den-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[-1], dens[1])"),
 }
 
 # run in a fresh interpreter: import the package from the copy given as the

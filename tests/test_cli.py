@@ -770,6 +770,17 @@ def test_tables_match_the_functions(monkeypatch):
             assert cli._function(entry) is _fail_if_called, name
 
 
+def test_every_entry_parameter_has_a_flag():
+    # a verb declares a flag for each FLAG_TYPES parameter its table names,
+    # and verify declares the FLAG_DEFAULTS ones by hand: a parameter in
+    # neither would get no flag, and every call of its entry would be
+    # refused with "needs --<param>"
+    for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES):
+        for name, entry in table.items():
+            for param in entry.params:
+                assert param in cli.FLAG_TYPES or param in cli.FLAG_DEFAULTS, (name, param)
+
+
 def test_largest_admitted_value_fits_the_int_string_limit(capsys):
     # the most digits seen at the caps and bounds: every integer of the
     # report must stay below Python's int-to-string limit, else the call

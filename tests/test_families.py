@@ -364,7 +364,7 @@ def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
     # else random ints from t^r on over a random denominator
     work = order + r
     if data is None:
-        egf, den = series._compose(*_multi_polylog_ints((2,) * r, work), Fraction(-1), Fraction(-1))
+        egf, den = series._compose(*_multi_polylog_ints((2,) * r, work))
     else:
         tail = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1), label="tail")
         egf, den = [0] * r + tail, data.draw(st.integers(1, 10**6), label="den")
@@ -391,7 +391,7 @@ def _numerator(kind, ks, order):
     with k the first index (1 for none) through the oracles' power table."""
     r = len(ks)
     if kind == "polylog":
-        return (*series._compose(*_multi_polylog_ints(ks, order + r), Fraction(-1), Fraction(-1)), r)
+        return (*series._compose(*_multi_polylog_ints(ks, order + r)), r)
     if kind == "carlitz":
         return [0] * r + [1] + [0] * order, 1, r
     work = order + 1
