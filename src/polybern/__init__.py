@@ -9,8 +9,8 @@ The package is organized bottom up:
     the exact coefficient field ("p/q" wire format, chain-sum weights,
     decimal rendering for diagnostics)
 ``series``
-    dense truncated power series (scalar multiple, power) and the int
-    kernels under the family pipeline (product, power, inversion,
+    dense truncated power series (frozen values with no arithmetic) and
+    the int kernels under the family pipeline (product, power, inversion,
     composition with 1 - e^{-t})
 ``special``
     named series and tables (degenerate exponentials, multiple

@@ -4,17 +4,18 @@ kernels the family pipeline runs on.
 A :class:`TruncatedSeries` holds the coefficients ``c[0..order]`` of a
 formal power series in one variable ``t``; nothing beyond ``order`` is
 known, as opposed to zero.  The truncation order is part of the value:
-a scalar multiple and a power keep it, and the int product
-(:func:`_product`) truncates to the shorter operand, so the order of a
-series is always a trustworthy statement of how many coefficients are
-exact.  Silent order extension is the classic source of wrong
-generating-function code and is never performed.
+the int product (:func:`_product`) truncates to the shorter operand and
+the int power (:func:`_power`) keeps it, so the order of a series is
+always a trustworthy statement of how many coefficients are exact.
+Silent order extension is the classic source of wrong generating-function
+code and is never performed.
 
 Coefficients are ``fractions.Fraction``; integers are accepted and
-coerced, floats are rejected.  Values are immutable and safe to share.
+coerced, floats are rejected.  Values are frozen and safe to share.
 The class is the value type of the named series in
-:mod:`polybern.special`; it multiplies by a scalar and raises to a power,
-and nothing more.
+:mod:`polybern.special` and carries data only: its coefficients, its
+order and indexed access.  It has no arithmetic; every product, power,
+inverse and composition is taken on the int kernels below.
 
 Representation is dense: these series are dense in practice and orders
 stay at desk scale, so the O(N^2) product is the right trade against
@@ -36,12 +37,11 @@ between.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterator, Sequence
 
 
 class ValuationError(ArithmeticError):
@@ -154,59 +154,34 @@ def _compose(a: Sequence[int], den: int) -> tuple[list[int], int]:
     return egf, den
 
 
+@dataclass(frozen=True, repr=False)
 class TruncatedSeries:
-    """Coefficients c[0..order] of a series in one variable, all exact."""
+    """Coefficients c[0..order] of a series in one variable, all exact,
+    built from any iterable of ints and Fractions."""
 
-    __slots__ = ("_coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_coeff(c) for c in coeffs)
+    def __post_init__(self):
+        cs = tuple(_coeff(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = cs
+        object.__setattr__(self, "coeffs", cs)
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of t**n; n beyond the order is unknown, hence an error."""
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self._coeffs[n]
+        return self.coeffs[n]
 
     __getitem__ = coefficient
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return iter(self.coeffs)
 
     def __repr__(self) -> str:
-        body = ", ".join(str(c) for c in self._coeffs)
+        body = ", ".join(str(c) for c in self.coeffs)
         return f"TruncatedSeries([{body}])"
-
-    # -- scalar multiple and power ---------------------------------------------
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        """A scalar multiple; a series operand is refused like a float."""
-        c = _coeff(other)
-        return TruncatedSeries([c * ci for ci in self._coeffs])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a non-negative integer")
-        power, den = _power(*_over_common(self._coeffs), exponent)
-        return TruncatedSeries(Fraction(c, den) for c in power)

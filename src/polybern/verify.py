@@ -58,7 +58,7 @@ from .families import (
     shifted_tail_basis,
 )
 from .rationals import as_rational, decimal_string, format_rational, inv_pow
-from .series import TruncatedSeries, _over_common
+from .series import _over_common, _power
 from .special import _multi_polylog_ints, index_vector, multi_polylog, stirling_table
 
 
@@ -78,7 +78,7 @@ class ReportRow:
 DEFAULT_M_TRUNCATION = 32
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ResidualTable:
     """The residuals |lhs - partial sum at M| of a diagnostic m-series
     report, as the columns the m-sum made.
@@ -234,11 +234,12 @@ def verify_li_ones(r: int, order: int) -> VerificationReport:
     if r < 1:
         raise ValueError("r must be at least 1")
     dp = multi_polylog((1,) * r, order)
-    neg_log = TruncatedSeries([Fraction(0)] + [Fraction(1, n) for n in range(1, order + 1)])
-    log_power = (neg_log**r) * Fraction(1, factorial(r))
+    # -log(1 - x) = sum x^n / n, as the ints top // n over top = lcm(1..order)
+    top = lcm(*range(1, order + 1))
+    power, den = _power([0] + [top // n for n in range(1, order + 1)], top, r)
     table = stirling_table("first_unsigned", order)
     stirling_egf = [Fraction(table.value(l, r), factorial(l)) for l in range(order + 1)]
-    rows = [ReportRow("log-power", n, dp[n], log_power[n]) for n in range(order + 1)]
+    rows = [ReportRow("log-power", n, dp[n], Fraction(power[n], den * factorial(r))) for n in range(order + 1)]
     rows += [ReportRow("stirling-egf", n, dp[n], stirling_egf[n]) for n in range(order + 1)]
     return VerificationReport("li-ones", {"r": r, "order": order}, tuple(rows))
 

@@ -69,6 +69,8 @@ FAULTS = {
     "inverse-den-times-q": ("series.py", "(db // q)", "(db * q)"),
     "m-series-factor-times-term-den": ("verify.py", "(lifted // term_den)", "(lifted * term_den)"),
     "m-series-row-den-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[-1], dens[1])"),
+    "li-ones-log-power-divisor-r-plus-1": ("verify.py", "den * factorial(r))", "den * factorial(r + 1))"),
+    "li-ones-stirling-column-r-minus-1": ("verify.py", "table.value(l, r)", "table.value(l, r - 1)"),
 }
 
 # run in a fresh interpreter: import the package from the copy given as the

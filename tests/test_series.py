@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from oracles import bernoulli_numbers, brute_compose, convolve, long_divide, power_table_compose
 from polybern import cli
+from polybern.families import poly_bernoulli
 from polybern.rationals import parse_rational
-from polybern.series import TruncatedSeries, _compose, _inverse, _over_common, _product
+from polybern.series import TruncatedSeries, _compose, _inverse, _over_common, _power, _product
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
+from polybern.verify import ResidualTable, verify_li_ones
 
 coefficients = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -46,6 +48,12 @@ def product(a, b):
     return [Fraction(c, da * db) for c in _product(ia, ib)]
 
 
+def power(a, exponent):
+    """a**exponent through the int kernel, as Fractions."""
+    ints, den = _power(*_over_common(a.coeffs), exponent)
+    return [Fraction(c, den) for c in ints]
+
+
 def inverse(a):
     """The inverse of a unit series through the int kernel."""
     ints, den = _inverse(*_over_common(a.coeffs))
@@ -71,6 +79,38 @@ def test_construction_and_accessors():
         TruncatedSeries([])
 
 
+# each result type, with one of its fields
+RESULTS = {
+    "TruncatedSeries": ("coeffs", lambda: TruncatedSeries([1, Fraction(-1, 2)])),
+    "ResidualTable": ("lhs", lambda: ResidualTable(0, (Fraction(1),), [[0, 1]], [1, 1])),
+    "VerificationReport": ("rows", lambda: verify_li_ones(1, 2)),
+    "ReportRow": ("rhs", lambda: verify_li_ones(1, 2).rows[0]),
+    "SequenceResult": ("values", lambda: poly_bernoulli(1, 0, 2)),
+    "FamilyQuery": ("lam", lambda: poly_bernoulli(1, 0, 2).query),
+    "StirlingTable": ("rows", lambda: stirling_table("second", 2)),
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_result_types_are_immutable(name):
+    field, build = RESULTS[name]
+    value = build()
+    assert type(value).__name__ == name
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        value._coeffs = (Fraction(5),)  # a name that is not a field
+    assert getattr(value, field) is before and not hasattr(value, "_coeffs")
+
+
+def test_series_equality_and_hash_follow_the_coefficients():
+    ints = TruncatedSeries([1, 0, -2])
+    fractions = TruncatedSeries([Fraction(2, 2), Fraction(0), Fraction(-4, 2)])
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert ints != TruncatedSeries([1, 0]) and ints.order == 2
+
+
 def test_mul_trivial_cases():
     assert _product([1, 1, 0], [1, -1, 0]) == [1, 0, -1]
     a = TruncatedSeries([3, Fraction(1, 7), 2, 5])
@@ -90,10 +130,14 @@ def test_mul_truncates_to_min_order():
 
 
 def test_scalar_arithmetic():
+    # a series carries data only: every product and power is the int kernels'
     a = TruncatedSeries([1, 2, 3])
-    assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-    assert (2 * a).coeffs == (2, 4, 6)
-    # the product of two series is the int kernel's alone
+    with pytest.raises(TypeError):
+        a * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        2 * a
+    with pytest.raises(TypeError):
+        a**2
     with pytest.raises(TypeError):
         a * a
 
@@ -198,10 +242,11 @@ def test_compose_kernel_ints_match_the_series_composition(outer):
 
 def test_pow():
     a = TruncatedSeries([1, 1, 0, 0])
-    assert (a**3).coeffs == (1, 3, 3, 1)
-    assert a**0 == t_power(0, 3)
+    assert power(a, 3) == [1, 3, 3, 1] == convolve(convolve(list(a), list(a), 3), list(a), 3)
+    assert power(a, 0) == list(t_power(0, 3))
+    # the kernel takes no negative exponent; the one public exponent, li-ones' r, is refused below 1
     with pytest.raises(ValueError):
-        a**-1
+        verify_li_ones(-1, 3)
 
 
 int_series = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9)
@@ -297,7 +342,7 @@ def test_pow_matches_repeated_convolution_oracle(a, exponent):
     expected = [Fraction(1)] + [Fraction(0)] * a.order
     for _ in range(exponent):
         expected = convolve(expected, list(a), a.order)
-    assert list((a**exponent).coeffs) == expected
+    assert power(a, exponent) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -314,8 +359,8 @@ def test_invert_matches_long_division_oracle(a):
 @pytest.mark.parametrize("order", [0, 7])
 def test_pow_zero_and_one(order):
     s = TruncatedSeries([Fraction(-3, 5)] + [Fraction(n, n + 2) for n in range(1, order + 1)])
-    assert s**0 == t_power(0, order)
-    assert s**1 == s
+    assert power(s, 0) == list(t_power(0, order))
+    assert power(s, 1) == list(s) == convolve(list(t_power(0, order)), list(s), order)
 
 
 def test_json_round_trip(capsys):

@@ -132,15 +132,17 @@ def test_chain_stirling_at_the_order_cap_and_the_index_weight_bound():
         assert verify_chain_stirling(ks, Fraction(-7, 9), Fraction(8, 9), 128).status == "pass", ks
 
 def test_u_powers_match_the_series_powers():
-    # the Stirling route against products of the series 1 - e^{-t}; every
-    # entry is an int, not the float that (-1) ** (l - m) is for l < m
+    # the Stirling route against repeated products of the series 1 - e^{-t};
+    # every entry is an int, not the float that (-1) ** (l - m) is for l < m
     for top in range(13):
-        u = one_minus_exp_neg(top)
+        u = list(one_minus_exp_neg(top))
         table = _u_powers(top)
         assert len(table) == top + 1
+        power = [Fraction(1)] + [Fraction(0)] * top  # u^m
         for m, row in enumerate(table):
             assert all(type(v) is int for v in row), (top, m)
-            assert row == [factorial(l) * (u**m)[l] for l in range(top + 1)], (top, m)
+            assert row == [factorial(l) * power[l] for l in range(top + 1)], (top, m)
+            power = oracles.convolve(power, u, top)
 
 # -- the one EGF convolution ---------------------------------------------------------
 
