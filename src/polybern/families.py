@@ -35,8 +35,9 @@ powers of its inner series log(1+t) from the signed Stirling table of the
 first kind.
 
 The pipeline is linear in the numerator, so the m-series identities take
-the families of every shifted tail from one integer basis
-(:func:`shifted_tail_basis`).
+every family they sum from the pipeline values of the powers u^q of
+u = 1 - e^{-t}, one int column per q (:func:`u_power_values` and
+:func:`u_power_columns`), and weigh the columns with scalars.
 
 Every family is defined by an exponential generating function, so values
 are n! times series coefficients.  That scaling happens in exactly one
@@ -55,7 +56,7 @@ from typing import Sequence
 
 from .rationals import as_rational, format_rational, inv_pow
 from .series import ValuationError, _compose, _inverse, _over_common, _power, _product, _reduced
-from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
+from .special import _degenerate_exp_ints, _multi_polylog_ints, stirling_table
 
 
 @dataclass(frozen=True)
@@ -204,35 +205,32 @@ def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> Se
     return SequenceResult("degen-multi-poly", query, values)
 
 
-def shifted_tail_basis(ks: Sequence[int], lam, x, order: int) -> tuple[list[list[int]], int]:
-    """The ints B[n][p] and their common denominator d such that the
-    family values of (k_1, ..., k_{s-1}, k_s - m) are
-
-        beta_n = sum_p p^m * B[n][p] / d      (n <= order, p <= order + s)
-
-    for every m >= 0, with s = len(ks) >= 1.  Lowering k_s by m multiplies
-    the polylog coefficient Li_ks[p] by p^m, and the pipeline of
-    :func:`degenerate_multi_poly_bernoulli` is linear in the polylog.
-
-    Column p is that pipeline run on the numerator Li_ks[p] * u^p alone,
-    with u = 1 - e^{-t}; the columns p < s are zero, as the coefficients
-    are.  The values of the numerator u^p are held as ints over one
-    denominator: :func:`_gf_values` gives them at p = s, from the EGF ints
-    n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n, and one more factor u is
-    the integer EGF convolution with k! u_k = (-1)^(k+1), carried from one
-    p to the next.
+def u_power_values(s: int, lam, x, order: int) -> tuple[list[int], int]:
+    """The pipeline of :func:`_gf_values` at depth s >= 1 on the numerator
+    u^s alone, u = 1 - e^{-t}: the values s! n! [t^n] u^s / (e_lam(t)-1)^s
+    * e_lam^x(t) for n <= order, as ints over one denominator, with that
+    denominator.  The EGF ints of the numerator are
+    n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n.
     """
-    ks = index_vector(ks)
-    s = len(ks)
-    li, li_den = _multi_polylog_ints(ks, order + s)
     u_s = [sum(comb(s, j) * (-1) ** j * (-j) ** n for j in range(s + 1)) for n in range(order + s + 1)]
-    column, den = _over_common(_gf_values(u_s, 1, s, lam, (x,), order)[0])
+    return _over_common(_gf_values(u_s, 1, s, lam, (x,), order)[0])
+
+
+def u_power_columns(column: Sequence[int], s: int, order: int) -> list[list[int]]:
+    """The columns q = 0..order + s of the depth-s pipeline values of u^q,
+    given ``column``, those of u^s (as :func:`u_power_values` makes them),
+    over its denominator.
+
+    Column q < s is zero, as u^q has too small a valuation to reach the
+    depth.  Every column after ``column`` is the one before times u, whose
+    EGF ints are k! u_k = (-1)^(k+1) for k >= 1: the pipeline at a fixed
+    depth is the product with one series, so it commutes with that factor.
+    """
     weights = [[(-1) ** (k + 1) * comb(n, k) for k in range(1, n + 1)] for n in range(order + 1)]
-    columns = [[0] * (order + 1)] * s
-    for p in range(s, order + s + 1):
-        columns.append([li[p] * c for c in column])
-        column = [sum(map(mul, weights[n], reversed(column[:n]))) for n in range(order + 1)]
-    return [list(row) for row in zip(*columns)], li_den * den
+    columns = [[0] * (order + 1)] * s + [list(column)]
+    for _ in range(order):
+        columns.append([sum(map(mul, weights[n], reversed(columns[-1][:n]))) for n in range(order + 1)])
+    return columns
 
 
 def multi_poly_bernoulli(ks: Sequence[int], x, order: int) -> SequenceResult:

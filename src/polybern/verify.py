@@ -19,12 +19,13 @@ When k_r <= 0 the binomial coefficient cuts the m-sum off after -k_r + 1
 terms, every interchange is finite, and the same functions perform an
 exact check with status "pass"/"fail".
 
-The addition, resummation and difference sides take their EGF products
-from one integer convolution, :func:`_binomial_convolution`, on common
-denominators.  The chain-stirling, resummation and difference sides take
-their Stirling numbers S2 from one table of powers of 1 - e^{-t},
-:func:`_u_powers`, where chain-stirling reads every power it sums; its
-chain weights are one prefix sum per index, with no chain enumerated.
+The addition and resummation sides take their EGF products from one
+integer convolution, :func:`_binomial_convolution`, on common
+denominators.  The chain-stirling side takes its Stirling numbers S2 from
+one table of powers of 1 - e^{-t}, :func:`_u_powers`, and its chain
+weights from one prefix sum per index, with no chain enumerated; the
+m-series sides take those powers through the family pipeline instead, one
+column per power (:func:`~polybern.families.u_power_columns`).
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
@@ -46,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, floordiv, mul
 
 from .families import (
@@ -55,7 +56,8 @@ from .families import (
     _polylog_family,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
-    shifted_tail_basis,
+    u_power_columns,
+    u_power_values,
 )
 from .rationals import as_rational, decimal_string, format_rational, inv_pow
 from .series import _over_common, _power
@@ -313,45 +315,38 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
 
 def _combine(coeffs: Sequence[int], vectors, size: int) -> list[int]:
     """The vector sum_i coeffs[i] * vectors[i], elementwise over vectors of
-    length ``size`` (lists or iterators), skipping the zero coefficients."""
-    terms = [vector if c == 1 else map(mul, vector, repeat(c)) for c, vector in zip(coeffs, vectors) if c]
+    length ``size``, skipping the zero coefficients."""
+    terms = [map(mul, vector, repeat(c)) for c, vector in zip(coeffs, vectors) if c]
     return list(map(sum, zip(*terms))) if terms else [0] * size
 
 
-def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, table_den) -> VerificationReport:
+def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, columns_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
-    The identity comes in as its weight table: the part of every summand
-    that does not depend on m, built once per call.  ``table[n_r - 1][j]``
-    over ``table_den`` is A[n_r][j] for j = 0..order, and the m-th summand
-    at n is
+    The identity comes in as its u-power columns: ``columns[q][n]`` over
+    ``columns_den`` is n! [t^n] of the numerator u^q, u = 1 - e^{-t}, run
+    through the pipeline at the identity's depth (see
+    :func:`~polybern.families.u_power_columns`).  Each weight of the m-th
+    summand pairs an n_r >= 1 with the p-th coefficient Li'[p] of the tail
+    polylog Li' = Li_{k_1..k_{r-1}}, whose family is Li'[p] times column
+    n_r + p, so with q = n_r + p the m-th summand at n is
 
-        (-1)^m C(k_r+m-1, m) * sum_j C(n, j) G_m[j] fam_m[n-j],
-        G_m[j] = sum_{n_r} A[n_r][j] n_r^-(k_r+m),
-
-    with ``fam_m`` the family values of the shifted tail vector
-    (k_1, ..., k_{r-2}, k_{r-1} - m).  The weights n_r^-(k_r+m) are held as
-    the ints (L/n_r)^(k_r+m) over L^(k_r+m), L = lcm(1..n_r max), and
-    ``fam_m`` as the ints sum_p p^m B[n][p] over the common denominator of
-    the basis B from :func:`~polybern.families.shifted_tail_basis`, built
-    once per call.
+        (-1)^m C(k_r+m-1, m) * sum_q columns[q][n] v_q[m],
+        v_q[m] = sum_{n_r + p = q} Li'[p] n_r^-(k_r+m) p^m.
 
     Every m is summed at once: m is the innermost axis of every vector, so
     each step below is a handful of list operations over all m rather than
-    one per m.  The weights of each n_r and the powers p^m of each p are one
-    vector over m each (for k_r <= 0 the weights are the integer powers
-    n_r^(-k_r-m)); ``fam[i]`` is the sum over p of B[i][p] times the p-th
-    power vector, reduced per m by the gcd of its column with the basis
-    denominator (the p^m cancel much of it as m grows), and ``g[j]`` the
-    sum over n_r of A[n_r][j] times the n_r-th weight vector.  The
-    denominators come from one scalar pass over m: a running denominator,
-    the lcm of the summands' denominators so far, lifted by one lcm per m
-    and never reduced per coefficient, with the lift and the signed factor
-    of each m.  Then each n in turn, the highest first, takes its binomial
-    convolution sum_j C(n, j) g[j] fam[n-j], elementwise over m, and sums
-    it over m into its column of int partial sums, one per truncation M;
-    g[n] and fam[n] are freed once that n is summed, as no lower n reads
-    them.  The columns go to the residual table as they are (see
+    one per m.  Each v_q is one int vector over m, over li_den * L^(k_r+m)
+    with L = lcm(1..n_r max): the vector of a pair is the geometric one
+    Li'[p] (L/n_r)^k_r ((L/n_r) p)^m (for k_r <= 0, Li'[p] p^m times the
+    integer n_r^(-k_r-m), over li_den), reduced per m by the gcd of that m's
+    entries with its denominator.  The denominators come from one scalar
+    pass over m: a running denominator, the lcm of the summands'
+    denominators so far, lifted by one lcm per m and never reduced per
+    coefficient, with the lift and the signed factor of each m.  Then each
+    n weighs the v_q by its column entries, elementwise over m, and sums
+    the result over m into its column of int partial sums, one per
+    truncation M.  The columns go to the residual table as they are (see
     :class:`ResidualTable`); only the final partial sum of each n becomes a
     Fraction.
 
@@ -366,55 +361,48 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, table, ta
         raise ValueError("m truncation must be non-negative")
     size = m_top + 1
 
-    # n_r^-(k_r+m) over scales[m]: (L/n_r)^(k_r+m) over L^(k_r+m), L = top,
-    # for k_r >= 1, and the integer n_r^(-k_r-m) over 1 for k_r <= 0
-    bases = range(1, len(table) + 1)
+    # Li'[p] = 0 for p below its depth, so q = n_r + p has the pairs
+    # p = depth..q-1, and n_r runs up to len(columns) - 1 - depth
+    depth = len(ks) - 1
+    li, li_den = _multi_polylog_ints(ks[:-1], len(columns) - 1)
     if exact:
-        weights = [list(accumulate(repeat(n, m_top), mul, initial=1))[::-1] for n in bases]
+        n_powers = [list(accumulate(repeat(n, m_top), mul, initial=1))[::-1] for n in range(len(columns) - depth)]
         scales = [1] * size
+
+        def pair(n_r, p):
+            return map(mul, n_powers[n_r], accumulate(repeat(p, m_top), mul, initial=li[p]))
     else:
-        top = lcm(*bases)
-        weights = [list(accumulate(repeat(top // n, m_top), mul, initial=(top // n) ** k_r)) for n in bases]
+        top = lcm(*range(1, len(columns) - depth))
         scales = list(accumulate(repeat(top, m_top), mul, initial=top**k_r))
-    g = [_combine(column, weights, size) for column in zip(*table)]
-    del weights
 
-    basis, basis_den = shifted_tail_basis(ks[:-1], lam, x, order)
-    p_powers = [list(accumulate(repeat(p, m_top), mul, initial=1)) for p in range(len(basis[0]))]
-    fam = [_combine(row, p_powers, size) for row in basis]
-    del p_powers
-    common = list(map(gcd, repeat(basis_den), *fam))
-    for f in fam:
-        f[:] = map(floordiv, f, common)
+        def pair(n_r, p):
+            return accumulate(repeat(top // n_r * p, m_top), mul, initial=li[p] * (top // n_r) ** k_r)
+    v = [[0] * size] * (depth + 1)
+    v += [list(map(sum, zip(*[pair(q - p, p) for p in range(depth, q)]))) for q in range(depth + 1, len(columns))]
+    common = list(map(gcd, map(mul, repeat(li_den), scales), *v))
+    for v_q in v:  # in place, one vector at a time; the shared zero ones stay zero
+        v_q[:] = map(floordiv, v_q, common)
 
-    # the partial sums at M are ints over table_den * sum_den, where sum_den
-    # is the lcm of the denominators of the summands at m <= M: the sum at M
-    # is lifts[M] times the sum at M - 1, plus factors[M] times the summand.
+    # the partial sums at M are ints over columns_den * sum_den, where
+    # sum_den is the lcm of the denominators of the summands at m <= M: the
+    # sum at M is lifts[M] times the sum at M - 1, plus factors[M] times the
+    # summand.
     lifts, factors, dens = [], [], []
     sum_den, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
     for m, (scale, c) in enumerate(zip(scales, common)):
-        term_den = scale * (basis_den // c)
+        term_den = li_den * scale // c
         lifted = lcm(sum_den, term_den)
         lifts.append(lifted // sum_den)
         factors.append(signed_binomial * (lifted // term_den))
-        dens.append(table_den * lifted)
+        dens.append(columns_den * lifted)
         sum_den = lifted
         signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
 
-    # the highest n first: no lower n reads g[n] or fam[n], so each is freed
-    # as soon as its column is summed
     partials: list[list[int]] = []
-    for n in range(order, first_n - 1, -1):
-        # C(n, j) g[j] fam[n-j]: the binomial multiplies the fam ints, the
-        # shorter ones at low order
-        products = [map(mul, g_j, f if c == 1 else map(mul, f, repeat(c)))
-                    for c, g_j, f in zip(map(comb, repeat(n), range(n + 1)), g, reversed(fam))]
-        terms = map(mul, factors, map(sum, zip(*products)))
+    for n in range(first_n, order + 1):
+        terms = map(mul, factors, _combine([column[n] for column in columns], v, size))
         partial = 0
         partials.append([partial := partial * lift + term for lift, term in zip(lifts, terms)])
-        del g[n], fam[n]
-    del g, fam
-    partials.reverse()
 
     check = "finite-binomial-branch" if exact else "partial-sum-at-M"
     rows = [ReportRow(check, n, lhs[n], Fraction(column[-1], dens[-1]))
@@ -435,10 +423,16 @@ def verify_resummation(
         * beta_{n-k,lam} * beta_{k-l,lam}^{(k_1..k_{r-1}-m)}(x)
 
     with beta_{n,lam} the order-1 Carlitz numbers.  The sums over k and l
-    are binomial (EGF) convolutions, so the Carlitz one is taken once into
-    the weight table A[n_r] = r * carlitz conv w_{n_r}, with
-    w_{n_r}[l] = n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1) = U[n_r][l+1] / (l+1),
-    read from the u-power table U of :func:`_u_powers`.
+    are binomial (EGF) convolutions: the Carlitz numbers t/(e_lam(t)-1) times
+    n_r! (-1)^(l-n_r-1) S2(l+1, n_r) / (l+1), the EGF of u^{n_r} / t with
+    u = 1 - e^{-t}, are the EGF of u^{n_r} / (e_lam(t)-1), and the family of
+    the shifted tail is linear in its polylog Li_{k_1..k_{r-1}}.  So the
+    weight of n_r and the tail's p-th polylog coefficient is that
+    coefficient times the depth-r pipeline values of u^(n_r+p), the columns
+    of :func:`_m_series`.  They are built as r times the depth-1 values of u
+    at x = 0 convolved with the depth-(r-1) values of u^(r-1) at x, times
+    powers of u: never from one depth-r pipeline run, which the left-hand
+    side takes, so a fault in the pipeline does not cancel.
 
     For k_r <= 0 the m-sum has exactly -k_r + 1 nonzero terms and the
     identity is checked exactly.  For k_r >= 1 the m-sum is an infinite
@@ -452,12 +446,10 @@ def verify_resummation(
     r = len(ks)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    carlitz, carlitz_den = _over_common(carlitz_degenerate(1, lam, 0, order).values)
-    # r * w_{n_r}[l] = r * U[n_r][l+1] / (l+1), with the 1/(l+1) over their lcm
-    top = lcm(*range(1, order + 2))
-    table = [_binomial_convolution([r * row[l + 1] * (top // (l + 1)) for l in range(order + 1)], carlitz)
-             for row in _u_powers(order + 1)[1:]]
-    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, table, carlitz_den * top)
+    head, head_den = u_power_values(1, lam, 0, order)
+    tail, tail_den = u_power_values(r - 1, lam, x, order)
+    columns = u_power_columns([r * c for c in _binomial_convolution(head, tail)], r, order)
+    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, columns, head_den * tail_den)
 
 
 def verify_difference(
@@ -469,8 +461,10 @@ def verify_difference(
         sum_{l=1..n} sum_{n_r=1..l} C(n,l) n_r^(-k_r-m) n_r!
         (-1)^(l-n_r) S2(l, n_r) beta_{n-l,lam}^{(k_1..k_{r-1}-m)}(x)
 
-    for n >= 1, with the weight table A[n_r][l] = n_r! (-1)^(l-n_r) S2(l, n_r),
-    rows 1..order of the u-power table U of :func:`_u_powers`.
+    for n >= 1.  The S2 sum over n_r is the EGF of u^{n_r}, u = 1 - e^{-t},
+    so the weight of n_r and the tail's p-th polylog coefficient is that
+    coefficient times the depth-(r-1) pipeline values of u^(n_r+p), the
+    columns of :func:`_m_series`.
     Same exact/diagnostic split as the resummation check: k_r <= 0
     terminates the m-sum and is verified exactly, k_r >= 1 emits a
     partial-sum residual table.
@@ -482,4 +476,6 @@ def verify_difference(
 
     upper, base = _polylog_family(ks, lam, (x + 1, x), order)
     lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
-    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, _u_powers(order)[1:], 1)
+    tail, tail_den = u_power_values(r - 1, lam, x, order)
+    columns = u_power_columns(tail, r - 1, order)
+    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, columns, tail_den)

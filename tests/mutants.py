@@ -62,13 +62,12 @@ FAULTS = {
     "compose-shift-by-plus-1": ("series.py", "c[j] -= c[j + 1]", "c[j] += c[j + 1]"),
     "binomial-convolution-unweighted": ("verify.py", "map(mul, map(mul, row, a), b[n::-1])",
                                         "map(mul, a, b[n::-1])"),
-    "combine-minus-1-as-1": ("verify.py", "vector if c == 1 else", "vector if abs(c) == 1 else"),
     "stirling-second-k-off-by-one": ("special.py", "zip(range(1, n + 1), above, prev)",
                                      "zip(range(n), above, prev)"),
     "quotient-first-x-only": ("families.py", "for x in xs:", "for x in [xs[0]] * len(xs):"),
     "inverse-den-times-q": ("series.py", "(db // q)", "(db * q)"),
     "m-series-factor-times-term-den": ("verify.py", "(lifted // term_den)", "(lifted * term_den)"),
-    "m-series-row-den-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[-1], dens[1])"),
+    "m-series-row-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[1], dens[1])"),
     "li-ones-log-power-divisor-r-plus-1": ("verify.py", "den * factorial(r))", "den * factorial(r + 1))"),
     "li-ones-stirling-column-r-minus-1": ("verify.py", "table.value(l, r)", "table.value(l, r - 1)"),
 }

@@ -27,8 +27,9 @@ from polybern.families import (
     degenerate_multi_poly_bernoulli,
     multi_poly_bernoulli,
     poly_bernoulli,
-    shifted_tail_basis,
     type2_poly_bernoulli,
+    u_power_columns,
+    u_power_values,
 )
 from polybern.series import ValuationError
 from polybern.special import (
@@ -256,14 +257,19 @@ def test_pipeline_agrees_with_the_chain_route_and_the_classical_oracle(ks, lam, 
     x=small_rationals,
     order=st.integers(min_value=0, max_value=6),
 )
-def test_shifted_tail_basis_gives_the_family_of_every_shifted_tail(tail, lam, x, order):
-    # tails of depth 1..3: what the m-series identities of depth 2..4 shift
-    basis, den = shifted_tail_basis(tail, lam, x, order)
-    assert len(basis) == order + 1 and all(len(row) == order + len(tail) + 1 for row in basis)
+def test_u_power_columns_give_the_family_of_every_shifted_tail(tail, lam, x, order):
+    # tails of depth 1..3: what the m-series identities of depth 2..4 shift;
+    # lowering k_s by m multiplies the polylog coefficient Li[q] by q^m, and
+    # the pipeline at depth s is linear in the numerator sum_q Li[q] u^q
+    s = len(tail)
+    column, den = u_power_values(s, lam, x, order)
+    columns = u_power_columns(column, s, order)
+    assert len(columns) == order + s + 1 and all(len(c) == order + 1 for c in columns)
+    li, li_den = _multi_polylog_ints(tail, order + s)
     for m in range(13):
         shifted = tail[:-1] + (tail[-1] - m,)
-        assert [Fraction(sum(p**m * b for p, b in enumerate(row)), den) for row in basis] == \
-            list(degenerate_multi_poly_bernoulli(shifted, lam, x, order).values), m
+        assert [Fraction(sum(li[q] * q**m * c[n] for q, c in enumerate(columns)), li_den * den)
+                for n in range(order + 1)] == list(degenerate_multi_poly_bernoulli(shifted, lam, x, order).values), m
 
 
 @settings(max_examples=80, deadline=None)

@@ -56,7 +56,7 @@ CASES = {
     "verify-difference-diagnostic": ["verify", "--identity", "difference", "--ks", "1,1",
                                      "--lambda", "1/2", "--x", "0", "--order", "5",
                                      "--truncate", "8"],
-    # depth 3, k_r = 2, negative lambda: the m-series weight table at depth > 2
+    # depth 3, k_r = 2, negative lambda: the m-series columns at depth > 2
     "verify-resummation-depth3": ["verify", "--identity", "resummation", "--ks", "1,3,2",
                                   "--lambda=-2/5", "--x", "1/3", "--order", "5", "--truncate", "40"],
     "verify-difference-depth3": ["verify", "--identity", "difference", "--ks", "2,-1,2",
@@ -124,10 +124,12 @@ def test_output_does_not_depend_on_the_environment(env, capsys, monkeypatch):
 
 
 # m-series diagnostics at real operand sizes, thousands of bits: a 32 in
-# the tail basis, M = 160 at order 16, and depth 3
+# the tail polylog for both identities, M = 160 at order 16, and depth 3
 HASHED = {
     "verify-resummation-order32": ["verify", "--identity", "resummation", "--ks", "32,1",
                                    "--lambda=-7/9", "--x", "8/9", "--order", "32", "--truncate", "47"],
+    "verify-difference-order32": ["verify", "--identity", "difference", "--ks", "32,1",
+                                  "--lambda=-7/9", "--x", "8/9", "--order", "32", "--truncate", "47"],
     "verify-difference-order16": ["verify", "--identity", "difference", "--ks", "2,2,1",
                                   "--lambda=-7/9", "--x", "8/9", "--order", "16", "--truncate", "160"],
     "verify-resummation-depth3-order24": ["verify", "--identity", "resummation", "--ks", "24,8,1",

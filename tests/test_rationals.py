@@ -113,8 +113,8 @@ def test_format_rational_refuses_a_float():
     lambda f: families.multi_poly_bernoulli((2, 1), f, 2),
     lambda f: families.poly_bernoulli(2, f, 2),
     lambda f: families.type2_poly_bernoulli(2, f, 2),
-    lambda f: families.shifted_tail_basis((2,), f, 0, 2),
-    lambda f: families.shifted_tail_basis((2,), 0, f, 2),
+    lambda f: families.u_power_values(2, f, 0, 2),
+    lambda f: families.u_power_values(2, 0, f, 2),
     lambda f: special.degenerate_exp(f, Fraction(1, 4), 2),
     lambda f: special.degenerate_exp(Fraction(1, 2), f, 2),
     lambda f: verify.verify_chain_stirling((2, 1), f, 0, 2),

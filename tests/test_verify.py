@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from math import comb, factorial, gcd
+from operator import mul
 
 import oracles
 from polybern import cli, verify
-from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli, shifted_tail_basis
+from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli, u_power_columns, u_power_values
 from polybern.rationals import decimal_string
-from polybern.special import one_minus_exp_neg
+from polybern.special import _multi_polylog_ints, one_minus_exp_neg
 from polybern.verify import (
     ReportRow,
     ResidualTable,
@@ -428,69 +429,88 @@ def test_m_series_exact_branch_takes_the_integer_powers(check):
 
 # -- the band structure a closed-form verdict for the m-series rests on ---------
 #
-# With A the weight table an identity hands to verify._m_series (row n_r - 1
-# is A[n_r]) and B the basis of the shifted tail (k_1, ..., k_{r-1}), the
-# m-th summand at n is a sum over the weights
-# W_n[n_r][p] = sum_j C(n, j) A[n_r][j] B[n-j][p] times (p/n_r)^m.  The
+# An identity hands verify._m_series its u-power columns: columns[q][n] is
+# n! [t^n] of u^q, u = 1 - e^{-t}, through the pipeline at depth d = r
+# (resummation) or d = r - 1 (difference).  With Li' the polylog of the
+# tail (k_1, ..., k_{r-1}), the m-th summand at n is a sum over the weights
+# W_n[n_r][p] = Li'[p] columns[n_r + p][n] times n_r^-k_r (p/n_r)^m.  The
 # largest ratio p/n_r with a nonzero weight decides how the summands grow
-# with m, so these tests pin the zero patterns of A and B that bound it.
+# with m, so these tests pin the zero pattern of the columns that bounds it.
 
 premise_indices = st.lists(st.integers(min_value=-2, max_value=3), min_size=2, max_size=3)
 premise_args = dict(ks=premise_indices, lam=small_rationals, x=small_rationals,
                     order=st.integers(min_value=1, max_value=6))
+M_SERIES_DEPTHS = ((verify_resummation, 0), (verify_difference, 1))  # d = r - lag
 
 
-def _weight_table(check, ks, lam, x, order):
-    """The weight table (its rows n_r = 1, 2, ...) that ``check`` passes to
-    verify._m_series, read by a spy around it."""
+def _m_series_inputs(check, ks, lam, x, order):
+    """The left-hand side, the u-power columns and their denominator that
+    ``check`` passes to verify._m_series, read by a spy around it."""
     seen, m_series = [], verify._m_series
 
     def spy(*args):
-        seen.append(args[-2])  # the table, then its denominator
+        seen.append(args)
         return m_series(*args)
 
     with mock.patch.object(verify, "_m_series", spy):
         check(ks, lam, x, order, m_truncation=0)
-    (table,) = seen
-    return table
+    ((*_, lhs, _first_n, columns, columns_den),) = seen
+    return lhs, columns, columns_den
 
 
 @settings(max_examples=50, deadline=None)
 @given(**premise_args)
-def test_shifted_tail_basis_is_banded(ks, lam, x, order):
-    # B[i][p] = 0 past p = i + r - 1, and B[i][i + r - 1] != 0
-    r = len(ks)
-    basis, _ = shifted_tail_basis(ks[:-1], lam, x, order)
-    for i, row in enumerate(basis):
-        assert row[i + r - 1] != 0, i
-        assert not any(row[i + r:]), i
-
-
-@settings(max_examples=50, deadline=None)
-@given(**premise_args)
-def test_m_series_weight_tables_are_banded(ks, lam, x, order):
-    # A[n_r][j] = 0 for j < n_r - 1 (resummation) or j < n_r (difference),
-    # with A[1][0] and A[1][1] the first nonzero entries of row n_r = 1
-    for check, lag in ((verify_resummation, 1), (verify_difference, 0)):
-        table = _weight_table(check, ks, lam, x, order)
-        for n_r, row in enumerate(table, 1):
-            assert not any(row[:n_r - lag]), (check.__name__, n_r)
-        assert table[0][1 - lag] != 0, check.__name__
+def test_m_series_columns_are_banded(ks, lam, x, order):
+    # column q is 0 for q < d, and columns[q][n] = 0 for q > n + d and
+    # != 0 at q = n + d: u^q / (e_lam(t) - 1)^d has valuation q - d
+    for check, lag in M_SERIES_DEPTHS:
+        d = len(ks) - lag
+        _, columns, _ = _m_series_inputs(check, ks, lam, x, order)
+        assert len(columns) == order + d + 1, check.__name__
+        assert not any(map(any, columns[:d])), check.__name__
+        for n in range(order + 1):
+            assert columns[n + d][n] != 0, (check.__name__, n)
+            assert not any(column[n] for column in columns[n + d + 1:]), (check.__name__, n)
 
 
 @settings(max_examples=50, deadline=None)
 @given(**premise_args)
 def test_m_series_weights_reach_ratio_n_plus_r_minus_one(ks, lam, x, order):
-    # the largest p/n_r with W_n[n_r][p] != 0 is n + r - 1 for resummation
-    # and n + r - 2 for difference (n >= 1)
+    # the largest p/n_r with W_n[n_r][p] = Li'[p] columns[n_r + p][n] != 0 is
+    # n + r - 1 for resummation and n + r - 2 for difference (n >= 1)
     r = len(ks)
-    basis, _ = shifted_tail_basis(ks[:-1], lam, x, order)
-    for check, first_n, top in ((verify_resummation, 0, r - 1), (verify_difference, 1, r - 2)):
-        table = _weight_table(check, ks, lam, x, order)
+    for (check, _), first_n, top in zip(M_SERIES_DEPTHS, (0, 1), (r - 1, r - 2)):
+        _, columns, _ = _m_series_inputs(check, ks, lam, x, order)
+        li, _ = _multi_polylog_ints(ks[:-1], len(columns) - 1)
         for n in range(first_n, order + 1):
-            ratios = [Fraction(p, n_r) for n_r, row in enumerate(table, 1) for p in range(len(basis[0]))
-                      if sum(comb(n, j) * row[j] * basis[n - j][p] for j in range(n + 1))]
+            ratios = [Fraction(p, q - p) for q, column in enumerate(columns) for p in range(q)
+                      if li[p] * column[n]]
             assert max(ratios) == n + top, (check.__name__, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ks=premise_indices, lam=small_rationals, x=small_rationals, order=st.integers(min_value=0, max_value=8))
+def test_resummation_columns_are_those_of_one_depth_r_run(ks, lam, x, order):
+    # r times (depth 1 at x = 0) convolved with (depth r - 1 at x) is the
+    # depth-r pipeline on u^r, which the check itself never runs
+    r = len(ks)
+    _, columns, den = _m_series_inputs(verify_resummation, ks, lam, x, order)
+    column, depth_r_den = u_power_values(r, lam, x, order)
+    depth_r = u_power_columns(column, r, order)
+    assert [[Fraction(c, den) for c in col] for col in columns] == \
+        [[Fraction(c, depth_r_den) for c in col] for col in depth_r]
+
+
+@settings(max_examples=50, deadline=None)
+@given(ks=premise_indices, lam=small_rationals, x=small_rationals, order=st.integers(min_value=1, max_value=8))
+def test_m_series_columns_weigh_to_the_left_hand_side(ks, lam, x, order):
+    # the closed form: sum_q columns[q][n] Li_ks[q] is the left-hand side
+    # exactly at every n, whatever k_r
+    for check, _ in M_SERIES_DEPTHS:
+        lhs, columns, den = _m_series_inputs(check, ks, lam, x, order)
+        li, li_den = _multi_polylog_ints(tuple(ks), len(columns) - 1)
+        assert [Fraction(sum(map(mul, (column[n] for column in columns), li)), den * li_den)
+                for n in range(order + 1)] == list(lhs), check.__name__
 
 
 # -- the residual table: its columns, against the oracle's eager residuals ------
