@@ -459,10 +459,27 @@ def _m_series_inputs(check, ks, lam, x, order):
 
 
 @settings(max_examples=50, deadline=None)
+@given(s=st.integers(min_value=1, max_value=4), lam=small_rationals, x=small_rationals,
+       order=st.integers(min_value=0, max_value=6))
+def test_shifted_tail_basis_is_banded(s, lam, x, order):
+    # the shifted tails are weighed on the u-power columns of the depth-s
+    # pipeline: column q is 0 for q < s, columns[q][n] = 0 for q > n + s and
+    # != 0 at q = n + s, as u^q / (e_lam(t) - 1)^s has valuation q - s
+    column, _ = u_power_values(s, lam, x, order)
+    columns = u_power_columns(column, s, order)
+    assert len(columns) == order + s + 1
+    assert not any(map(any, columns[:s]))
+    for n in range(order + 1):
+        assert columns[n + s][n] != 0, n
+        assert not any(column[n] for column in columns[n + s + 1:]), n
+
+
+@settings(max_examples=50, deadline=None)
 @given(**premise_args)
-def test_m_series_columns_are_banded(ks, lam, x, order):
-    # column q is 0 for q < d, and columns[q][n] = 0 for q > n + d and
-    # != 0 at q = n + d: u^q / (e_lam(t) - 1)^d has valuation q - d
+def test_m_series_weight_tables_are_banded(ks, lam, x, order):
+    # the weights are W_n[n_r][p] = Li'[p] columns[n_r + p][n], so their band
+    # is that of the columns each check passes, at depth d: column q is 0 for
+    # q < d, and columns[q][n] = 0 for q > n + d and != 0 at q = n + d
     for check, lag in M_SERIES_DEPTHS:
         d = len(ks) - lag
         _, columns, _ = _m_series_inputs(check, ks, lam, x, order)
