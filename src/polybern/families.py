@@ -19,16 +19,23 @@ by the inverse of the unit power ((e_lam(t) - 1)/t)^r and, for each x it
 is given, by e_lam^x(t), and scales: the quotient by t^r and the inverse
 unit power do not depend on x and are built once, so the identities that
 need a family at two arguments (x + y and x, x + 1 and x) take both from
-one call.  It runs on ints over one denominator per stage, with one
-Fraction per value: the unit and e_lam^x come from the int form of the
-degenerate exponential, and the power, the inverse and the products from
-the int kernels of :mod:`polybern.series`.  The numerators are what the identities test, and
-they stay on separate routes: the Carlitz family passes t^r / r!, which
-the all-ones index vector must reproduce through the polylog composition.
-The main family (:func:`_polylog_family`) takes the multiple polylog as
-the ints of its chain-sum recurrence and composes it with
-1 - e^{-t} through :func:`~polybern.series._compose`, which
-sums over the exponentials e^{-jt} in O(N^2) (the chain-stirling check
+one call.  It runs on ints over one denominator per stage and hands each
+x's values on in that form, as ints over one denominator: the unit and
+e_lam^x come from the int form of the degenerate exponential, and the
+power, the inverse and the products from the int kernels of
+:mod:`polybern.series`.  A Fraction is made once per value, and only where
+a value leaves the library: in the :class:`SequenceResult` of a family and
+in the rows of an identity report.  The identity checks that go on
+computing with family values (the addition theorem, the forward
+difference, the u-power columns) read the ints.
+
+The numerators are what the identities test, and they stay on separate
+routes: the Carlitz family passes t^r / r!, which the all-ones index
+vector must reproduce through the polylog composition.  The main family
+(:func:`_polylog_family`) takes the multiple polylog as the ints of its
+chain-sum recurrence and composes it with 1 - e^{-t} through
+:func:`~polybern.series._compose`, which sums over the exponentials
+e^{-jt} in O(N^2) (the chain-stirling check
 builds its numerator from its own prefix sums and Stirling numbers of the
 second kind instead); the type-2 family does not compose, but reads the
 powers of its inner series log(1+t) from the signed Stirling table of the
@@ -56,7 +63,7 @@ from typing import Sequence
 
 from .rationals import as_rational, format_rational, inv_pow
 from .series import ValuationError, _compose, _inverse, _over_common, _power, _product, _reduced
-from .special import _degenerate_exp_ints, _multi_polylog_ints, stirling_table
+from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,8 @@ class FamilyQuery:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
+        ks = tuple(self.ks)
+        object.__setattr__(self, "ks", index_vector(ks) if ks else ())
         object.__setattr__(self, "lam", as_rational(self.lam))
         object.__setattr__(self, "x", as_rational(self.x))
         if self.order < 0:
@@ -106,12 +114,13 @@ class SequenceResult:
 
 def _gf_values(
     egf: Sequence[int], egf_den: int, r: int, lam, xs: Sequence, order: int
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> tuple[tuple[list[int], int], ...]:
     """The generating-function pipeline every family runs through.
 
     Computes n! [t^n] of  r! * N(t) / (e_lam(t)-1)^r * e_lam^x(t)  for
-    n <= order and for each x of ``xs``, one value tuple per x, with the
-    numerator N given by its EGF ints egf[k] = egf_den * k! [t^k] N for
+    n <= order and for each x of ``xs``, one pair (ints, den) per x: value
+    n is ints[n] / den, with den > 0 and not reduced against the ints.  The
+    numerator N is given by its EGF ints egf[k] = egf_den * k! [t^k] N for
     k <= order + r: N has valuation r, and dividing by t^r eats exactly
     that many orders.  The valuation is checked on the ints, not assumed; a
     violation raises ValuationError and means a math bug upstream.
@@ -120,19 +129,22 @@ def _gf_values(
     over egf_den * (order + r)!, reduced once, and the inverse of the unit
     power ((e_lam(t)-1)/t)^r is built once: neither depends on x.  For each
     x the inverse is multiplied by e_lam^x(t), and that product by the
-    quotient; the values are r! n! times the coefficients.  This is the
-    only place the EGF convention is applied.  The inverse times
-    e_lam^x(t) reduces to about the size of the inverse, so each x costs
-    one product with the quotient, whose ints are the large ones for a
-    large index; the quotient times the inverse, shared by every x, would
-    be as large as the quotient and cost one more such product.
+    quotient; the value ints are r! n! times the coefficient ints, one
+    product per value.  This is the only place the EGF convention is
+    applied.  The inverse times e_lam^x(t) reduces to about the size of the
+    inverse, so each x costs one product with the quotient, whose ints are
+    the large ones for a large index; the quotient times the inverse,
+    shared by every x, would be as large as the quotient and cost one more
+    such product.
 
     Every stage runs on ints over one denominator, reduced once by a gcd
     over the vector: the unit and e_lam^x come from the int form of the
     degenerate exponential (the unit is its x = 1 form shifted by one),
     the unit power is taken by binary powering, the inverse by the int
     recurrence of the series module, and the products are plain int
-    convolutions.  One Fraction is built per value.
+    convolutions.  No Fraction is built: the families make one per value
+    where the values leave the library, and the identity checks read the
+    ints.
     """
     if any(egf[:r]):
         raise ValuationError("valuation too small")
@@ -143,18 +155,12 @@ def _gf_values(
     unit, unit_den = _degenerate_exp_ints(1, lam, order + 1)
     power, power_den = _power(*_reduced(unit[1:], unit_den), r)
     inverse, inverse_den = _inverse(power, power_den)
+    scales = list(accumulate(range(1, order + 1), mul, initial=factorial(r)))  # r! k!
     out = []
     for x in xs:
         factor, den = _reduced(*_degenerate_exp_ints(x, lam, order))
         factor, den = _reduced(_product(inverse, factor), inverse_den * den)
-        den *= num_den
-        values = []
-        scale = factorial(r)
-        for k, c in enumerate(_product(num, factor)):
-            if k:
-                scale *= k
-            values.append(Fraction(scale * c, den))
-        out.append(tuple(values))
+        out.append((list(map(mul, scales, _product(num, factor))), den * num_den))
     return tuple(out)
 
 
@@ -171,15 +177,16 @@ def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
         raise ValueError("r must be at least 1")
     query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)
     egf = [0] * r + [1] + [0] * order
-    (values,) = _gf_values(egf, 1, r, query.lam, (query.x,), order)
-    return SequenceResult("carlitz", query, values)
+    ((ints, den),) = _gf_values(egf, 1, r, query.lam, (query.x,), order)
+    return SequenceResult("carlitz", query, tuple(Fraction(c, den) for c in ints))
 
 
 def _polylog_family(
     ks: tuple[int, ...], lam: Fraction, xs: Sequence[Fraction], order: int
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> tuple[tuple[list[int], int], ...]:
     """The values beta_n(x) for n <= order of the degenerate
-    multi-poly-Bernoulli family, one tuple per x of ``xs``.
+    multi-poly-Bernoulli family, one pair (ints, den) per x of ``xs`` as
+    :func:`_gf_values` returns them.
 
     The numerator is the multiple polylog in x, as the ints of
     :func:`~polybern.special._multi_polylog_ints`, composed with
@@ -201,19 +208,19 @@ def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> Se
     :class:`FamilyQuery`), whose numerator is the empty chain sum 1.
     """
     query = FamilyQuery(ks=tuple(ks), lam=lam, x=x, order=order)
-    (values,) = _polylog_family(query.ks, query.lam, (query.x,), order)
-    return SequenceResult("degen-multi-poly", query, values)
+    ((ints, den),) = _polylog_family(query.ks, query.lam, (query.x,), order)
+    return SequenceResult("degen-multi-poly", query, tuple(Fraction(c, den) for c in ints))
 
 
 def u_power_values(s: int, lam, x, order: int) -> tuple[list[int], int]:
     """The pipeline of :func:`_gf_values` at depth s >= 1 on the numerator
     u^s alone, u = 1 - e^{-t}: the values s! n! [t^n] u^s / (e_lam(t)-1)^s
-    * e_lam^x(t) for n <= order, as ints over one denominator, with that
-    denominator.  The EGF ints of the numerator are
-    n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n.
+    * e_lam^x(t) for n <= order, as ints over their least common
+    denominator, with that denominator: the pipeline's pair reduced once.
+    The EGF ints of the numerator are n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n.
     """
     u_s = [sum(comb(s, j) * (-1) ** j * (-j) ** n for j in range(s + 1)) for n in range(order + s + 1)]
-    return _over_common(_gf_values(u_s, 1, s, lam, (x,), order)[0])
+    return _reduced(*_gf_values(u_s, 1, s, lam, (x,), order)[0])
 
 
 def u_power_columns(column: Sequence[int], s: int, order: int) -> list[list[int]]:
@@ -264,9 +271,9 @@ def type2_poly_bernoulli(k: int, x, order: int) -> SequenceResult:
     the EGF ints the pipeline takes.  That is O(order^2) integer work
     instead of the O(order^3) of a composition.
     """
+    query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
     work = order + 1
     weights, den = _over_common([Fraction(0)] + [inv_pow(p, k - 1) for p in range(1, work + 1)])
     egf = [sum(map(mul, row, weights)) for row in stirling_table("first_signed", work).rows]
-    query = FamilyQuery(ks=(k,), lam=0, x=x, order=order)
-    (values,) = _gf_values(egf, den, 1, query.lam, (query.x,), order)
-    return SequenceResult("type2-poly", query, values)
+    ((ints, den),) = _gf_values(egf, den, 1, query.lam, (query.x,), order)
+    return SequenceResult("type2-poly", query, tuple(Fraction(c, den) for c in ints))

@@ -27,8 +27,16 @@ STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
 
 
 def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
-    """Validate and normalize an index vector (k_1, ..., k_r), r >= 1."""
-    out = tuple(int(k) for k in ks)
+    """Validate an index vector (k_1, ..., k_r), r >= 1, as a tuple.
+
+    An index that is not an int raises TypeError, a float and a bool
+    included: int(2.7) would silently compute k = 2, and a bool is a flag,
+    as :func:`~polybern.rationals.as_rational` refuses both for lam and x.
+    """
+    out = tuple(ks)
+    for k in out:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"an index must be an int, got {type(k).__name__}")
     if not out:
         raise ValueError("index vector must be non-empty")
     return out
@@ -91,6 +99,7 @@ def polyexp(k: int, order: int) -> TruncatedSeries:
 
     At k = 1 this is e^x - 1.
     """
+    (k,) = index_vector((k,))
     coeffs = [Fraction(0)]
     for n in range(1, order + 1):
         coeffs.append(Fraction(1, factorial(n - 1)) * inv_pow(n, k))

@@ -187,20 +187,20 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     The falling products (y)_{j,lam} = y (y - lam) ... (y - (j-1) lam) come
     from their own recurrence, not from the degenerate exponential the
     family pipeline takes them from, and the sum is one integer binomial
-    convolution over common denominators.  Both sides' family values come
-    from one pipeline call at x + y and x.
+    convolution of the base values' ints, as the pipeline hands them on,
+    with the falling products over their common denominator.  Both sides'
+    family values come from one pipeline call at x + y and x.
     """
     ks = index_vector(ks)
     if order < 0:
         raise ValueError("order must be non-negative")
     lam, x, y = as_rational(lam), as_rational(x), as_rational(y)
-    shifted, base = _polylog_family(ks, lam, (x + y, x), order)
-    base, base_den = _over_common(base)
+    (shifted, shifted_den), (base, base_den) = _polylog_family(ks, lam, (x + y, x), order)
     falling = accumulate((y - j * lam for j in range(order)), mul, initial=Fraction(1))
     falling, falling_den = _over_common(list(falling))
     den = base_den * falling_den
     rhs = _binomial_convolution(base, falling)
-    return [ReportRow(check, n, shifted[n], Fraction(rhs[n], den)) for n in range(order + 1)]
+    return [ReportRow(check, n, Fraction(shifted[n], shifted_den), Fraction(rhs[n], den)) for n in range(order + 1)]
 
 
 def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> VerificationReport:
@@ -303,9 +303,9 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         coeffs = [0, *map(mul, accumulate(coeffs[:-1]), powers)]
         den *= power_den
     total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
-    (rhs,) = _gf_values(total, den, r, lam, (x,), order)
+    ((rhs, rhs_den),) = _gf_values(total, den, r, lam, (x,), order)
 
-    rows = [ReportRow("chain-stirling", n, lhs[n], rhs[n]) for n in range(order + 1)]
+    rows = [ReportRow("chain-stirling", n, lhs[n], Fraction(rhs[n], rhs_den)) for n in range(order + 1)]
     return VerificationReport("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
 
 
@@ -474,8 +474,8 @@ def verify_difference(
     if order < 1:
         raise ValueError("difference check needs order >= 1")
 
-    upper, base = _polylog_family(ks, lam, (x + 1, x), order)
-    lhs = [(upper[n] - base[n]) / r for n in range(order + 1)]
+    (upper, upper_den), (base, base_den) = _polylog_family(ks, lam, (x + 1, x), order)
+    lhs = [Fraction(u * base_den - b * upper_den, r * upper_den * base_den) for u, b in zip(upper, base)]
     tail, tail_den = u_power_values(r - 1, lam, x, order)
     columns = u_power_columns(tail, r - 1, order)
     return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, columns, tail_den)

@@ -46,8 +46,8 @@ CALLS = {
 
 # name: (file under src/polybern, old text, new text)
 FAULTS = {
-    "gf-scale-start": ("families.py", "scale = factorial(r)", "scale = factorial(r + 1)"),
-    "gf-scale-step": ("families.py", "scale *= k", "scale *= k + 1"),
+    "gf-scale-start": ("families.py", "initial=factorial(r))", "initial=factorial(r + 1))"),
+    "gf-scale-step": ("families.py", "range(1, order + 1), mul", "range(2, order + 2), mul"),
     "gf-exp-x-at-minus-lambda": ("families.py", "_reduced(*_degenerate_exp_ints(x, lam, order))",
                                  "_reduced(*_degenerate_exp_ints(x, -lam, order))"),
     "gf-unit-power-r-plus-1": ("families.py", "unit_den), r)", "unit_den), r + 1)"),

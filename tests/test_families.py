@@ -31,7 +31,7 @@ from polybern.families import (
     u_power_columns,
     u_power_values,
 )
-from polybern.series import ValuationError
+from polybern.series import ValuationError, _over_common, _reduced
 from polybern.special import (
     _multi_polylog_ints,
     log1p_series,
@@ -327,13 +327,14 @@ def _type2_by_composition(k, x, order):
 )
 @example(k=5, x=Fraction(-3, 5), order=16)
 def test_type2_stirling_numerator_agrees_with_the_composed_numerator(k, x, order):
-    assert type2_poly_bernoulli(k, x, order).values == _type2_by_composition(k, x, order)
+    assert _over_common(type2_poly_bernoulli(k, x, order).values) == _reduced(*_type2_by_composition(k, x, order))
 
 
 def test_type2_stirling_numerator_agrees_with_the_composed_numerator_at_the_caps():
     x = Fraction(255, 256)
     for k in (32, -32):
-        assert type2_poly_bernoulli(k, x, 128).values == _type2_by_composition(k, x, 128), k
+        values = type2_poly_bernoulli(k, x, 128).values
+        assert _over_common(values) == _reduced(*_type2_by_composition(k, x, 128)), k
 
 
 def fraction_pipeline(numerator, r, lam, x, order):
@@ -375,7 +376,9 @@ def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
         tail = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=order + 1, max_size=order + 1), label="tail")
         egf, den = [0] * r + tail, data.draw(st.integers(1, 10**6), label="den")
     numerator = [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
-    assert _gf_values(egf, den, r, lam, (x,), order) == (fraction_pipeline(numerator, r, lam, x, order),)
+    ((ints, values_den),) = _gf_values(egf, den, r, lam, (x,), order)
+    assert values_den > 0 and len(ints) == order + 1
+    assert _reduced(ints, values_den) == _over_common(fraction_pipeline(numerator, r, lam, x, order))
 
 
 def test_pipeline_refuses_a_numerator_below_its_valuation(monkeypatch):
@@ -424,14 +427,35 @@ def test_pipeline_at_several_x_is_the_pipeline_at_each_x(kind, ks, lam, xs, orde
     values = _gf_values(egf, den, r, lam, xs, order)
     assert values == tuple(_gf_values(egf, den, r, lam, (x,), order)[0] for x in xs)
     numerator = [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)]
-    assert values == tuple(fraction_pipeline(numerator, r, lam, x, order) for x in xs)
+    reduced = [_reduced(*pair) for pair in values]
+    assert reduced == [_over_common(fraction_pipeline(numerator, r, lam, x, order)) for x in xs]
     if kind == "polylog":
         assert families._polylog_family(ks, lam, xs, order) == values
-        assert values == tuple(degenerate_multi_poly_bernoulli(ks, lam, x, order).values for x in xs)
+        assert reduced == [_over_common(degenerate_multi_poly_bernoulli(ks, lam, x, order).values) for x in xs]
 
 
 def test_empty_index_vector_gives_the_falling_products_at_each_x():
     lam, order = Fraction(-1, 3), 6
     xs = (Fraction(1, 2), Fraction(5), Fraction(1, 2))
-    expected = tuple(tuple(falling_factorial(x, n, lam) for n in range(order + 1)) for x in xs)
-    assert families._polylog_family((), lam, xs, order) == expected
+    expected = [_over_common([falling_factorial(x, n, lam) for n in range(order + 1)]) for x in xs]
+    assert [_reduced(*pair) for pair in families._polylog_family((), lam, xs, order)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.integers(min_value=1, max_value=4),
+    lam=pipeline_lams,
+    x=small_rationals,
+    order=st.integers(min_value=0, max_value=12),
+)
+@example(s=3, lam=Fraction(-7, 9), x=Fraction(8, 9), order=12)
+def test_u_power_values_are_the_pipeline_values_over_their_least_common_denominator(s, lam, x, order):
+    # the m-series sums are taken over exactly these ints and this
+    # denominator: _over_common of the values as Fractions, here those of
+    # the Fraction pipeline on u^s, u = 1 - e^{-t} = sum_k (-1)^(k+1) t^k / k!
+    work = order + s
+    u = [Fraction(0)] + [Fraction((-1) ** (k + 1), factorial(k)) for k in range(1, work + 1)]
+    numerator = [Fraction(1)] + [Fraction(0)] * work
+    for _ in range(s):
+        numerator = convolve(numerator, u, work)
+    assert u_power_values(s, lam, x, order) == _over_common(fraction_pipeline(numerator, s, lam, x, order))

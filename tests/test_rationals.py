@@ -132,6 +132,29 @@ def test_public_entries_refuse_a_float(call):
     call("1/2")
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+@pytest.mark.parametrize("call", [
+    lambda k: families.FamilyQuery(ks=(k, 1), lam=0, x=0, order=2),
+    lambda k: families.degenerate_multi_poly_bernoulli((k, 1), 0, 0, 3),
+    lambda k: families.multi_poly_bernoulli((1, k), 0, 3),
+    lambda k: families.poly_bernoulli(k, 0, 3),
+    lambda k: families.type2_poly_bernoulli(k, 0, 3),
+    lambda k: special.multi_polylog((k, 2), 3),
+    lambda k: special.polyexp(k, 3),
+    lambda k: verify.verify_deriv_recurrences((k, 2), 4),
+    lambda k: verify.verify_chain_stirling((2, k), 0, 0, 2),
+    lambda k: verify.verify_resummation((k, 0), 0, 0, 2),
+    lambda k: verify.verify_difference((k, 0), 0, 0, 2),
+    lambda k: verify.verify_polynomial_expansion((k, 1), 0, 0, 2),
+    lambda k: verify.verify_addition((k, 1), 0, 0, 0, 2),
+])
+def test_public_entries_refuse_an_index_that_is_not_an_int(call, bad):
+    # int(2.5) would compute k = 2 and int(True) k = 1, and echo them
+    with pytest.raises(TypeError):
+        call(bad)
+    call(2)
+
+
 @given(a=rationals)
 def test_wire_format_round_trips_everything(a):
     assert parse_rational(format_rational(a)) == a
