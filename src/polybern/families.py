@@ -20,14 +20,15 @@ is given, by e_lam^x(t), and scales: the quotient by t^r and the inverse
 unit power do not depend on x and are built once, so the identities that
 need a family at two arguments (x + y and x, x + 1 and x) take both from
 one call.  It runs on ints over one denominator per stage and hands each
-x's values on in that form, as ints over one denominator: the unit and
-e_lam^x come from the int form of the degenerate exponential, and the
-power, the inverse and the products from the int kernels of
-:mod:`polybern.series`.  A Fraction is made once per value, and only where
-a value leaves the library: in the :class:`SequenceResult` of a family and
-in the rows of an identity report.  The identity checks that go on
-computing with family values (the addition theorem, the forward
-difference, the u-power columns) read the ints.
+x's values on in that form, as ints over one denominator: the unit power
+is the binomial sum of the e_lam^j(t), j = 0..r, which come with e_lam^x
+from the int form of the degenerate exponential, and the inverse and the
+products from the int kernels of :mod:`polybern.series`.  A Fraction is
+made once per value, and only where a value leaves the library: in the
+:class:`SequenceResult` of a family and in the rows of an identity
+report.  The identity checks that go on computing with family values
+(the addition theorem, the forward difference, the u-power columns) read
+the ints.
 
 The numerators are what the identities test, and they stay on separate
 routes: the Carlitz family passes t^r / r!, which the all-ones index
@@ -62,7 +63,7 @@ from operator import mul
 from typing import Sequence
 
 from .rationals import as_rational, format_rational, inv_pow
-from .series import ValuationError, _compose, _inverse, _over_common, _power, _product, _reduced
+from .series import ValuationError, _compose, _inverse, _over_common, _product, _reduced
 from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
 
 
@@ -138,13 +139,19 @@ def _gf_values(
     such product.
 
     Every stage runs on ints over one denominator, reduced once by a gcd
-    over the vector: the unit and e_lam^x come from the int form of the
-    degenerate exponential (the unit is its x = 1 form shifted by one),
-    the unit power is taken by binary powering, the inverse by the int
-    recurrence of the series module, and the products are plain int
-    convolutions.  No Fraction is built: the families make one per value
-    where the values leave the library, and the identity checks read the
-    ints.
+    over the vector.  The unit power is
+
+        t^r ((e_lam(t)-1)/t)^r = sum_j C(r,j) (-1)^(r-j) e_lam^j(t),
+
+    n! [t^n] of which is r! S_{2,lam}(n, r), the degenerate Stirling
+    numbers of the second kind: each e_lam^j, like e_lam^x, comes from
+    the int form of the degenerate exponential, and for an integer j
+    that form has the one denominator b^(order+r) (order+r)! for
+    lam = a/b, so the sum is one int vector, shifted down by r.  The
+    inverse is the int recurrence of the series module, and the products
+    are plain int convolutions.  No Fraction is built: the families make
+    one per value where the values leave the library, and the identity
+    checks read the ints.
     """
     if any(egf[:r]):
         raise ValuationError("valuation too small")
@@ -152,9 +159,11 @@ def _gf_values(
     lift = list(accumulate(range(order + r, r, -1), mul, initial=1))
     num, num_den = _reduced(list(map(mul, egf[r : order + r + 1], reversed(lift))),
                             egf_den * factorial(order + r))
-    unit, unit_den = _degenerate_exp_ints(1, lam, order + 1)
-    power, power_den = _power(*_reduced(unit[1:], unit_den), r)
-    inverse, inverse_den = _inverse(power, power_den)
+    power = [0] * (order + 1)
+    for j in range(r + 1):
+        exp_j, power_den = _degenerate_exp_ints(j, lam, order + r)
+        power = [p + comb(r, j) * (-1) ** (r - j) * e for p, e in zip(power, exp_j[r:])]
+    inverse, inverse_den = _inverse(*_reduced(power, power_den))
     scales = list(accumulate(range(1, order + 1), mul, initial=factorial(r)))  # r! k!
     out = []
     for x in xs:
@@ -173,6 +182,7 @@ def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
     Li_{1,...,1}(1 - e^{-t}) equals t^r / r!, must reproduce these values
     through a numerator built on a different route.
     """
+    (r,) = index_vector((r,))
     if r < 1:
         raise ValueError("r must be at least 1")
     query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)

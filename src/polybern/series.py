@@ -5,7 +5,7 @@ A :class:`TruncatedSeries` holds the coefficients ``c[0..order]`` of a
 formal power series in one variable ``t``; nothing beyond ``order`` is
 known, as opposed to zero.  The truncation order is part of the value:
 the int product (:func:`_product`) truncates to the shorter operand and
-the int power (:func:`_power`) keeps it, so the order of a series is
+the int inverse (:func:`_inverse`) keeps it, so the order of a series is
 always a trustworthy statement of how many coefficients are exact.
 Silent order extension is the classic source of wrong generating-function
 code and is never performed.
@@ -14,8 +14,8 @@ Coefficients are ``fractions.Fraction``; integers are accepted and
 coerced, floats are rejected.  Values are frozen and safe to share.
 The class is the value type of the named series in
 :mod:`polybern.special` and carries data only: its coefficients, its
-order and indexed access.  It has no arithmetic; every product, power,
-inverse and composition is taken on the int kernels below.
+order and indexed access.  It has no arithmetic; every product, inverse
+and composition is taken on the int kernels below.
 
 Representation is dense: these series are dense in practice and orders
 stay at desk scale, so the O(N^2) product is the right trade against
@@ -23,8 +23,8 @@ exactness (there is no useful FFT over rationals).  The work runs on
 Python ints, not Fractions: each operand is scaled over one common
 denominator (:func:`_over_common`), the sums are taken over the integers,
 and one Fraction is built per output coefficient.  The int kernels
-(:func:`_product`, :func:`_power`, :func:`_inverse`, :func:`_compose`,
-:func:`_reduced`) are what the family pipeline runs on directly.
+(:func:`_product`, :func:`_inverse`, :func:`_compose`, :func:`_reduced`)
+are what the family pipeline runs on directly.
 
 The composition kernel :func:`_compose` takes only the inner series the
 families need, 1 - e^{-t}, composed in O(N^2) through the expansion of
@@ -85,19 +85,6 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = min(len(a), len(b))
     rb = b[n - 1 :: -1]
     return [sum(map(mul, a[: k + 1], rb[n - 1 - k :])) for k in range(n)]
-
-
-def _power(a: list[int], den: int, exponent: int) -> tuple[list[int], int]:
-    """(a / den)**exponent by binary powering, each product reduced once."""
-    result = None
-    base = (a, den)
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else _reduced(_product(result[0], base[0]), result[1] * base[1])
-        exponent >>= 1
-        if exponent:
-            base = _reduced(_product(base[0], base[0]), base[1] * base[1])
-    return result or ([1] + [0] * (len(a) - 1), 1)
 
 
 def _inverse(a: list[int], den: int) -> tuple[list[int], int]:

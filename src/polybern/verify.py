@@ -60,7 +60,7 @@ from .families import (
     u_power_values,
 )
 from .rationals import as_rational, decimal_string, format_rational, inv_pow
-from .series import _over_common, _power
+from .series import _over_common, _product, _reduced
 from .special import _multi_polylog_ints, index_vector, multi_polylog, stirling_table
 
 
@@ -233,12 +233,17 @@ def verify_li_ones(r: int, order: int) -> VerificationReport:
     The chain-sum route, the r-th power of -log(1-x) over r!, and the
     unsigned-Stirling-first EGF column must agree coefficientwise.
     """
+    (r,) = index_vector((r,))
     if r < 1:
         raise ValueError("r must be at least 1")
     dp = multi_polylog((1,) * r, order)
-    # -log(1 - x) = sum x^n / n, as the ints top // n over top = lcm(1..order)
+    # -log(1 - x) = sum x^n / n, as the ints top // n over top = lcm(1..order),
+    # raised to the r-th power by r - 1 products, each reduced once
     top = lcm(*range(1, order + 1))
-    power, den = _power([0] + [top // n for n in range(1, order + 1)], top, r)
+    log = [0] + [top // n for n in range(1, order + 1)]
+    power, den = log, top
+    for _ in range(r - 1):
+        power, den = _reduced(_product(power, log), den * top)
     table = stirling_table("first_unsigned", order)
     stirling_egf = [Fraction(table.value(l, r), factorial(l)) for l in range(order + 1)]
     rows = [ReportRow("log-power", n, dp[n], Fraction(power[n], den * factorial(r))) for n in range(order + 1)]

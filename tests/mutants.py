@@ -50,7 +50,8 @@ FAULTS = {
     "gf-scale-step": ("families.py", "range(1, order + 1), mul", "range(2, order + 2), mul"),
     "gf-exp-x-at-minus-lambda": ("families.py", "_reduced(*_degenerate_exp_ints(x, lam, order))",
                                  "_reduced(*_degenerate_exp_ints(x, -lam, order))"),
-    "gf-unit-power-r-plus-1": ("families.py", "unit_den), r)", "unit_den), r + 1)"),
+    "gf-unit-power-binomial-r-plus-1": ("families.py", "comb(r, j) * (-1) ** (r - j)",
+                                        "comb(r + 1, j) * (-1) ** (r - j)"),
     "inverse-without-a1": ("series.py", "a[n:0:-1]", "a[n:1:-1]"),
     "degenerate-exp-step": ("special.py", "(start - j * step)", "(start - (j + 1) * step)"),
     "family-compose-alpha-plus-1": ("series.py", "-a_m if m & 1 else a_m", "a_m"),
@@ -58,7 +59,6 @@ FAULTS = {
     "tail-basis-u-sign": ("families.py", "(-1) ** (k + 1) * comb(n, k)", "(-1) ** k * comb(n, k)"),
     "polylog-non-strict-chains": ("special.py", "accumulate(chains[:-1])", "list(accumulate(chains))[1:]"),
     "product-without-a0-term": ("series.py", "a[: k + 1], rb[n - 1 - k :]", "a[1 : k + 1], rb[n - k :]"),
-    "power-base-den-unsquared": ("series.py", "base[1] * base[1])", "base[1])"),
     "compose-shift-by-plus-1": ("series.py", "c[j] -= c[j + 1]", "c[j] += c[j + 1]"),
     "binomial-convolution-unweighted": ("verify.py", "map(mul, map(mul, row, a), b[n::-1])",
                                         "map(mul, a, b[n::-1])"),
@@ -68,6 +68,7 @@ FAULTS = {
     "inverse-den-times-q": ("series.py", "(db // q)", "(db * q)"),
     "m-series-factor-times-term-den": ("verify.py", "(lifted // term_den)", "(lifted * term_den)"),
     "m-series-row-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[1], dens[1])"),
+    "li-ones-log-power-den-not-raised": ("verify.py", "den * top)", "den)"),
     "li-ones-log-power-divisor-r-plus-1": ("verify.py", "den * factorial(r))", "den * factorial(r + 1))"),
     "li-ones-stirling-column-r-minus-1": ("verify.py", "table.value(l, r)", "table.value(l, r - 1)"),
 }

@@ -366,6 +366,9 @@ pipeline_lams = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fract
 )
 @example(r=4, lam=Fraction(1, 3), x=Fraction(0), order=40, data=None)
 @example(r=0, lam=Fraction(1), x=Fraction(-2, 3), order=40, data=None)
+# the depth cap, where the unit power sums e_lam^j up to j = 16
+@example(r=16, lam=Fraction(-7, 9), x=Fraction(8, 9), order=8, data=None)
+@example(r=16, lam=Fraction(1), x=Fraction(-2, 3), order=8, data=None)
 def test_int_pipeline_agrees_with_the_fraction_pipeline(r, lam, x, order, data):
     # data=None: the EGF ints of the family numerator Li_{2,..,2}(1 - e^{-t}),
     # else random ints from t^r on over a random denominator

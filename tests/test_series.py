@@ -1,5 +1,5 @@
 """Truncated power series and the int kernels under the family pipeline:
-products, powers, inversion and composition against the oracles."""
+products, inversion and composition against the oracles."""
 
 import json
 from fractions import Fraction
@@ -14,7 +14,7 @@ from oracles import bernoulli_numbers, brute_compose, convolve, long_divide, pow
 from polybern import cli
 from polybern.families import poly_bernoulli
 from polybern.rationals import parse_rational
-from polybern.series import TruncatedSeries, _compose, _inverse, _over_common, _power, _product
+from polybern.series import TruncatedSeries, _compose, _inverse, _over_common, _product
 from polybern.special import log1p_series, one_minus_exp_neg, stirling_table
 from polybern.verify import ResidualTable, verify_li_ones
 
@@ -46,12 +46,6 @@ def product(a, b):
     """The truncated product of two series through the int kernel."""
     (ia, da), (ib, db) = _over_common(a.coeffs), _over_common(b.coeffs)
     return [Fraction(c, da * db) for c in _product(ia, ib)]
-
-
-def power(a, exponent):
-    """a**exponent through the int kernel, as Fractions."""
-    ints, den = _power(*_over_common(a.coeffs), exponent)
-    return [Fraction(c, den) for c in ints]
 
 
 def inverse(a):
@@ -130,7 +124,7 @@ def test_mul_truncates_to_min_order():
 
 
 def test_scalar_arithmetic():
-    # a series carries data only: every product and power is the int kernels'
+    # a series carries data only: every product is the int kernels'
     a = TruncatedSeries([1, 2, 3])
     with pytest.raises(TypeError):
         a * Fraction(1, 2)
@@ -240,15 +234,6 @@ def test_compose_kernel_ints_match_the_series_composition(outer):
     assert [Fraction(e, den * factorial(n)) for n, e in enumerate(egf)] == composed
 
 
-def test_pow():
-    a = TruncatedSeries([1, 1, 0, 0])
-    assert power(a, 3) == [1, 3, 3, 1] == convolve(convolve(list(a), list(a), 3), list(a), 3)
-    assert power(a, 0) == list(t_power(0, 3))
-    # the kernel takes no negative exponent; the one public exponent, li-ones' r, is refused below 1
-    with pytest.raises(ValueError):
-        verify_li_ones(-1, 3)
-
-
 int_series = st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=9)
 
 
@@ -296,7 +281,7 @@ def test_product_rule(a, b):
     assert lhs == list(rhs)[:n]
 
 
-# Products, powers and inversion run on ints over a common denominator; the oracles
+# Products and inversion run on ints over a common denominator; the oracles
 # below work Fraction by Fraction and share no code with them.
 wide_coefficients = st.one_of(
     coefficients,
@@ -334,17 +319,6 @@ def test_mul_matches_convolution_oracle(a, b):
     assert product(a, b) == convolve(list(a), list(b), n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(a=wide_series(), exponent=st.integers(min_value=0, max_value=6))
-@example(a=inverse_factorials(12), exponent=5)
-@example(a=geometric(-7, 11, 9), exponent=4)
-def test_pow_matches_repeated_convolution_oracle(a, exponent):
-    expected = [Fraction(1)] + [Fraction(0)] * a.order
-    for _ in range(exponent):
-        expected = convolve(expected, list(a), a.order)
-    assert power(a, exponent) == expected
-
-
 @settings(max_examples=80, deadline=None)
 @given(a=wide_series(unit=True))
 @example(a=TruncatedSeries([Fraction(-3, 5)]))
@@ -354,13 +328,6 @@ def test_pow_matches_repeated_convolution_oracle(a, exponent):
 @example(a=TruncatedSeries([Fraction(-4, 9)] + [Fraction(1, factorial(n + 1)) for n in range(1, 12)]))
 def test_invert_matches_long_division_oracle(a):
     assert inverse(a) == long_divide([Fraction(1)], list(a), a.order)
-
-
-@pytest.mark.parametrize("order", [0, 7])
-def test_pow_zero_and_one(order):
-    s = TruncatedSeries([Fraction(-3, 5)] + [Fraction(n, n + 2) for n in range(1, order + 1)])
-    assert power(s, 0) == list(t_power(0, order))
-    assert power(s, 1) == list(s) == convolve(list(t_power(0, order)), list(s), order)
 
 
 def test_json_round_trip(capsys):

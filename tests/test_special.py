@@ -51,6 +51,15 @@ def test_degenerate_exp_classical_limit():
     assert s.coeffs == (Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6))
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-7, 9), Fraction(5, 3), Fraction(-2)])
+@pytest.mark.parametrize("order", [0, 1, 24])
+def test_degenerate_exp_ints_share_one_denominator_over_integer_x(lam, order):
+    # the family pipeline sums e_lam^j(t) for j = 0..r <= 16 over ints: for an
+    # integer j the denominator b^order order! does not depend on j
+    dens = {_degenerate_exp_ints(j, lam, order)[1] for j in range(17)}
+    assert dens == {lam.denominator**order * factorial(order)}
+
+
 @settings(max_examples=40)
 @given(x=small_rationals, y=small_rationals, lam=small_rationals)
 def test_degenerate_exp_addition_law(x, y, lam):

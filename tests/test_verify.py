@@ -73,8 +73,17 @@ def test_li_ones_depth_two_coefficient():
     assert row.lhs == HALF and row.rhs == HALF
 
 def test_li_ones_rejects_bad_r():
-    with pytest.raises(ValueError):
-        verify_li_ones(0, 5)
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            verify_li_ones(r, 5)
+
+@pytest.mark.parametrize("r", [True, False, 2.0])
+@pytest.mark.parametrize("entry", [lambda r: verify_li_ones(r, 3), lambda r: carlitz_degenerate(r, 0, 0, 3)],
+                         ids=["li-ones", "carlitz"])
+def test_depth_that_is_not_an_int_is_refused(entry, r):
+    # a bool is a flag and a float no depth, as for the indices of index_vector
+    with pytest.raises(TypeError, match="must be an int"):
+        entry(r)
 
 # -- derivative recurrences ------------------------------------------------------
 
