@@ -64,7 +64,7 @@ from typing import Sequence
 
 from .rationals import as_rational, format_rational, inv_pow
 from .series import ValuationError, _compose, _inverse, _over_common, _product, _reduced
-from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
+from .special import _degenerate_exp_ints, _multi_polylog_ints, as_int, index_vector, stirling_table
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class FamilyQuery:
         object.__setattr__(self, "ks", index_vector(ks) if ks else ())
         object.__setattr__(self, "lam", as_rational(self.lam))
         object.__setattr__(self, "x", as_rational(self.x))
-        if self.order < 0:
+        if as_int(self.order, "order") < 0:
             raise ValueError("order must be non-negative")
 
     def to_params_dict(self) -> dict:

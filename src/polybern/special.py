@@ -26,17 +26,22 @@ from .series import TruncatedSeries, _reduced
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
 
 
-def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
-    """Validate an index vector (k_1, ..., k_r), r >= 1, as a tuple.
+def as_int(value, what: str) -> int:
+    """``value`` when it is an int; TypeError otherwise, a float and a bool
+    included: int(2.7) would silently compute 2, and a bool is a flag, as
+    :func:`~polybern.rationals.as_rational` refuses both for lam and x.
+    ``what`` names the value in the message."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    return value
 
-    An index that is not an int raises TypeError, a float and a bool
-    included: int(2.7) would silently compute k = 2, and a bool is a flag,
-    as :func:`~polybern.rationals.as_rational` refuses both for lam and x.
-    """
+
+def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
+    """Validate an index vector (k_1, ..., k_r), r >= 1, as a tuple; an
+    index that is not an int raises TypeError (see :func:`as_int`)."""
     out = tuple(ks)
     for k in out:
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError(f"an index must be an int, got {type(k).__name__}")
+        as_int(k, "an index")
     if not out:
         raise ValueError("index vector must be non-empty")
     return out
@@ -74,14 +79,14 @@ def degenerate_exp(x, lam, order: int) -> TruncatedSeries:
     come from the int form :func:`_degenerate_exp_ints`, which the family
     pipeline reads directly.
     """
-    ints, den = _degenerate_exp_ints(x, lam, order)
+    ints, den = _degenerate_exp_ints(x, lam, as_int(order, "order"))
     return TruncatedSeries(Fraction(e, den) for e in ints)
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:
     """1 - e^{-t}: coefficient n is (-1)^(n+1)/n! for n >= 1."""
     coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
+    for n in range(1, as_int(order, "order") + 1):
         coeffs.append(Fraction((-1) ** (n + 1), factorial(n)))
     return TruncatedSeries(coeffs)
 
@@ -89,7 +94,7 @@ def one_minus_exp_neg(order: int) -> TruncatedSeries:
 def log1p_series(order: int) -> TruncatedSeries:
     """log(1 + t): coefficient n is (-1)^(n+1)/n for n >= 1."""
     coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
+    for n in range(1, as_int(order, "order") + 1):
         coeffs.append(Fraction((-1) ** (n + 1), n))
     return TruncatedSeries(coeffs)
 
@@ -101,7 +106,7 @@ def polyexp(k: int, order: int) -> TruncatedSeries:
     """
     (k,) = index_vector((k,))
     coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
+    for n in range(1, as_int(order, "order") + 1):
         coeffs.append(Fraction(1, factorial(n - 1)) * inv_pow(n, k))
     return TruncatedSeries(coeffs)
 
@@ -145,7 +150,7 @@ def multi_polylog(ks: Sequence[int], order: int) -> TruncatedSeries:
     coefficient and is kept only as a test oracle.
     """
     ks = index_vector(ks)
-    if order < 0:
+    if as_int(order, "order") < 0:
         raise ValueError("order must be non-negative")
     ints, den = _multi_polylog_ints(ks, order)
     return TruncatedSeries(Fraction(c, den) for c in ints)
@@ -183,7 +188,7 @@ def stirling_table(kind: str, max_n: int) -> StirlingTable:
     """
     if kind not in STIRLING_KINDS:
         raise ValueError(f"kind must be one of {STIRLING_KINDS}, got {kind!r}")
-    if max_n < 0:
+    if as_int(max_n, "max_n") < 0:
         raise ValueError("max_n must be non-negative")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, max_n + 1):

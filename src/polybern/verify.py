@@ -61,7 +61,7 @@ from .families import (
 )
 from .rationals import as_rational, decimal_string, format_rational, inv_pow
 from .series import _over_common, _product, _reduced
-from .special import _multi_polylog_ints, index_vector, multi_polylog, stirling_table
+from .special import _multi_polylog_ints, as_int, index_vector, multi_polylog, stirling_table
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     family values come from one pipeline call at x + y and x.
     """
     ks = index_vector(ks)
-    if order < 0:
+    if as_int(order, "order") < 0:
         raise ValueError("order must be non-negative")
     lam, x, y = as_rational(lam), as_rational(x), as_rational(y)
     (shifted, shifted_den), (base, base_den) = _polylog_family(ks, lam, (x + y, x), order)
@@ -261,7 +261,7 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     differentiated check covers both.
     """
     ks = index_vector(ks)
-    if order < 1:
+    if as_int(order, "order") < 1:
         raise ValueError("order must be at least 1")
     li, li_den = _multi_polylog_ints(ks, order)
     lowered, lowered_den = _multi_polylog_ints(ks[:-1] + (ks[-1] - 1,), order)
@@ -325,6 +325,33 @@ def _combine(coeffs: Sequence[int], vectors, size: int) -> list[int]:
     return list(map(sum, zip(*terms))) if terms else [0] * size
 
 
+def _m_sum_denominators(li_den: int, common: Sequence[int], scales: Sequence[int], step: int, k_r: int):
+    """The lifts, signed factors and running denominators of the m-sum.
+
+    The summand at m is ints over li_den * scales[m] / common[m], with
+    common[m] a divisor of li_den and scales[m] = scales[m - 1] * step.
+    dens[M] is the lcm of the summands' denominators at m <= M, and the
+    partial sum at M over it is lifts[M] times the one at M - 1, plus
+    factors[M] times the summand's ints; factors[M] carries the signed
+    binomial (-1)^M C(k_r+M-1, M).  The pass runs on the cofactor
+    dens[m] / scales[m] and on term = li_den / common[m], never on the
+    scaled denominators: lcm(dens[m-1], term * scales[m]) is
+    scales[m-1] * lcm(cofactor, term * step), so every lcm and division is
+    on ints the size of li_den.
+    """
+    lifts, factors, dens = [], [], []
+    cofactor, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
+    for m, (c, scale) in enumerate(zip(common, scales)):
+        term = li_den // c
+        lifted = lcm(cofactor, term * step)
+        lifts.append(lifted // cofactor)
+        cofactor = lifted // step
+        factors.append(signed_binomial * (cofactor // term))
+        dens.append(cofactor * scale)
+        signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
+    return lifts, factors, dens
+
+
 def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, columns_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
@@ -345,12 +372,12 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, 
     with L = lcm(1..n_r max): the vector of a pair is the geometric one
     Li'[p] (L/n_r)^k_r ((L/n_r) p)^m (for k_r <= 0, Li'[p] p^m times the
     integer n_r^(-k_r-m), over li_den), reduced per m by the gcd of that m's
-    entries with its denominator.  The denominators come from one scalar
-    pass over m: a running denominator, the lcm of the summands'
-    denominators so far, lifted by one lcm per m and never reduced per
-    coefficient, with the lift and the signed factor of each m.  Then each
-    n weighs the v_q by its column entries, elementwise over m, and sums
-    the result over m into its column of int partial sums, one per
+    entries with li_den alone, so every gcd runs on ints the size of li_den
+    and not of li_den * L^(k_r+m); any common divisor that divides li_den
+    gives the same rationals.  The denominators come from one scalar pass
+    over m, :func:`_m_sum_denominators`, on the same small operands.  Then
+    each n weighs the v_q by its column entries, elementwise over m, and
+    sums the result over m into its column of int partial sums, one per
     truncation M.  The columns go to the residual table as they are (see
     :class:`ResidualTable`); only the final partial sum of each n becomes a
     Fraction.
@@ -372,36 +399,24 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, 
     li, li_den = _multi_polylog_ints(ks[:-1], len(columns) - 1)
     if exact:
         n_powers = [list(accumulate(repeat(n, m_top), mul, initial=1))[::-1] for n in range(len(columns) - depth)]
-        scales = [1] * size
+        scales, step = [1] * size, 1
 
         def pair(n_r, p):
             return map(mul, n_powers[n_r], accumulate(repeat(p, m_top), mul, initial=li[p]))
     else:
-        top = lcm(*range(1, len(columns) - depth))
+        top = step = lcm(*range(1, len(columns) - depth))
         scales = list(accumulate(repeat(top, m_top), mul, initial=top**k_r))
 
         def pair(n_r, p):
             return accumulate(repeat(top // n_r * p, m_top), mul, initial=li[p] * (top // n_r) ** k_r)
     v = [[0] * size] * (depth + 1)
     v += [list(map(sum, zip(*[pair(q - p, p) for p in range(depth, q)]))) for q in range(depth + 1, len(columns))]
-    common = list(map(gcd, map(mul, repeat(li_den), scales), *v))
+    common = list(map(gcd, repeat(li_den), *v))
     for v_q in v:  # in place, one vector at a time; the shared zero ones stay zero
         v_q[:] = map(floordiv, v_q, common)
-
-    # the partial sums at M are ints over columns_den * sum_den, where
-    # sum_den is the lcm of the denominators of the summands at m <= M: the
-    # sum at M is lifts[M] times the sum at M - 1, plus factors[M] times the
-    # summand.
-    lifts, factors, dens = [], [], []
-    sum_den, signed_binomial = 1, 1  # (-1)^m C(k_r+m-1, m) at m = 0
-    for m, (scale, c) in enumerate(zip(scales, common)):
-        term_den = li_den * scale // c
-        lifted = lcm(sum_den, term_den)
-        lifts.append(lifted // sum_den)
-        factors.append(signed_binomial * (lifted // term_den))
-        dens.append(columns_den * lifted)
-        sum_den = lifted
-        signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
+    # the partial sums at M are ints over columns_den * dens[M]
+    lifts, factors, dens = _m_sum_denominators(li_den, common, scales, step, k_r)
+    dens = list(map(mul, repeat(columns_den), dens))
 
     partials: list[list[int]] = []
     for n in range(first_n, order + 1):
@@ -448,6 +463,7 @@ def verify_resummation(
     against the exact left-hand side.
     """
     ks, lam, x = _depth_two_args("resummation", ks, lam, x)
+    as_int(m_truncation, "m truncation")
     r = len(ks)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
@@ -475,8 +491,9 @@ def verify_difference(
     partial-sum residual table.
     """
     ks, lam, x = _depth_two_args("difference", ks, lam, x)
+    as_int(m_truncation, "m truncation")
     r = len(ks)
-    if order < 1:
+    if as_int(order, "order") < 1:
         raise ValueError("difference check needs order >= 1")
 
     (upper, upper_den), (base, base_den) = _polylog_family(ks, lam, (x + 1, x), order)

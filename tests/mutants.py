@@ -53,7 +53,7 @@ FAULTS = {
     "gf-unit-power-binomial-r-plus-1": ("families.py", "comb(r, j) * (-1) ** (r - j)",
                                         "comb(r + 1, j) * (-1) ** (r - j)"),
     "inverse-without-a1": ("series.py", "a[n:0:-1]", "a[n:1:-1]"),
-    "degenerate-exp-step": ("special.py", "(start - j * step)", "(start - (j + 1) * step)"),
+    "degenerate-exp-scale-n-plus-1": ("special.py", "scale *= base * n", "scale *= base * (n + 1)"),
     "family-compose-alpha-plus-1": ("series.py", "-a_m if m & 1 else a_m", "a_m"),
     "u-powers-unsigned": ("verify.py", "signed[(l - m) & 1]", "signed[0]"),
     "tail-basis-u-sign": ("families.py", "(-1) ** (k + 1) * comb(n, k)", "(-1) ** k * comb(n, k)"),
@@ -66,7 +66,7 @@ FAULTS = {
                                      "zip(range(n), above, prev)"),
     "quotient-first-x-only": ("families.py", "for x in xs:", "for x in [xs[0]] * len(xs):"),
     "inverse-den-times-q": ("series.py", "(db // q)", "(db * q)"),
-    "m-series-factor-times-term-den": ("verify.py", "(lifted // term_den)", "(lifted * term_den)"),
+    "m-series-factor-times-term-den": ("verify.py", "(cofactor // term)", "(cofactor * term)"),
     "m-series-row-at-m-1": ("verify.py", "Fraction(column[-1], dens[-1])", "Fraction(column[1], dens[1])"),
     "li-ones-log-power-den-not-raised": ("verify.py", "den * top)", "den)"),
     "li-ones-log-power-divisor-r-plus-1": ("verify.py", "den * factorial(r))", "den * factorial(r + 1))"),

@@ -385,6 +385,24 @@ def m_series_partial_sums(lhs, term_by_m, k_r, first_n, order):
     return rows, residuals
 
 
+def plain_lcm_m_pass(li_den, common, scales, k_r):
+    """The lifts, signed factors and running denominators of the m-sum
+    whose summand at m is over li_den * scales[m] / common[m], by the plain
+    lcm of those whole denominators: the package's pass before it ran on
+    cofactors of the scales."""
+    lifts, factors, dens = [], [], []
+    sum_den, signed_binomial = 1, 1
+    for m, (scale, c) in enumerate(zip(scales, common)):
+        term_den = li_den * scale // c
+        lifted = lcm(sum_den, term_den)
+        lifts.append(lifted // sum_den)
+        factors.append(signed_binomial * (lifted // term_den))
+        dens.append(lifted)
+        sum_den = lifted
+        signed_binomial = -signed_binomial * (k_r + m) // (m + 1)
+    return lifts, factors, dens
+
+
 # -- reports, read through their exact parts ---------------------------------
 
 

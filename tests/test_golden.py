@@ -135,6 +135,10 @@ HASHED = {
     "verify-resummation-depth3-order24": ["verify", "--identity", "resummation", "--ks", "24,8,1",
                                           "--lambda=-7/9", "--x", "8/9", "--order", "24",
                                           "--truncate", "64"],
+    # a depth-4 tail where each m's factor, taken against li_den alone, is a
+    # proper divisor of the one against the whole denominator
+    "verify-resummation-depth4-order8": ["verify", "--identity", "resummation", "--ks", "1,-1,-1,2",
+                                         "--lambda=-7/9", "--x", "8/9", "--order", "8", "--truncate", "160"],
 }
 
 

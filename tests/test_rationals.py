@@ -155,6 +155,39 @@ def test_public_entries_refuse_an_index_that_is_not_an_int(call, bad):
     call(2)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+@pytest.mark.parametrize("call", [
+    lambda n: families.FamilyQuery(ks=(2, 1), lam=0, x=0, order=n),
+    lambda n: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), 0, n),
+    lambda n: families.carlitz_degenerate(2, 0, 0, n),
+    lambda n: families.multi_poly_bernoulli((2, 1), 0, n),
+    lambda n: families.poly_bernoulli(2, 0, n),
+    lambda n: families.type2_poly_bernoulli(2, 0, n),
+    lambda n: special.degenerate_exp(1, Fraction(1, 4), n),
+    lambda n: special.one_minus_exp_neg(n),
+    lambda n: special.log1p_series(n),
+    lambda n: special.polyexp(2, n),
+    lambda n: special.multi_polylog((2, 1), n),
+    lambda n: special.stirling_table("second", n),
+    lambda n: verify.verify_li_ones(2, n),
+    lambda n: verify.verify_deriv_recurrences((2, 1), n),
+    lambda n: verify.verify_chain_stirling((2, 1), 0, 0, n),
+    lambda n: verify.verify_polynomial_expansion((2, 1), 0, 0, n),
+    lambda n: verify.verify_addition((2, 1), 0, 0, 0, n),
+    lambda n: verify.verify_resummation((2, 1), 0, 0, n),
+    lambda n: verify.verify_difference((2, 1), 0, 0, n),
+    lambda n: verify.verify_resummation((2, 1), 0, 0, 2, m_truncation=n),
+    lambda n: verify.verify_difference((2, 1), 0, 0, 2, m_truncation=n),
+    lambda n: verify.verify_resummation((2, -1), 0, 0, 2, m_truncation=n),
+])
+def test_public_entries_refuse_an_order_that_is_not_an_int(call, bad):
+    # an order, max_n or m truncation of True would run as 1 and be echoed
+    # as true, and 2.0 would fail deep inside on range()
+    with pytest.raises(TypeError, match="must be an int"):
+        call(bad)
+    call(2)
+
+
 @given(a=rationals)
 def test_wire_format_round_trips_everything(a):
     assert parse_rational(format_rational(a)) == a

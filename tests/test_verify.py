@@ -8,7 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from math import comb, factorial, gcd
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 import oracles
@@ -359,14 +360,23 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 @settings(max_examples=40, deadline=None)
 @given(
-    head=st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=2),
+    # depth 2 and 3 to order 6; depth 4 and 5 to order 4, the tails where
+    # each m's factor, a divisor of li_den, is often a proper divisor of the
+    # gcd with the whole denominator li_den * L^(k_r+m)
+    head_order=st.one_of(
+        st.tuples(st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=2),
+                  st.integers(min_value=1, max_value=6)),
+        st.tuples(st.lists(st.integers(min_value=-2, max_value=3), min_size=3, max_size=4),
+                  st.integers(min_value=1, max_value=4)),
+    ),
     k_r=st.integers(min_value=-3, max_value=3),
     lam=small_rationals,
     x=small_rationals,
-    order=st.integers(min_value=1, max_value=6),
     m_truncation=st.integers(min_value=0, max_value=12),
 )
-def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncation):
+@example(head_order=([0, 0, 1], 3), k_r=1, lam=Fraction(-7, 9), x=Fraction(8, 9), m_truncation=12)
+def test_m_series_matches_the_per_m_oracle(head_order, k_r, lam, x, m_truncation):
+    head, order = head_order
     ks = tuple(head) + (k_r,)
     r = len(ks)
     m_top = -k_r if k_r <= 0 else m_truncation
@@ -389,6 +399,37 @@ def test_m_series_matches_the_per_m_oracle(head, k_r, lam, x, order, m_truncatio
             [(n, lhs[n], partial) for n, partial in rows]
         assert oracles.residual_triples(report.residuals) == residuals
         assert report.params["m_truncation"] == m_top
+
+
+smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8).map(prod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    li_den=st.lists(st.sampled_from([2, 3, 5, 7, 11]), max_size=16).map(prod),
+    divisors=st.lists(smooth, min_size=1, max_size=12),
+    first_scale=smooth,
+    step=smooth,
+    k_r=st.integers(min_value=-3, max_value=3),
+    data=st.data(),
+)
+def test_m_sum_denominators_match_the_plain_lcm_pass(li_den, divisors, first_scale, step, k_r, data):
+    # the pass on cofactors of the scales gives the running denominators of
+    # the plain lcm over the whole ones, and the same partial sums
+    common = [gcd(li_den, d) for d in divisors]
+    scales = list(accumulate(repeat(step, len(common) - 1), mul, initial=first_scale))
+    lifts, factors, dens = verify._m_sum_denominators(li_den, common, scales, step, k_r)
+    plain_lifts, plain_factors, plain_dens = oracles.plain_lcm_m_pass(li_den, common, scales, k_r)
+    assert dens == plain_dens
+    v = data.draw(st.lists(st.integers(min_value=-10**6, max_value=10**6),
+                           min_size=len(common), max_size=len(common)))
+
+    def partial_sums(lifts, factors, dens):
+        partial = 0
+        sums = [partial := partial * lift + factor * term for lift, factor, term in zip(lifts, factors, v)]
+        return [Fraction(s, d) for s, d in zip(sums, dens)]
+
+    assert partial_sums(lifts, factors, dens) == partial_sums(plain_lifts, plain_factors, plain_dens)
 
 
 def _oracle_sums(check, ks, lam, x, order, m_truncation):
