@@ -88,8 +88,7 @@ class FamilyQuery:
         object.__setattr__(self, "ks", index_vector(ks) if ks else ())
         object.__setattr__(self, "lam", as_rational(self.lam))
         object.__setattr__(self, "x", as_rational(self.x))
-        if as_int(self.order, "order") < 0:
-            raise ValueError("order must be non-negative")
+        as_int(self.order, "order", 0)
 
     def to_params_dict(self) -> dict:
         return {
@@ -182,10 +181,7 @@ def carlitz_degenerate(r: int, lam, x, order: int) -> SequenceResult:
     Li_{1,...,1}(1 - e^{-t}) equals t^r / r!, must reproduce these values
     through a numerator built on a different route.
     """
-    (r,) = index_vector((r,))
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    query = FamilyQuery(ks=(1,) * r, lam=lam, x=x, order=order)
+    query = FamilyQuery(ks=(1,) * as_int(r, "r", 1), lam=lam, x=x, order=order)
     egf = [0] * r + [1] + [0] * order
     ((ints, den),) = _gf_values(egf, 1, r, query.lam, (query.x,), order)
     return SequenceResult("carlitz", query, tuple(Fraction(c, den) for c in ints))

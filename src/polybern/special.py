@@ -26,13 +26,19 @@ from .series import TruncatedSeries, _reduced
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
 
 
-def as_int(value, what: str) -> int:
-    """``value`` when it is an int; TypeError otherwise, a float and a bool
-    included: int(2.7) would silently compute 2, and a bool is a flag, as
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value``, checked where an int parameter enters the library.
+
+    A value that is not an int, a float and a bool included, raises
+    TypeError: int(2.7) would silently compute 2, and a bool is a flag, as
     :func:`~polybern.rationals.as_rational` refuses both for lam and x.
-    ``what`` names the value in the message."""
+    An int below ``least``, when one is given, raises ValueError:
+    "<what> must be non-negative" for least 0 and "<what> must be at least
+    <least>" otherwise.  ``what`` names the value in the messages."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
     return value
 
 
@@ -79,14 +85,14 @@ def degenerate_exp(x, lam, order: int) -> TruncatedSeries:
     come from the int form :func:`_degenerate_exp_ints`, which the family
     pipeline reads directly.
     """
-    ints, den = _degenerate_exp_ints(x, lam, as_int(order, "order"))
+    ints, den = _degenerate_exp_ints(x, lam, as_int(order, "order", 0))
     return TruncatedSeries(Fraction(e, den) for e in ints)
 
 
 def one_minus_exp_neg(order: int) -> TruncatedSeries:
     """1 - e^{-t}: coefficient n is (-1)^(n+1)/n! for n >= 1."""
     coeffs = [Fraction(0)]
-    for n in range(1, as_int(order, "order") + 1):
+    for n in range(1, as_int(order, "order", 0) + 1):
         coeffs.append(Fraction((-1) ** (n + 1), factorial(n)))
     return TruncatedSeries(coeffs)
 
@@ -94,7 +100,7 @@ def one_minus_exp_neg(order: int) -> TruncatedSeries:
 def log1p_series(order: int) -> TruncatedSeries:
     """log(1 + t): coefficient n is (-1)^(n+1)/n for n >= 1."""
     coeffs = [Fraction(0)]
-    for n in range(1, as_int(order, "order") + 1):
+    for n in range(1, as_int(order, "order", 0) + 1):
         coeffs.append(Fraction((-1) ** (n + 1), n))
     return TruncatedSeries(coeffs)
 
@@ -106,7 +112,7 @@ def polyexp(k: int, order: int) -> TruncatedSeries:
     """
     (k,) = index_vector((k,))
     coeffs = [Fraction(0)]
-    for n in range(1, as_int(order, "order") + 1):
+    for n in range(1, as_int(order, "order", 0) + 1):
         coeffs.append(Fraction(1, factorial(n - 1)) * inv_pow(n, k))
     return TruncatedSeries(coeffs)
 
@@ -149,10 +155,7 @@ def multi_polylog(ks: Sequence[int], order: int) -> TruncatedSeries:
     ``series`` verb.  Chain enumeration would visit C(n-1, r-1) chains per
     coefficient and is kept only as a test oracle.
     """
-    ks = index_vector(ks)
-    if as_int(order, "order") < 0:
-        raise ValueError("order must be non-negative")
-    ints, den = _multi_polylog_ints(ks, order)
+    ints, den = _multi_polylog_ints(index_vector(ks), as_int(order, "order", 0))
     return TruncatedSeries(Fraction(c, den) for c in ints)
 
 
@@ -188,8 +191,7 @@ def stirling_table(kind: str, max_n: int) -> StirlingTable:
     """
     if kind not in STIRLING_KINDS:
         raise ValueError(f"kind must be one of {STIRLING_KINDS}, got {kind!r}")
-    if as_int(max_n, "max_n") < 0:
-        raise ValueError("max_n must be non-negative")
+    as_int(max_n, "max_n", 0)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, max_n + 1):
         prev = rows[-1]

@@ -153,12 +153,12 @@ def _u_powers(top: int) -> list[list[int]]:
     return out
 
 
-def _depth_two_args(identity: str, ks, lam, x) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """ks, lam and x of the checks that need depth r >= 2."""
-    ks = index_vector(ks)
-    if len(ks) < 2:
-        raise ValueError(f"{identity} check needs depth r >= 2")
-    return ks, as_rational(lam), as_rational(x)
+def _at_depth(identity: str, query: FamilyQuery, least: int) -> FamilyQuery:
+    """``query``, which has checked a family-valued identity's ks, lam, x
+    and order, once its depth r = len(ks) is at least ``least``."""
+    if len(query.ks) < least:
+        raise ValueError(f"{identity} check needs depth r >= {least}")
+    return query
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def _binomial_convolution(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
+def _addition_rows(check: str, query: FamilyQuery, x: Fraction, y: Fraction) -> list[ReportRow]:
     """beta_n(x+y) against sum_l C(n,l) beta_l(x) (y)_{n-l,lam}, n <= order.
 
     The falling products (y)_{j,lam} = y (y - lam) ... (y - (j-1) lam) come
@@ -189,13 +189,11 @@ def _addition_rows(check: str, ks, lam, x, y, order: int) -> list[ReportRow]:
     family pipeline takes them from, and the sum is one integer binomial
     convolution of the base values' ints, as the pipeline hands them on,
     with the falling products over their common denominator.  Both sides'
-    family values come from one pipeline call at x + y and x.
+    family values come from one pipeline call at x + y and x; the index
+    vector, lam and the order are those of ``query``.
     """
-    ks = index_vector(ks)
-    if as_int(order, "order") < 0:
-        raise ValueError("order must be non-negative")
-    lam, x, y = as_rational(lam), as_rational(x), as_rational(y)
-    (shifted, shifted_den), (base, base_den) = _polylog_family(ks, lam, (x + y, x), order)
+    lam, order = query.lam, query.order
+    (shifted, shifted_den), (base, base_den) = _polylog_family(query.ks, lam, (x + y, x), order)
     falling = accumulate((y - j * lam for j in range(order)), mul, initial=Fraction(1))
     falling, falling_den = _over_common(list(falling))
     den = base_den * falling_den
@@ -212,19 +210,20 @@ def verify_polynomial_expansion(ks: Sequence[int], lam, x, order: int) -> Verifi
     Carlitz values (an independent route with no polylog composition in
     it).
     """
-    rows = _addition_rows("number-expansion", ks, lam, 0, x, order)
-    if all(k == 1 for k in ks):
+    query = _at_depth("expansion", FamilyQuery(ks, lam, x, order), 1)
+    rows = _addition_rows("number-expansion", query, Fraction(0), query.x)
+    if all(k == 1 for k in query.ks):
         polys = [row.lhs for row in rows]
-        carl = carlitz_degenerate(len(ks), lam, x, order).values
+        carl = carlitz_degenerate(len(query.ks), query.lam, query.x, order).values
         rows += [ReportRow("all-ones-reduction", n, polys[n], carl[n]) for n in range(order + 1)]
-    return VerificationReport("expansion", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
+    return VerificationReport("expansion", query.to_params_dict(), tuple(rows))
 
 
 def verify_addition(ks: Sequence[int], lam, x, y, order: int) -> VerificationReport:
     """Argument addition: beta_n(x+y) = sum_l C(n,l) beta_l(x) (y)_{n-l,lam}."""
-    rows = _addition_rows("argument-addition", ks, lam, x, y, order)
-    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"y": format_rational(as_rational(y))}
-    return VerificationReport("addition", params, tuple(rows))
+    query, y = _at_depth("addition", FamilyQuery(ks, lam, x, order), 1), as_rational(y)
+    rows = _addition_rows("argument-addition", query, query.x, y)
+    return VerificationReport("addition", query.to_params_dict() | {"y": format_rational(y)}, tuple(rows))
 
 
 def verify_li_ones(r: int, order: int) -> VerificationReport:
@@ -233,10 +232,7 @@ def verify_li_ones(r: int, order: int) -> VerificationReport:
     The chain-sum route, the r-th power of -log(1-x) over r!, and the
     unsigned-Stirling-first EGF column must agree coefficientwise.
     """
-    (r,) = index_vector((r,))
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    dp = multi_polylog((1,) * r, order)
+    dp = multi_polylog((1,) * as_int(r, "r", 1), order)
     # -log(1 - x) = sum x^n / n, as the ints top // n over top = lcm(1..order),
     # raised to the r-th power by r - 1 products, each reduced once
     top = lcm(*range(1, order + 1))
@@ -260,9 +256,7 @@ def verify_deriv_recurrences(ks: Sequence[int], order: int) -> VerificationRepor
     integral form of the second relation is its antiderivative, so the
     differentiated check covers both.
     """
-    ks = index_vector(ks)
-    if as_int(order, "order") < 1:
-        raise ValueError("order must be at least 1")
+    ks, order = index_vector(ks), as_int(order, "order", 1)
     li, li_den = _multi_polylog_ints(ks, order)
     lowered, lowered_den = _multi_polylog_ints(ks[:-1] + (ks[-1] - 1,), order)
     # x d/dx multiplies coefficient n by n
@@ -295,7 +289,8 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     product, whose ints are the EGF ints the pipeline takes, over the
     weights' denominator.
     """
-    ks, lam, x = _depth_two_args("chain-stirling", ks, lam, x)
+    query = _at_depth("chain-stirling", FamilyQuery(ks, lam, x, order), 2)
+    ks, lam, x = query.ks, query.lam, query.x
     r = len(ks)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
@@ -311,7 +306,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     ((rhs, rhs_den),) = _gf_values(total, den, r, lam, (x,), order)
 
     rows = [ReportRow("chain-stirling", n, lhs[n], Fraction(rhs[n], rhs_den)) for n in range(order + 1)]
-    return VerificationReport("chain-stirling", FamilyQuery(ks, lam, x, order).to_params_dict(), tuple(rows))
+    return VerificationReport("chain-stirling", query.to_params_dict(), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,7 @@ def _m_sum_denominators(li_den: int, common: Sequence[int], scales: Sequence[int
     return lifts, factors, dens
 
 
-def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, columns_den) -> VerificationReport:
+def _m_series(identity, query, m_truncation, lhs, first_n, columns, columns_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
     The identity comes in as its u-power columns: ``columns[q][n]`` over
@@ -385,12 +380,13 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, 
     For k_r <= 0 the binomial coefficient cuts the sum off after m = -k_r
     and the check is exact; otherwise the partial sums up to m_truncation
     are reported with their residuals against ``lhs`` for every n >= first_n.
+    The index vector and the order are those of ``query``, whose params
+    the report echoes.
     """
+    ks, order = query.ks, query.order
     k_r = ks[-1]
     exact = k_r <= 0
     m_top = -k_r if exact else m_truncation
-    if m_top < 0:
-        raise ValueError("m truncation must be non-negative")
     size = m_top + 1
 
     # Li'[p] = 0 for p below its depth, so q = n_r + p has the pairs
@@ -428,8 +424,7 @@ def _m_series(identity, ks, lam, x, order, m_truncation, lhs, first_n, columns, 
     rows = [ReportRow(check, n, lhs[n], Fraction(column[-1], dens[-1]))
             for n, column in enumerate(partials, first_n)]
     residuals = () if exact else ResidualTable(first_n, lhs[first_n:], partials, dens)
-    params = FamilyQuery(ks, lam, x, order).to_params_dict() | {"m_truncation": m_top}
-    return VerificationReport(identity, params, tuple(rows), residuals)
+    return VerificationReport(identity, query.to_params_dict() | {"m_truncation": m_top}, tuple(rows), residuals)
 
 
 def verify_resummation(
@@ -462,15 +457,16 @@ def verify_resummation(
     exact partial sums for every M' <= m_truncation, with residuals
     against the exact left-hand side.
     """
-    ks, lam, x = _depth_two_args("resummation", ks, lam, x)
-    as_int(m_truncation, "m truncation")
+    query = _at_depth("resummation", FamilyQuery(ks, lam, x, order), 2)
+    as_int(m_truncation, "m truncation", 0)
+    ks, lam, x = query.ks, query.lam, query.x
     r = len(ks)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     head, head_den = u_power_values(1, lam, 0, order)
     tail, tail_den = u_power_values(r - 1, lam, x, order)
     columns = u_power_columns([r * c for c in _binomial_convolution(head, tail)], r, order)
-    return _m_series("resummation", ks, lam, x, order, m_truncation, lhs, 0, columns, head_den * tail_den)
+    return _m_series("resummation", query, m_truncation, lhs, 0, columns, head_den * tail_den)
 
 
 def verify_difference(
@@ -490,14 +486,13 @@ def verify_difference(
     terminates the m-sum and is verified exactly, k_r >= 1 emits a
     partial-sum residual table.
     """
-    ks, lam, x = _depth_two_args("difference", ks, lam, x)
-    as_int(m_truncation, "m truncation")
+    query = _at_depth("difference", FamilyQuery(ks, lam, x, as_int(order, "order", 1)), 2)
+    as_int(m_truncation, "m truncation", 0)
+    ks, lam, x = query.ks, query.lam, query.x
     r = len(ks)
-    if as_int(order, "order") < 1:
-        raise ValueError("difference check needs order >= 1")
 
     (upper, upper_den), (base, base_den) = _polylog_family(ks, lam, (x + 1, x), order)
     lhs = [Fraction(u * base_den - b * upper_den, r * upper_den * base_den) for u, b in zip(upper, base)]
     tail, tail_den = u_power_values(r - 1, lam, x, order)
     columns = u_power_columns(tail, r - 1, order)
-    return _m_series("difference", ks, lam, x, order, m_truncation, lhs, 1, columns, tail_den)
+    return _m_series("difference", query, m_truncation, lhs, 1, columns, tail_den)

@@ -260,6 +260,31 @@ def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
         assert _refused(err) and f"error: {message}" in err
 
 
+@pytest.mark.parametrize("table, name", [(table, name) for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES)
+                                         for name, entry in table.items() if entry.least_order or entry.least_depth])
+def test_entry_least_values_are_the_library_s(table, name):
+    # the CLI decides each least order and depth itself, to refuse before
+    # any work; its library function refuses one below the same least, in
+    # the CLI's words for a depth, and runs at it
+    entry = table[name]
+    function = cli._function(entry)
+    values = {"ks": (2, 1), "r": 2, "lam": Fraction(1, 3), "x": Fraction(1, 2), "m_truncation": 4}
+    kwargs = {param: values[param] for param in entry.params} | {"order": max(entry.least_order, 2)}
+    if entry.least_order:
+        with pytest.raises(ValueError, match=f"^order must be at least {entry.least_order}$"):
+            function(**kwargs | {"order": entry.least_order - 1})
+        function(**kwargs | {"order": entry.least_order})
+    if entry.least_depth:
+        def at_depth(depth):
+            return kwargs | ({"r": depth} if "r" in kwargs else {"ks": (1,) * depth})
+
+        with pytest.raises(cli.UsageError) as refusal:
+            cli._check_indices(entry, at_depth(entry.least_depth - 1), name)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
+            function(**at_depth(entry.least_depth - 1))
+        function(**at_depth(entry.least_depth))
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "1",

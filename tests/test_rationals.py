@@ -188,6 +188,43 @@ def test_public_entries_refuse_an_order_that_is_not_an_int(call, bad):
     call(2)
 
 
+@pytest.mark.parametrize("call, least, message", [
+    (lambda n: families.FamilyQuery(ks=(2, 1), lam=0, x=0, order=n), 0, "order must be non-negative"),
+    (lambda n: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), 0, n), 0,
+     "order must be non-negative"),
+    (lambda n: families.carlitz_degenerate(2, 0, 0, n), 0, "order must be non-negative"),
+    (lambda r: families.carlitz_degenerate(r, 0, 0, 2), 1, "r must be at least 1"),
+    (lambda n: families.multi_poly_bernoulli((2, 1), 0, n), 0, "order must be non-negative"),
+    (lambda n: families.poly_bernoulli(2, 0, n), 0, "order must be non-negative"),
+    (lambda n: families.type2_poly_bernoulli(2, 0, n), 0, "order must be non-negative"),
+    (lambda n: special.degenerate_exp(1, Fraction(1, 4), n), 0, "order must be non-negative"),
+    (lambda n: special.one_minus_exp_neg(n), 0, "order must be non-negative"),
+    (lambda n: special.log1p_series(n), 0, "order must be non-negative"),
+    (lambda n: special.polyexp(2, n), 0, "order must be non-negative"),
+    (lambda n: special.multi_polylog((2, 1), n), 0, "order must be non-negative"),
+    (lambda n: special.stirling_table("second", n), 0, "max_n must be non-negative"),
+    (lambda n: verify.verify_li_ones(2, n), 0, "order must be non-negative"),
+    (lambda r: verify.verify_li_ones(r, 2), 1, "r must be at least 1"),
+    (lambda n: verify.verify_deriv_recurrences((2, 1), n), 1, "order must be at least 1"),
+    (lambda n: verify.verify_chain_stirling((2, 1), 0, 0, n), 0, "order must be non-negative"),
+    (lambda n: verify.verify_polynomial_expansion((2, 1), 0, 0, n), 0, "order must be non-negative"),
+    (lambda n: verify.verify_addition((2, 1), 0, 0, 0, n), 0, "order must be non-negative"),
+    (lambda n: verify.verify_resummation((2, 1), 0, 0, n), 0, "order must be non-negative"),
+    (lambda n: verify.verify_difference((2, 1), 0, 0, n), 1, "order must be at least 1"),
+    (lambda m: verify.verify_resummation((2, 1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
+    (lambda m: verify.verify_difference((2, 1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
+    (lambda m: verify.verify_resummation((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
+    (lambda m: verify.verify_difference((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
+])
+def test_public_entries_refuse_a_value_below_its_least(call, least, message):
+    # the int check of special.as_int refuses below the least as well: a
+    # negative order would give an order-0 series, and a negative m
+    # truncation an exact check that drops it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(least - 1)
+    call(least)
+
+
 @given(a=rationals)
 def test_wire_format_round_trips_everything(a):
     assert parse_rational(format_rational(a)) == a

@@ -263,11 +263,19 @@ def test_difference_usage_errors():
     with pytest.raises(ValueError):
         verify_difference((1, 1), HALF, 0, 0)
 
-def test_m_series_rejects_negative_truncation():
-    # k_r >= 1: the m-sum is infinite, so its truncation comes from the caller
+def test_m_series_rejects_negative_truncation(monkeypatch):
+    # k_r >= 1: the m-sum is infinite, so its truncation comes from the
+    # caller; k_r <= 0 sums -k_r + 1 terms whatever it is, and refuses it
+    # all the same.  Either way before any family or column is built.
+    def spy(*args, **kwargs):
+        raise AssertionError("work done before the truncation was checked")
+
+    for name in ("degenerate_multi_poly_bernoulli", "_polylog_family", "u_power_values"):
+        monkeypatch.setattr(verify, name, spy)
     for check in (verify_resummation, verify_difference):
-        with pytest.raises(ValueError):
-            check((2, 1), THIRD, 0, 2, m_truncation=-1)
+        for ks in ((2, 1), (1, 2), (1, -1), (1, -2)):
+            with pytest.raises(ValueError, match="^m truncation must be non-negative$"):
+                check(ks, THIRD, 0, 3, m_truncation=-5)
 
 # -- addition law -----------------------------------------------------------------
 
