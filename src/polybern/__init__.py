@@ -10,8 +10,8 @@ The package is organized bottom up:
     decimal rendering for diagnostics)
 ``series``
     dense truncated power series (frozen values with no arithmetic) and
-    the int kernels under the family pipeline (product, power, inversion,
-    composition with 1 - e^{-t})
+    the int kernels under the family pipeline (product, inversion, composition
+    with 1 - e^{-t})
 ``special``
     named series and tables (degenerate exponentials, multiple
     polylogarithms, polyexponentials, Stirling triangles)
@@ -32,7 +32,7 @@ from .families import (
     poly_bernoulli,
     type2_poly_bernoulli,
 )
-from .rationals import decimal_string, format_rational, inv_pow, parse_rational
+from .rationals import ArgumentError, decimal_string, format_rational, inv_pow, parse_rational
 from .series import TruncatedSeries, ValuationError
 from .special import (
     StirlingTable,
@@ -58,6 +58,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "FamilyQuery",
     "ReportRow",
     "SequenceResult",

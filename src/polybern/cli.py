@@ -22,14 +22,22 @@ All rational-valued flags take "p/q" or "p", with |p| and q at most
 ``MAX_RATIONAL_TERM``.  Truncation defaults (order 16, m-truncation 32)
 are echoed into every output so results are self-describing.
 
+The CLI refuses a call past one of its caps (``MAX_ORDER`` and the rest
+below) or with flags its entry does not take; the library refuses a value
+outside its domain (an order, depth, truncation or ``max_n`` below its
+least value) with ``ArgumentError``, where the value enters and before any
+work.  ``verify --all`` checks no domain ahead of its points: the first
+point that refuses ends the sweep with that refusal, from a pool worker as
+from a serial run.
+
 Exit codes: 0 success or verification pass (diagnostic runs count as
 success once they complete), 1 verification fail, 2 usage or environment
-error (including an unwritable ``--output``; a regular file is replaced
-atomically, so a failed write leaves its old content), 3 internal error (a
-valuation guard tripping means a bug in the math, not in the invocation;
-any other unexpected exception is reported the same way, a ValueError from
-the library included, as the CLI refuses every bad invocation itself
-before any work).
+error (a refusal by the CLI or an ``ArgumentError`` from the library, or
+an unwritable ``--output``; a regular file is replaced atomically, so a
+failed write leaves its old content), 3 internal error (a valuation guard
+tripping means a bug in the math, not in the invocation; any other
+unexpected exception, a plain ValueError included, is reported the same
+way).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .families import SequenceResult
-from .rationals import format_rational, parse_rational
+from .rationals import ArgumentError, format_rational, parse_rational
 from .special import STIRLING_KINDS, StirlingTable, stirling_table
 from .verify import DEFAULT_M_TRUNCATION, VerificationReport
 
@@ -98,10 +106,6 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-class UsageError(Exception):
-    """Bad invocation (missing or inconsistent flags)."""
-
-
 def _rational_flag(text: str) -> Fraction:
     try:
         return parse_rational(text)
@@ -130,14 +134,11 @@ class Entry(NamedTuple):
     sees every call; the parameters besides ``order``, in signature order,
     each read from its flag (an ``m_truncation`` among them makes the entry
     an m-series identity, which :func:`_check_identity_size` bounds and
-    whose k_r the weight bound leaves free); the least order; the least
-    depth (length of ``ks``, or ``r``); and the ``verify --all`` points:
-    (largest order, all but m_truncation)."""
+    whose k_r the weight bound leaves free); and the ``verify --all``
+    points: (largest order, all but m_truncation)."""
 
     function: str
     params: tuple[str, ...]
-    least_order: int = 0
-    least_depth: int = 0
     sweep: tuple[tuple[int, dict], ...] = ()
 
 
@@ -153,24 +154,24 @@ FAMILIES = {
     "multi-poly": Entry("families.multi_poly_bernoulli", ("ks", "x")),
     "poly": Entry("families.poly_bernoulli", ("k", "x")),
     "type2-poly": Entry("families.type2_poly_bernoulli", ("k", "x")),
-    "carlitz": Entry("families.carlitz_degenerate", ("r", "lam", "x"), least_depth=1),
+    "carlitz": Entry("families.carlitz_degenerate", ("r", "lam", "x")),
 }
 _HALF, _THIRD, _ZERO = Fraction(1, 2), Fraction(1, 3), Fraction(0)
 IDENTITIES = {
     "expansion": Entry("verify.verify_polynomial_expansion", ("ks", "lam", "x"), sweep=tuple(
         (MAX_ORDER, {"ks": ks, "lam": _THIRD, "x": Fraction(2, 3)}) for ks in ((1, 2), (2, 1), (1, 1, 1)))),
-    "li-ones": Entry("verify.verify_li_ones", ("r",), least_depth=1,
+    "li-ones": Entry("verify.verify_li_ones", ("r",),
                      sweep=tuple((MAX_ORDER, {"r": r}) for r in (1, 2, 3, 4))),
-    "deriv": Entry("verify.verify_deriv_recurrences", ("ks",), least_order=1,
+    "deriv": Entry("verify.verify_deriv_recurrences", ("ks",),
                    sweep=tuple((MAX_ORDER, {"ks": ks}) for ks in ((2,), (2, 1), (3, 2)))),
-    "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), least_depth=2, sweep=tuple(
+    "chain-stirling": Entry("verify.verify_chain_stirling", ("ks", "lam", "x"), sweep=tuple(
         (10, {"ks": ks, "lam": _HALF, "x": _ZERO}) for ks in ((1, 1), (2, 1)))),
-    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"), least_depth=2,
+    "resummation": Entry("verify.verify_resummation", ("ks", "lam", "x", "m_truncation"),
                          sweep=((6, {"ks": (2, 1), "lam": _THIRD, "x": _ZERO}),
                                 (8, {"ks": (1, -2), "lam": _THIRD, "x": _ZERO}))),
     "difference": Entry("verify.verify_difference", ("ks", "lam", "x", "m_truncation"),
-                        least_order=1, least_depth=2, sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
-                                              (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
+                        sweep=((6, {"ks": (1, 1), "lam": _HALF, "x": _ZERO}),
+                               (8, {"ks": (1, -1), "lam": Fraction(1, 4), "x": _ZERO}))),
     "addition": Entry("verify.verify_addition", ("ks", "lam", "x", "y"),
                       sweep=((MAX_ORDER, {"ks": (2, 1), "lam": _THIRD, "x": _HALF, "y": _THIRD}),)),
 }
@@ -231,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _require(condition: bool, message: str):
     if not condition:
-        raise UsageError(message)
+        raise ArgumentError(message)
 
 
 def _flag(param: str) -> str:
@@ -257,15 +258,14 @@ def _function(entry: Entry):
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
-def _check_order(order: int, least: int, who: str):
-    _require(order >= least, f"{who} needs order at least {least}" if least else "order must be non-negative")
+def _check_order(order: int):
     _require(order <= MAX_ORDER, f"order must be at most {MAX_ORDER}")
 
 
 def _call_from_flags(table: dict, name: str, args):
     """Check the flags ``name`` takes and needs, refuse a call past any cap or bound, and make it."""
     entry = table[name]
-    _check_order(args.order, entry.least_order, name)
+    _check_order(args.order)
     _refuse_flags(table, entry.params, args, name)
     kwargs = {p: _value(args, p) for p in entry.params}
     missing = [p for p, value in kwargs.items() if value is None]
@@ -276,20 +276,14 @@ def _call_from_flags(table: dict, name: str, args):
                      f"--{_flag(p)} needs |numerator| and denominator at most {MAX_RATIONAL_TERM}")
     kwargs["order"] = args.order
     _check_identity_size(entry, kwargs, name)
-    _check_indices(entry, kwargs, name)
+    _check_indices(entry, kwargs)
     return _function(entry)(**kwargs)
 
 
-def _check_indices(entry: Entry, kwargs: dict, name: str):
-    """Refuse an index vector below the entry's least depth, in the words
-    of the function's own refusal, or past ``MAX_DEPTH`` or
-    ``MAX_INDEX_WEIGHT``."""
+def _check_indices(entry: Entry, kwargs: dict):
+    """Refuse an index vector past ``MAX_DEPTH`` or ``MAX_INDEX_WEIGHT``."""
     ks = kwargs.get("ks", ())
-    depth = kwargs.get("r", len(ks))
-    least = entry.least_depth
-    _require(depth >= least, f"r must be at least {least}" if "r" in kwargs
-             else f"{name} check needs depth r >= {least}")
-    _require(depth <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
+    _require(kwargs.get("r", len(ks)) <= MAX_DEPTH, f"depth (--ks length or --r) must be at most {MAX_DEPTH}")
     if "m_truncation" in entry.params:
         ks = ks[:-1]
     _require(sum(map(abs, ks)) + abs(kwargs.get("k", 0)) <= MAX_INDEX_WEIGHT,
@@ -324,7 +318,6 @@ def _cmd_numbers(args) -> tuple[SequenceResult, int]:
 
 
 def _cmd_stirling(args) -> tuple[StirlingTable, int]:
-    _require(args.max_n >= 0, "max_n must be non-negative")
     _require(args.max_n <= MAX_STIRLING_N, f"max-n must be at most {MAX_STIRLING_N}")
     return stirling_table(args.kind.replace("-", "_"), args.max_n), EXIT_OK
 
@@ -347,15 +340,13 @@ def _worker_count(requested: int, tasks: int) -> int:
 
 def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:
     m_truncation = _value(args, "m_truncation")
-    _require(m_truncation >= 0, "truncate must be non-negative")
     _require(m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     _require(_value(args, "jobs") >= 1, "jobs must be at least 1")
     if args.all:
         _require(args.identity is None, "--all and --identity are mutually exclusive")
         _refuse_flags(IDENTITIES, FLAG_DEFAULTS, args, "--all runs its own points and")
+        _check_order(args.order)
         tasks = _sweep_tasks(args.order, m_truncation)
-        for identity, _ in tasks:
-            _check_order(args.order, IDENTITIES[identity].least_order, f"--all (through {identity})")
         jobs = _worker_count(_value(args, "jobs"), len(tasks))
         if jobs > 1:
             with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -580,7 +571,7 @@ def main(argv=None) -> int:
         result, code = globals()[f"_cmd_{args.verb}"](args)
         _emit(result, args.format, args.output)
         return code
-    except UsageError as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -44,7 +44,7 @@ first kind.
 
 The pipeline is linear in the numerator, so the m-series identities take
 every family they sum from the pipeline values of the powers u^q of
-u = 1 - e^{-t}, one int column per q (:func:`u_power_values` and
+u = 1 - e^{-t}, one int column per q (:func:`_u_power_values` and
 :func:`u_power_columns`), and weigh the columns with scalars.
 
 Every family is defined by an exponential generating function, so values
@@ -218,12 +218,13 @@ def degenerate_multi_poly_bernoulli(ks: Sequence[int], lam, x, order: int) -> Se
     return SequenceResult("degen-multi-poly", query, tuple(Fraction(c, den) for c in ints))
 
 
-def u_power_values(s: int, lam, x, order: int) -> tuple[list[int], int]:
+def _u_power_values(s: int, lam, x, order: int) -> tuple[list[int], int]:
     """The pipeline of :func:`_gf_values` at depth s >= 1 on the numerator
     u^s alone, u = 1 - e^{-t}: the values s! n! [t^n] u^s / (e_lam(t)-1)^s
     * e_lam^x(t) for n <= order, as ints over their least common
     denominator, with that denominator: the pipeline's pair reduced once.
     The EGF ints of the numerator are n! [t^n] u^s = sum_j C(s,j) (-1)^j (-j)^n.
+    Its callers pass checked values; it checks none.
     """
     u_s = [sum(comb(s, j) * (-1) ** j * (-j) ** n for j in range(s + 1)) for n in range(order + s + 1)]
     return _reduced(*_gf_values(u_s, 1, s, lam, (x,), order)[0])
@@ -231,7 +232,7 @@ def u_power_values(s: int, lam, x, order: int) -> tuple[list[int], int]:
 
 def u_power_columns(column: Sequence[int], s: int, order: int) -> list[list[int]]:
     """The columns q = 0..order + s of the depth-s pipeline values of u^q,
-    given ``column``, those of u^s (as :func:`u_power_values` makes them),
+    given ``column``, those of u^s (as :func:`_u_power_values` makes them),
     over its denominator.
 
     Column q < s is zero, as u^q has too small a valuation to reach the

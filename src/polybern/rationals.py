@@ -26,6 +26,14 @@ from functools import lru_cache
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
+class ArgumentError(ValueError):
+    """A library parameter outside its domain (an order, depth,
+    truncation, table size or :func:`inv_pow` base below its least value,
+    an empty index vector or an unknown Stirling kind), refused where it
+    enters, before any work.  A value of the wrong type raises TypeError
+    instead."""
+
+
 def as_rational(value) -> Fraction:
     """A caller's exact rational parameter (lam, x, y) as a Fraction.
 
@@ -51,7 +59,7 @@ def inv_pow(base: int, k: int) -> Fraction:
     base**|k|.
     """
     if base < 1:
-        raise ValueError("base must be a positive integer")
+        raise ArgumentError("base must be a positive integer")
     if k >= 0:
         return Fraction(1, base**k)
     return Fraction(base ** (-k))

@@ -20,7 +20,7 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .rationals import as_rational, inv_pow
+from .rationals import ArgumentError, as_rational, inv_pow
 from .series import TruncatedSeries, _reduced
 
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
@@ -32,24 +32,25 @@ def as_int(value, what: str, least: int | None = None) -> int:
     A value that is not an int, a float and a bool included, raises
     TypeError: int(2.7) would silently compute 2, and a bool is a flag, as
     :func:`~polybern.rationals.as_rational` refuses both for lam and x.
-    An int below ``least``, when one is given, raises ValueError:
+    An int below ``least``, when one is given, raises ArgumentError:
     "<what> must be non-negative" for least 0 and "<what> must be at least
     <least>" otherwise.  ``what`` names the value in the messages."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
     if least is not None and value < least:
-        raise ValueError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
+        raise ArgumentError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
     return value
 
 
 def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
     """Validate an index vector (k_1, ..., k_r), r >= 1, as a tuple; an
-    index that is not an int raises TypeError (see :func:`as_int`)."""
+    index that is not an int raises TypeError (see :func:`as_int`), an
+    empty vector ArgumentError."""
     out = tuple(ks)
     for k in out:
         as_int(k, "an index")
     if not out:
-        raise ValueError("index vector must be non-empty")
+        raise ArgumentError("index vector must be non-empty")
     return out
 
 
@@ -190,7 +191,7 @@ def stirling_table(kind: str, max_n: int) -> StirlingTable:
     first_signed:    T[n][k] = T[n-1][k-1] - (n-1)*T[n-1][k]
     """
     if kind not in STIRLING_KINDS:
-        raise ValueError(f"kind must be one of {STIRLING_KINDS}, got {kind!r}")
+        raise ArgumentError(f"kind must be one of {STIRLING_KINDS}, got {kind!r}")
     as_int(max_n, "max_n", 0)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, max_n + 1):

@@ -54,12 +54,12 @@ from .families import (
     FamilyQuery,
     _gf_values,
     _polylog_family,
+    _u_power_values,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     u_power_columns,
-    u_power_values,
 )
-from .rationals import as_rational, decimal_string, format_rational, inv_pow
+from .rationals import ArgumentError, as_rational, decimal_string, format_rational, inv_pow
 from .series import _over_common, _product, _reduced
 from .special import _multi_polylog_ints, as_int, index_vector, multi_polylog, stirling_table
 
@@ -157,7 +157,7 @@ def _at_depth(identity: str, query: FamilyQuery, least: int) -> FamilyQuery:
     """``query``, which has checked a family-valued identity's ks, lam, x
     and order, once its depth r = len(ks) is at least ``least``."""
     if len(query.ks) < least:
-        raise ValueError(f"{identity} check needs depth r >= {least}")
+        raise ArgumentError(f"{identity} check needs depth r >= {least}")
     return query
 
 
@@ -463,8 +463,8 @@ def verify_resummation(
     r = len(ks)
 
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    head, head_den = u_power_values(1, lam, 0, order)
-    tail, tail_den = u_power_values(r - 1, lam, x, order)
+    head, head_den = _u_power_values(1, lam, 0, order)
+    tail, tail_den = _u_power_values(r - 1, lam, x, order)
     columns = u_power_columns([r * c for c in _binomial_convolution(head, tail)], r, order)
     return _m_series("resummation", query, m_truncation, lhs, 0, columns, head_den * tail_den)
 
@@ -493,6 +493,6 @@ def verify_difference(
 
     (upper, upper_den), (base, base_den) = _polylog_family(ks, lam, (x + 1, x), order)
     lhs = [Fraction(u * base_den - b * upper_den, r * upper_den * base_den) for u, b in zip(upper, base)]
-    tail, tail_den = u_power_values(r - 1, lam, x, order)
+    tail, tail_den = _u_power_values(r - 1, lam, x, order)
     columns = u_power_columns(tail, r - 1, order)
     return _m_series("difference", query, m_truncation, lhs, 1, columns, tail_den)

@@ -20,7 +20,7 @@ import oracles
 from polybern import cli, families, verify
 from polybern.cli import _ks_flag, main
 from polybern.families import degenerate_multi_poly_bernoulli
-from polybern.rationals import parse_rational
+from polybern.rationals import ArgumentError, parse_rational
 from polybern.special import STIRLING_KINDS, stirling_table
 from polybern.verify import verify_difference, verify_resummation
 
@@ -245,44 +245,18 @@ def test_no_invocation_exits_three(capsys, argv):
 
 
 def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
-    for name in ("families.carlitz_degenerate", "verify.verify_li_ones", "verify.verify_chain_stirling",
-                 "verify.verify_resummation", "verify.verify_difference"):
-        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
-    monkeypatch.setattr(cli, "stirling_table", _fail_if_called)
+    # the library refuses each value below its least where it enters, before
+    # its kernels run (a Stirling table is not made), and the CLI relays the
+    # refusal in the library's words
+    _fail_if_kernels_called(monkeypatch)
+    monkeypatch.setattr("polybern.special.StirlingTable", _fail_if_called)
     cases = [(("numbers", "--family=carlitz", "--r=0", "--lambda=1/3"), "r must be at least 1"),
              (("verify", "--identity=li-ones", "--r=-1"), "r must be at least 1"),
              (("stirling", "--kind=second", "--max-n=-1"), "max_n must be non-negative")]
     cases += [(("verify", f"--identity={identity}", "--ks=2", "--lambda=1/3", "--x=0", "--order=2"),
                f"{identity} check needs depth r >= 2") for identity in ("chain-stirling", "resummation", "difference")]
     for argv, message in cases:
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert _refused(err) and f"error: {message}" in err
-
-
-@pytest.mark.parametrize("table, name", [(table, name) for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES)
-                                         for name, entry in table.items() if entry.least_order or entry.least_depth])
-def test_entry_least_values_are_the_library_s(table, name):
-    # the CLI decides each least order and depth itself, to refuse before
-    # any work; its library function refuses one below the same least, in
-    # the CLI's words for a depth, and runs at it
-    entry = table[name]
-    function = cli._function(entry)
-    values = {"ks": (2, 1), "r": 2, "lam": Fraction(1, 3), "x": Fraction(1, 2), "m_truncation": 4}
-    kwargs = {param: values[param] for param in entry.params} | {"order": max(entry.least_order, 2)}
-    if entry.least_order:
-        with pytest.raises(ValueError, match=f"^order must be at least {entry.least_order}$"):
-            function(**kwargs | {"order": entry.least_order - 1})
-        function(**kwargs | {"order": entry.least_order})
-    if entry.least_depth:
-        def at_depth(depth):
-            return kwargs | ({"r": depth} if "r" in kwargs else {"ks": (1,) * depth})
-
-        with pytest.raises(cli.UsageError) as refusal:
-            cli._check_indices(entry, at_depth(entry.least_depth - 1), name)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal.value))}$"):
-            function(**at_depth(entry.least_depth - 1))
-        function(**at_depth(entry.least_depth))
+        _assert_refused(capsys, argv, message)
 
 
 def test_output_file(tmp_path, capsys):
@@ -363,11 +337,14 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_unexpected_exception_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [KeyError("lost"), ValueError("lost")], ids=["KeyError", "ValueError"])
+def test_unexpected_exception_exits_three(capsys, monkeypatch, error):
+    # only an ArgumentError is a refusal: any other exception inside the
+    # library, a plain ValueError included, is an internal error
     def boom(*args, **kwargs):
-        raise KeyError("lost")
+        raise error
 
-    monkeypatch.setattr("polybern.families.poly_bernoulli", boom)
+    monkeypatch.setattr("polybern.families._gf_values", boom)
     code, out, err = run(capsys, "numbers", "--family", "poly", "--k", "1", "--order", "3")
     assert code == 3
     assert out == ""
@@ -529,6 +506,14 @@ def _refused(err):
     return first.startswith("error: ") and not any("error" in line for line in rest)
 
 
+def _assert_refused(capsys, argv, message):
+    """``argv`` exits 2 with nothing on stdout, and its one ``error:``
+    line on stderr is ``error: <message>``."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert _refused(err) and f"error: {message}\n" in err, (argv, err)
+
+
 def test_order_cap(capsys):
     code, out, _ = run(capsys, "series", "--name=one-minus-exp-neg", f"--order={cli.MAX_ORDER}")
     assert code == 0
@@ -541,20 +526,16 @@ def test_order_cap(capsys):
 
 
 def test_least_order_is_refused_before_any_work(capsys, monkeypatch):
-    # deriv and difference need order >= 1, and --all runs deriv
+    # deriv and difference need order >= 1, and --all runs deriv; --all
+    # checks no order ahead of its points, so its first deriv point refuses
+    # order 0, serially and from a pool worker
     assert run(capsys, "verify", "--all", "--order=1")[0] == 0
-    for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
-    cases = [(("verify", "--all", "--order=0"), "--all (through deriv) needs order at least 1"),
-             (("verify", "--all", "--order=0", "--jobs=2"), "--all (through deriv) needs order at least 1"),
-             (("verify", "--identity=deriv", "--ks=2", "--order=0"), "deriv needs order at least 1"),
-             (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=0"),
-              "difference needs order at least 1")]
-    for argv, message in cases:
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert _refused(err) and message in err
+    for jobs in ("--jobs=1", "--jobs=2"):
+        _assert_refused(capsys, ("verify", "--all", "--order=0", jobs), "order must be at least 1")
+    _fail_if_kernels_called(monkeypatch)
+    for argv in (("verify", "--identity=deriv", "--ks=2", "--order=0"),
+                 ("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=0")):
+        _assert_refused(capsys, argv, "order must be at least 1")
 
 
 def test_verify_all_refuses_the_flags_it_would_ignore(capsys, monkeypatch):
@@ -645,15 +626,15 @@ def test_truncate_cap(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, f"--truncate={cli.MAX_M_TRUNCATION + 1}")
         assert (code, out) == (2, ""), argv
         assert _refused(err) and f"truncate must be at most {cli.MAX_M_TRUNCATION}" in err
-    # a negative truncation is refused before any work, also where k_r <= 0
-    # would ignore it and where --all would only meet it after other tasks
-    for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
-    for argv in (exact, ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2"),
-                 ("verify", "--all", "--order=128")):
-        code, out, err = run(capsys, *argv, "--truncate=-1")
-        assert (code, out) == (2, ""), argv
-        assert _refused(err) and "truncate must be non-negative" in err
+    # a negative truncation is refused by the library before any work, also
+    # where k_r <= 0 would ignore it; --all meets it at its first
+    # resummation point, serially and from a pool worker
+    for jobs in ("--jobs=1", "--jobs=2"):
+        _assert_refused(capsys, ("verify", "--all", "--order=128", jobs, "--truncate=-1"),
+                        "m truncation must be non-negative")
+    _fail_if_kernels_called(monkeypatch)
+    for argv in (exact, ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2")):
+        _assert_refused(capsys, (*argv, "--truncate=-1"), "m truncation must be non-negative")
 
 
 def test_jobs_below_one_is_refused_before_any_work(capsys, monkeypatch):
@@ -707,6 +688,15 @@ def _fail_if_called(*args, **kwargs):
     raise AssertionError("a refused call must do no work")
 
 
+def _fail_if_kernels_called(monkeypatch):
+    """Make every kernel under the library's series, family and identity
+    entries fail if called, so that a refusal shows it came before any
+    work."""
+    for name in ("families._gf_values", "verify._polylog_family", "verify._multi_polylog_ints",
+                 "verify.multi_polylog", "verify._m_series", "verify.degenerate_multi_poly_bernoulli"):
+        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
+
+
 def test_csv_for_nested_output_is_refused_before_any_work(capsys, monkeypatch):
     calls = [("series", "--name=log1p", "--order=4"),
              ("verify", "--identity=li-ones", "--r=2", "--order=4"),
@@ -740,7 +730,7 @@ def test_m_series_size_bound(capsys, monkeypatch):
     check("resummation", {"ks": (2, 1), "order": 48, "m_truncation": 127})
     check("difference", {"ks": (2, -128), "order": 48, "m_truncation": 0})
     for identity, ks, truncate in (("resummation", (2, 1), 128), ("difference", (2, -129), 0)):
-        with pytest.raises(cli.UsageError, match=str(cli.MAX_M_SERIES_SIZE)):
+        with pytest.raises(ArgumentError, match=str(cli.MAX_M_SERIES_SIZE)):
             check(identity, {"ks": ks, "order": 48, "m_truncation": truncate})
     for identity in ("resummation", "difference"):
         monkeypatch.setattr(f"polybern.verify.verify_{identity}", _fail_if_called)
@@ -769,7 +759,7 @@ def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeyp
 def test_size_bounds_admit_the_sweep_at_the_caps():
     for identity, kwargs in cli._sweep_tasks(cli.MAX_ORDER, cli.MAX_M_TRUNCATION):
         cli._check_identity_size(cli.IDENTITIES[identity], kwargs, identity)
-        cli._check_indices(cli.IDENTITIES[identity], kwargs, identity)
+        cli._check_indices(cli.IDENTITIES[identity], kwargs)
 
 
 def test_tables_match_the_functions(monkeypatch):

@@ -23,13 +23,13 @@ from polybern import cli, families, series
 from polybern.families import (
     FamilyQuery,
     _gf_values,
+    _u_power_values,
     carlitz_degenerate,
     degenerate_multi_poly_bernoulli,
     multi_poly_bernoulli,
     poly_bernoulli,
     type2_poly_bernoulli,
     u_power_columns,
-    u_power_values,
 )
 from polybern.series import ValuationError, _over_common, _reduced
 from polybern.special import (
@@ -262,7 +262,7 @@ def test_u_power_columns_give_the_family_of_every_shifted_tail(tail, lam, x, ord
     # lowering k_s by m multiplies the polylog coefficient Li[q] by q^m, and
     # the pipeline at depth s is linear in the numerator sum_q Li[q] u^q
     s = len(tail)
-    column, den = u_power_values(s, lam, x, order)
+    column, den = _u_power_values(s, lam, x, order)
     columns = u_power_columns(column, s, order)
     assert len(columns) == order + s + 1 and all(len(c) == order + 1 for c in columns)
     li, li_den = _multi_polylog_ints(tail, order + s)
@@ -461,4 +461,4 @@ def test_u_power_values_are_the_pipeline_values_over_their_least_common_denomina
     numerator = [Fraction(1)] + [Fraction(0)] * work
     for _ in range(s):
         numerator = convolve(numerator, u, work)
-    assert u_power_values(s, lam, x, order) == _over_common(fraction_pipeline(numerator, s, lam, x, order))
+    assert _u_power_values(s, lam, x, order) == _over_common(fraction_pipeline(numerator, s, lam, x, order))

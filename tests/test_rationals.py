@@ -1,5 +1,6 @@
 """Exact coefficient field: construction, arithmetic, weights, wire format."""
 
+import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from polybern import families, special, verify
 from polybern.rationals import (
+    ArgumentError,
     as_rational,
     decimal_string,
     format_rational,
@@ -113,8 +115,8 @@ def test_format_rational_refuses_a_float():
     lambda f: families.multi_poly_bernoulli((2, 1), f, 2),
     lambda f: families.poly_bernoulli(2, f, 2),
     lambda f: families.type2_poly_bernoulli(2, f, 2),
-    lambda f: families.u_power_values(2, f, 0, 2),
-    lambda f: families.u_power_values(2, 0, f, 2),
+    lambda f: families._u_power_values(2, f, 0, 2),
+    lambda f: families._u_power_values(2, 0, f, 2),
     lambda f: special.degenerate_exp(f, Fraction(1, 4), 2),
     lambda f: special.degenerate_exp(Fraction(1, 2), f, 2),
     lambda f: verify.verify_chain_stirling((2, 1), f, 0, 2),
@@ -215,12 +217,18 @@ def test_public_entries_refuse_an_order_that_is_not_an_int(call, bad):
     (lambda m: verify.verify_difference((2, 1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
     (lambda m: verify.verify_resummation((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
     (lambda m: verify.verify_difference((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
+    (lambda r: special.multi_polylog((2,) * r, 2), 1, "index vector must be non-empty"),
+    (lambda base: inv_pow(base, 1), 1, "base must be a positive integer"),
+    # 0 names the unknown kind "first", 1 the kind "second"
+    (lambda known: special.stirling_table(("first", "second")[known], 2), 1,
+     f"kind must be one of {special.STIRLING_KINDS}, got 'first'"),
 ])
 def test_public_entries_refuse_a_value_below_its_least(call, least, message):
     # the int check of special.as_int refuses below the least as well: a
     # negative order would give an order-0 series, and a negative m
-    # truncation an exact check that drops it
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # truncation an exact check that drops it; every domain refusal is an
+    # ArgumentError, which the CLI relays as a usage error
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call(least - 1)
     call(least)
 

@@ -14,7 +14,7 @@ from operator import mul
 
 import oracles
 from polybern import cli, verify
-from polybern.families import carlitz_degenerate, degenerate_multi_poly_bernoulli, u_power_columns, u_power_values
+from polybern.families import _u_power_values, carlitz_degenerate, degenerate_multi_poly_bernoulli, u_power_columns
 from polybern.rationals import decimal_string
 from polybern.special import _multi_polylog_ints, one_minus_exp_neg
 from polybern.verify import (
@@ -270,7 +270,7 @@ def test_m_series_rejects_negative_truncation(monkeypatch):
     def spy(*args, **kwargs):
         raise AssertionError("work done before the truncation was checked")
 
-    for name in ("degenerate_multi_poly_bernoulli", "_polylog_family", "u_power_values"):
+    for name in ("degenerate_multi_poly_bernoulli", "_polylog_family", "_u_power_values"):
         monkeypatch.setattr(verify, name, spy)
     for check in (verify_resummation, verify_difference):
         for ks in ((2, 1), (1, 2), (1, -1), (1, -2)):
@@ -523,7 +523,7 @@ def test_shifted_tail_basis_is_banded(s, lam, x, order):
     # the shifted tails are weighed on the u-power columns of the depth-s
     # pipeline: column q is 0 for q < s, columns[q][n] = 0 for q > n + s and
     # != 0 at q = n + s, as u^q / (e_lam(t) - 1)^s has valuation q - s
-    column, _ = u_power_values(s, lam, x, order)
+    column, _ = _u_power_values(s, lam, x, order)
     columns = u_power_columns(column, s, order)
     assert len(columns) == order + s + 1
     assert not any(map(any, columns[:s]))
@@ -570,7 +570,7 @@ def test_resummation_columns_are_those_of_one_depth_r_run(ks, lam, x, order):
     # depth-r pipeline on u^r, which the check itself never runs
     r = len(ks)
     _, columns, den = _m_series_inputs(verify_resummation, ks, lam, x, order)
-    column, depth_r_den = u_power_values(r, lam, x, order)
+    column, depth_r_den = _u_power_values(r, lam, x, order)
     depth_r = u_power_columns(column, r, order)
     assert [[Fraction(c, den) for c in col] for col in columns] == \
         [[Fraction(c, depth_r_den) for c in col] for col in depth_r]
