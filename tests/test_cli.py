@@ -259,6 +259,25 @@ def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
         _assert_refused(capsys, argv, message)
 
 
+@pytest.mark.parametrize("argv, flag, below, least, message", [
+    (("numbers", "--family=carlitz", "--lambda=1/3", "--x=0", "--order=2"), "--r", "0", "1", "r must be at least 1"),
+    (("verify", "--identity=li-ones", "--order=2"), "--r", "0", "1", "r must be at least 1"),
+    (("verify", "--identity=deriv", "--ks=2"), "--order", "0", "1", "order must be at least 1"),
+    (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0"), "--order", "0", "1",
+     "order must be at least 1"),
+    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=2"), "--ks", "2", "2,1",
+       f"{identity} check needs depth r >= 2") for identity in ("chain-stirling", "resummation", "difference")],
+], ids=["carlitz-r", "li-ones-r", "deriv-order", "difference-order",
+        "chain-stirling-depth", "resummation-depth", "difference-depth"])
+def test_entry_least_values_are_the_library_s(capsys, monkeypatch, argv, flag, below, least, message):
+    # the CLI keeps no least order or depth of its own: an entry runs at the
+    # library's least, and one below it the library refuses before its
+    # kernels run, which the CLI relays as a usage error in its words
+    assert run(capsys, *argv, f"{flag}={least}")[0] == 0
+    _fail_if_kernels_called(monkeypatch)
+    _assert_refused(capsys, (*argv, f"{flag}={below}"), message)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "1",
