@@ -109,9 +109,7 @@ def __getattr__(name: str):
 def _rational_flag(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-    except ValueError as exc:
+    except ArgumentError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -29,9 +29,10 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 class ArgumentError(ValueError):
     """A library parameter outside its domain (an order, depth,
     truncation, table size or :func:`inv_pow` base below its least value,
-    an empty index vector or an unknown Stirling kind), refused where it
-    enters, before any work.  A value of the wrong type raises TypeError
-    instead."""
+    an empty index vector or series, an unknown Stirling kind, or a
+    rational string that is malformed or has a zero denominator), refused
+    where it enters, before any work.  A value of the wrong type raises
+    TypeError instead."""
 
 
 def as_rational(value) -> Fraction:
@@ -80,13 +81,16 @@ def format_rational(value: Fraction | int) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (sign on p only).
 
-    Malformed input raises ValueError; a zero denominator raises
-    ZeroDivisionError.  Decimal notation is deliberately rejected.
+    Malformed input and a zero denominator raise ArgumentError, which
+    quotes the text without and with its surrounding whitespace
+    respectively.  Decimal notation is deliberately rejected.
     """
-    text = text.strip()
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    num, _, den = text.partition("/")
+    literal = text.strip()
+    if not _RATIONAL_RE.fullmatch(literal):
+        raise ArgumentError(f"not a rational literal: {literal!r}")
+    num, _, den = literal.partition("/")
+    if den and not int(den):
+        raise ArgumentError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den or 1))
 
 

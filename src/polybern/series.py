@@ -43,6 +43,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
+from .rationals import ArgumentError
+
 
 class ValuationError(ArithmeticError):
     """A series had a nonzero coefficient below a required valuation.
@@ -151,7 +153,7 @@ class TruncatedSeries:
     def __post_init__(self):
         cs = tuple(_coeff(c) for c in self.coeffs)
         if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise ArgumentError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
 
     @property

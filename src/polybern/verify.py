@@ -21,11 +21,14 @@ exact check with status "pass"/"fail".
 
 The addition and resummation sides take their EGF products from one
 integer convolution, :func:`_binomial_convolution`, on common
-denominators.  The chain-stirling side takes its Stirling numbers S2 from
-one table of powers of 1 - e^{-t}, :func:`_u_powers`, and its chain
-weights from one prefix sum per index, with no chain enumerated; the
-m-series sides take those powers through the family pipeline instead, one
-column per power (:func:`~polybern.families.u_power_columns`).
+denominators.  The chain-stirling side sums its powers of u = 1 - e^{-t}
+straight from the Stirling (second kind) rows, :func:`_u_power_sum`, and
+takes its chain weights from one prefix sum per index, with no chain
+enumerated; the m-series sides take those powers through the family
+pipeline instead, one column per power
+(:func:`~polybern.families.u_power_columns`), which
+:func:`_resummation_inputs` and :func:`_difference_inputs` build with
+each identity's left-hand side.
 The expansion over the numbers is the addition theorem at base x = 0, so
 the two share one route, :func:`_addition_rows`.  The m-series checks
 build all that does not depend on m once per call and sum over ints on a
@@ -141,16 +144,14 @@ class VerificationReport:
         return "pass" if all(r.equal for r in self.rows) else "fail"
 
 
-def _u_powers(top: int) -> list[list[int]]:
-    """The EGF ints U[m][l] = l! [t^l] u^m = (-1)^(l-m) m! S2(l, m) of the
-    powers of u = 1 - e^{-t}, for m, l <= top (zero for l < m)."""
-    s2 = stirling_table("second", top).rows
-    out = []
-    for m in range(top + 1):
-        fact = factorial(m)
-        signed = (fact, -fact)
-        out.append([0] * m + [signed[(l - m) & 1] * s2[l][m] for l in range(m, top + 1)])
-    return out
+def _u_power_sum(coeffs: Sequence[int]) -> list[int]:
+    """The EGF ints l! [t^l] sum_m coeffs[m] u^m, u = 1 - e^{-t}, for
+    l < len(coeffs), straight from the Stirling (second kind) rows: as
+    l! [t^l] u^m = (-1)^(l-m) m! S2(l, m), each is
+    (-1)^l sum_m (-1)^m m! coeffs[m] S2(l, m)."""
+    signed = [(-1) ** m * factorial(m) * c for m, c in enumerate(coeffs)]
+    s2 = stirling_table("second", len(coeffs) - 1).rows
+    return [(-1) ** l * sum(map(mul, signed, row)) for l, row in enumerate(s2)]
 
 
 def _at_depth(identity: str, query: FamilyQuery, least: int) -> FamilyQuery:
@@ -278,16 +279,15 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
     0 < n_1 < ... < n_r of prod n_i^-k_i * u^{n_r}, u = 1 - e^{-t}.  Grouped
     by their last index, the chains n_1 < ... < n_j = q weigh
     c_j[q] = q^-k_j sum_{n<q} c_{j-1}[n], one prefix sum per index, from the
-    empty chain c_0 that ends at 0; the numerator is sum_q c_r[q] u^q, with
-    u^q the row q of the Stirling (second kind) table :func:`_u_powers`.  The
-    sum is finite at fixed order as u^q has valuation q.  This numerator
+    empty chain c_0 that ends at 0; the numerator is sum_q c_r[q] u^q, summed
+    over the Stirling (second kind) rows by :func:`_u_power_sum`.  The sum
+    is finite at fixed order as u^q has valuation q.  This numerator
     shares no polylog or composition code with the family's, so agreement
     checks the main family computation end to end; only the denominator and
     the scaling, which both sides carry by construction, come from the one
-    pipeline :func:`~polybern.families._gf_values`.  Weights and u-powers
-    are ints on common denominators: the numerator is one matrix-vector
-    product, whose ints are the EGF ints the pipeline takes, over the
-    weights' denominator.
+    pipeline :func:`~polybern.families._gf_values`.  The weights are ints on
+    a common denominator, so the numerator's ints are the EGF ints the
+    pipeline takes, over the weights' denominator.
     """
     query = _at_depth("chain-stirling", FamilyQuery(ks, lam, x, order), 2)
     ks, lam, x = query.ks, query.lam, query.x
@@ -302,8 +302,7 @@ def verify_chain_stirling(ks: Sequence[int], lam, x, order: int) -> Verification
         powers, power_den = _over_common([inv_pow(n, k) for n in range(1, work + 1)])
         coeffs = [0, *map(mul, accumulate(coeffs[:-1]), powers)]
         den *= power_den
-    total = [sum(map(mul, coeffs, column)) for column in zip(*_u_powers(work))]
-    ((rhs, rhs_den),) = _gf_values(total, den, r, lam, (x,), order)
+    ((rhs, rhs_den),) = _gf_values(_u_power_sum(coeffs), den, r, lam, (x,), order)
 
     rows = [ReportRow("chain-stirling", n, lhs[n], Fraction(rhs[n], rhs_den)) for n in range(order + 1)]
     return VerificationReport("chain-stirling", query.to_params_dict(), tuple(rows))
@@ -350,13 +349,15 @@ def _m_sum_denominators(li_den: int, common: Sequence[int], scales: Sequence[int
 def _m_series(identity, query, m_truncation, lhs, first_n, columns, columns_den) -> VerificationReport:
     """The m-sum shared by the two identities below, checked against ``lhs``.
 
-    The identity comes in as its u-power columns: ``columns[q][n]`` over
-    ``columns_den`` is n! [t^n] of the numerator u^q, u = 1 - e^{-t}, run
-    through the pipeline at the identity's depth (see
-    :func:`~polybern.families.u_power_columns`).  Each weight of the m-th
-    summand pairs an n_r >= 1 with the p-th coefficient Li'[p] of the tail
-    polylog Li' = Li_{k_1..k_{r-1}}, whose family is Li'[p] times column
-    n_r + p, so with q = n_r + p the m-th summand at n is
+    The identity comes in as its u-power columns, which
+    :func:`_resummation_inputs` and :func:`_difference_inputs` build with
+    ``lhs`` and ``first_n``: ``columns[q][n]`` over ``columns_den`` is
+    n! [t^n] of the numerator u^q, u = 1 - e^{-t}, run through the pipeline
+    at the identity's depth (see :func:`~polybern.families.u_power_columns`).
+    Each weight of the m-th summand pairs an n_r >= 1 with the p-th
+    coefficient Li'[p] of the tail polylog Li' = Li_{k_1..k_{r-1}}, whose
+    family is Li'[p] times column n_r + p, so with q = n_r + p the m-th
+    summand at n is
 
         (-1)^m C(k_r+m-1, m) * sum_q columns[q][n] v_q[m],
         v_q[m] = sum_{n_r + p = q} Li'[p] n_r^-(k_r+m) p^m.
@@ -458,15 +459,20 @@ def verify_resummation(
     against the exact left-hand side.
     """
     query = _at_depth("resummation", FamilyQuery(ks, lam, x, order), 2)
-    as_int(m_truncation, "m truncation", 0)
-    ks, lam, x = query.ks, query.lam, query.x
-    r = len(ks)
+    return _m_series("resummation", query, as_int(m_truncation, "m truncation", 0), *_resummation_inputs(query))
 
+
+def _resummation_inputs(query: FamilyQuery) -> tuple[list[Fraction], int, list[list[int]], int]:
+    """The left-hand side beta_n(x), its first n = 0, and the u-power
+    columns with their denominator, built as :func:`verify_resummation`
+    says, that it hands :func:`_m_series`."""
+    ks, lam, x, order = query.ks, query.lam, query.x, query.order
+    r = len(ks)
     lhs = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
     head, head_den = _u_power_values(1, lam, 0, order)
     tail, tail_den = _u_power_values(r - 1, lam, x, order)
     columns = u_power_columns([r * c for c in _binomial_convolution(head, tail)], r, order)
-    return _m_series("resummation", query, m_truncation, lhs, 0, columns, head_den * tail_den)
+    return lhs, 0, columns, head_den * tail_den
 
 
 def verify_difference(
@@ -487,12 +493,16 @@ def verify_difference(
     partial-sum residual table.
     """
     query = _at_depth("difference", FamilyQuery(ks, lam, x, as_int(order, "order", 1)), 2)
-    as_int(m_truncation, "m truncation", 0)
-    ks, lam, x = query.ks, query.lam, query.x
-    r = len(ks)
+    return _m_series("difference", query, as_int(m_truncation, "m truncation", 0), *_difference_inputs(query))
 
+
+def _difference_inputs(query: FamilyQuery) -> tuple[list[Fraction], int, list[list[int]], int]:
+    """The left-hand side (beta_n(x+1) - beta_n(x)) / r, its first n = 1,
+    and the u-power columns with their denominator, built as
+    :func:`verify_difference` says, that it hands :func:`_m_series`."""
+    ks, lam, x, order = query.ks, query.lam, query.x, query.order
+    r = len(ks)
     (upper, upper_den), (base, base_den) = _polylog_family(ks, lam, (x + 1, x), order)
     lhs = [Fraction(u * base_den - b * upper_den, r * upper_den * base_den) for u, b in zip(upper, base)]
     tail, tail_den = _u_power_values(r - 1, lam, x, order)
-    columns = u_power_columns(tail, r - 1, order)
-    return _m_series("difference", query, m_truncation, lhs, 1, columns, tail_den)
+    return lhs, 1, u_power_columns(tail, r - 1, order), tail_den

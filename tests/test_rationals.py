@@ -30,10 +30,10 @@ def test_rat_normalizes_sign_and_gcd():
 
 
 def test_rat_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ArgumentError, match=r"^zero denominator in '1/0'$"):
         parse_rational("1/0")
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("0/0")
+    with pytest.raises(ArgumentError, match=r"^zero denominator in ' 0/0 '$"):
+        parse_rational(" 0/0 ")
 
 
 def test_inv_pow_values():
@@ -219,6 +219,12 @@ def test_public_entries_refuse_an_order_that_is_not_an_int(call, bad):
     (lambda m: verify.verify_difference((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
     (lambda r: special.multi_polylog((2,) * r, 2), 1, "index vector must be non-empty"),
     (lambda base: inv_pow(base, 1), 1, "base must be a positive integer"),
+    # 0 gives the malformed "1.5" and the zero denominator "1/0", 1 the
+    # literals "3/2" and "1/1"
+    (lambda ok: families.degenerate_multi_poly_bernoulli((1,), ("1.5", "3/2")[ok], 0, 2), 1,
+     "not a rational literal: '1.5'"),
+    (lambda den: families.degenerate_multi_poly_bernoulli((1,), f"1/{den}", 0, 2), 1, "zero denominator in '1/0'"),
+    (lambda n: TruncatedSeries((1,) * n), 1, "a series needs at least the constant coefficient"),
     # 0 names the unknown kind "first", 1 the kind "second"
     (lambda known: special.stirling_table(("first", "second")[known], 2), 1,
      f"kind must be one of {special.STIRLING_KINDS}, got 'first'"),
@@ -240,12 +246,12 @@ def test_wire_format_round_trips_everything(a):
 
 @pytest.mark.parametrize("bad", ["1/2/3", "1.5", "a", "", "1/-2", "--1", "1/ 2"])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentError, match="^not a rational literal: "):
         parse_rational(bad)
 
 
 def test_parse_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ArgumentError):
         parse_rational("1/0")
 
 

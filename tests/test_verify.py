@@ -3,7 +3,6 @@
 import json
 import pickle
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +13,13 @@ from operator import mul
 
 import oracles
 from polybern import cli, verify
-from polybern.families import _u_power_values, carlitz_degenerate, degenerate_multi_poly_bernoulli, u_power_columns
+from polybern.families import (
+    FamilyQuery,
+    _u_power_values,
+    carlitz_degenerate,
+    degenerate_multi_poly_bernoulli,
+    u_power_columns,
+)
 from polybern.rationals import decimal_string
 from polybern.special import _multi_polylog_ints, one_minus_exp_neg
 from polybern.verify import (
@@ -22,7 +27,9 @@ from polybern.verify import (
     ResidualTable,
     VerificationReport,
     _binomial_convolution,
-    _u_powers,
+    _difference_inputs,
+    _resummation_inputs,
+    _u_power_sum,
     verify_addition,
     verify_chain_stirling,
     verify_deriv_recurrences,
@@ -143,16 +150,15 @@ def test_chain_stirling_at_the_order_cap_and_the_index_weight_bound():
         assert verify_chain_stirling(ks, Fraction(-7, 9), Fraction(8, 9), 128).status == "pass", ks
 
 def test_u_powers_match_the_series_powers():
-    # the Stirling route against repeated products of the series 1 - e^{-t};
-    # every entry is an int, not the float that (-1) ** (l - m) is for l < m
+    # the Stirling route, summed over the unit vector at m, against repeated
+    # products of the series 1 - e^{-t}; every entry is an int
     for top in range(13):
         u = list(one_minus_exp_neg(top))
-        table = _u_powers(top)
-        assert len(table) == top + 1
         power = [Fraction(1)] + [Fraction(0)] * top  # u^m
-        for m, row in enumerate(table):
-            assert all(type(v) is int for v in row), (top, m)
-            assert row == [factorial(l) * power[l] for l in range(top + 1)], (top, m)
+        for m in range(top + 1):
+            ints = _u_power_sum([0] * m + [1] + [0] * (top - m))
+            assert all(type(v) is int for v in ints), (top, m)
+            assert ints == [factorial(l) * power[l] for l in range(top + 1)], (top, m)
             power = oracles.convolve(power, u, top)
 
 # -- the one EGF convolution ---------------------------------------------------------
@@ -386,27 +392,13 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def test_m_series_matches_the_per_m_oracle(head_order, k_r, lam, x, m_truncation):
     head, order = head_order
     ks = tuple(head) + (k_r,)
-    r = len(ks)
-    m_top = -k_r if k_r <= 0 else m_truncation
-    fams = [degenerate_multi_poly_bernoulli(ks[:-2] + (ks[-2] - m,), lam, x, order).values
-            for m in range(m_top + 1)]
-    carlitz = carlitz_degenerate(1, lam, 0, order).values
-    upper = degenerate_multi_poly_bernoulli(ks, lam, x + 1, order).values
-    base = degenerate_multi_poly_bernoulli(ks, lam, x, order).values
-    cases = [
-        (verify_resummation, base, 0,
-         [oracles.resummation_term(m, fam, r=r, k_r=k_r, order=order, carlitz=carlitz)
-          for m, fam in enumerate(fams)]),
-        (verify_difference, [(u - b) / r for u, b in zip(upper, base)], 1,
-         [oracles.difference_term(m, fam, k_r=k_r, order=order) for m, fam in enumerate(fams)]),
-    ]
-    for check, lhs, first_n, term_by_m in cases:
+    for check in (verify_resummation, verify_difference):
         report = check(ks, lam, x, order, m_truncation)
-        rows, residuals = oracles.m_series_partial_sums(lhs, term_by_m, k_r, first_n, order)
+        lhs, rows, residuals = _oracle_sums(check, ks, lam, x, order, m_truncation)
         assert [(row.n, row.lhs, row.rhs) for row in report.rows] == \
             [(n, lhs[n], partial) for n, partial in rows]
         assert oracles.residual_triples(report.residuals) == residuals
-        assert report.params["m_truncation"] == m_top
+        assert report.params["m_truncation"] == (-k_r if k_r <= 0 else m_truncation)
 
 
 smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8).map(prod)
@@ -487,7 +479,8 @@ def test_m_series_exact_branch_takes_the_integer_powers(check):
 
 # -- the band structure a closed-form verdict for the m-series rests on ---------
 #
-# An identity hands verify._m_series its u-power columns: columns[q][n] is
+# An identity's input function hands verify._m_series its u-power columns
+# (verify._resummation_inputs and verify._difference_inputs): columns[q][n] is
 # n! [t^n] of u^q, u = 1 - e^{-t}, through the pipeline at depth d = r
 # (resummation) or d = r - 1 (difference).  With Li' the polylog of the
 # tail (k_1, ..., k_{r-1}), the m-th summand at n is a sum over the weights
@@ -498,22 +491,7 @@ def test_m_series_exact_branch_takes_the_integer_powers(check):
 premise_indices = st.lists(st.integers(min_value=-2, max_value=3), min_size=2, max_size=3)
 premise_args = dict(ks=premise_indices, lam=small_rationals, x=small_rationals,
                     order=st.integers(min_value=1, max_value=6))
-M_SERIES_DEPTHS = ((verify_resummation, 0), (verify_difference, 1))  # d = r - lag
-
-
-def _m_series_inputs(check, ks, lam, x, order):
-    """The left-hand side, the u-power columns and their denominator that
-    ``check`` passes to verify._m_series, read by a spy around it."""
-    seen, m_series = [], verify._m_series
-
-    def spy(*args):
-        seen.append(args)
-        return m_series(*args)
-
-    with mock.patch.object(verify, "_m_series", spy):
-        check(ks, lam, x, order, m_truncation=0)
-    ((*_, lhs, _first_n, columns, columns_den),) = seen
-    return lhs, columns, columns_den
+M_SERIES_DEPTHS = ((_resummation_inputs, 0), (_difference_inputs, 1))  # d = r - lag
 
 
 @settings(max_examples=50, deadline=None)
@@ -538,14 +516,14 @@ def test_m_series_weight_tables_are_banded(ks, lam, x, order):
     # the weights are W_n[n_r][p] = Li'[p] columns[n_r + p][n], so their band
     # is that of the columns each check passes, at depth d: column q is 0 for
     # q < d, and columns[q][n] = 0 for q > n + d and != 0 at q = n + d
-    for check, lag in M_SERIES_DEPTHS:
+    for inputs, lag in M_SERIES_DEPTHS:
         d = len(ks) - lag
-        _, columns, _ = _m_series_inputs(check, ks, lam, x, order)
-        assert len(columns) == order + d + 1, check.__name__
-        assert not any(map(any, columns[:d])), check.__name__
+        _, _, columns, _ = inputs(FamilyQuery(ks, lam, x, order))
+        assert len(columns) == order + d + 1, inputs.__name__
+        assert not any(map(any, columns[:d])), inputs.__name__
         for n in range(order + 1):
-            assert columns[n + d][n] != 0, (check.__name__, n)
-            assert not any(column[n] for column in columns[n + d + 1:]), (check.__name__, n)
+            assert columns[n + d][n] != 0, (inputs.__name__, n)
+            assert not any(column[n] for column in columns[n + d + 1:]), (inputs.__name__, n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -554,13 +532,13 @@ def test_m_series_weights_reach_ratio_n_plus_r_minus_one(ks, lam, x, order):
     # the largest p/n_r with W_n[n_r][p] = Li'[p] columns[n_r + p][n] != 0 is
     # n + r - 1 for resummation and n + r - 2 for difference (n >= 1)
     r = len(ks)
-    for (check, _), first_n, top in zip(M_SERIES_DEPTHS, (0, 1), (r - 1, r - 2)):
-        _, columns, _ = _m_series_inputs(check, ks, lam, x, order)
+    for (inputs, _), top in zip(M_SERIES_DEPTHS, (r - 1, r - 2)):
+        _, first_n, columns, _ = inputs(FamilyQuery(ks, lam, x, order))
         li, _ = _multi_polylog_ints(ks[:-1], len(columns) - 1)
         for n in range(first_n, order + 1):
             ratios = [Fraction(p, q - p) for q, column in enumerate(columns) for p in range(q)
                       if li[p] * column[n]]
-            assert max(ratios) == n + top, (check.__name__, n)
+            assert max(ratios) == n + top, (inputs.__name__, n)
 
 
 @settings(max_examples=50, deadline=None)
@@ -569,7 +547,7 @@ def test_resummation_columns_are_those_of_one_depth_r_run(ks, lam, x, order):
     # r times (depth 1 at x = 0) convolved with (depth r - 1 at x) is the
     # depth-r pipeline on u^r, which the check itself never runs
     r = len(ks)
-    _, columns, den = _m_series_inputs(verify_resummation, ks, lam, x, order)
+    _, _, columns, den = _resummation_inputs(FamilyQuery(ks, lam, x, order))
     column, depth_r_den = _u_power_values(r, lam, x, order)
     depth_r = u_power_columns(column, r, order)
     assert [[Fraction(c, den) for c in col] for col in columns] == \
@@ -581,11 +559,11 @@ def test_resummation_columns_are_those_of_one_depth_r_run(ks, lam, x, order):
 def test_m_series_columns_weigh_to_the_left_hand_side(ks, lam, x, order):
     # the closed form: sum_q columns[q][n] Li_ks[q] is the left-hand side
     # exactly at every n, whatever k_r
-    for check, _ in M_SERIES_DEPTHS:
-        lhs, columns, den = _m_series_inputs(check, ks, lam, x, order)
+    for inputs, _ in M_SERIES_DEPTHS:
+        lhs, _, columns, den = inputs(FamilyQuery(ks, lam, x, order))
         li, li_den = _multi_polylog_ints(tuple(ks), len(columns) - 1)
         assert [Fraction(sum(map(mul, (column[n] for column in columns), li)), den * li_den)
-                for n in range(order + 1)] == list(lhs), check.__name__
+                for n in range(order + 1)] == list(lhs), inputs.__name__
 
 
 # -- the residual table: its columns, against the oracle's eager residuals ------
