@@ -332,8 +332,10 @@ def _sweep_worker(task: tuple[str, dict]) -> dict:
 
 
 def _worker_count(requested: int, tasks: int) -> int:
-    """Sweep pool size: never more processes than tasks or CPUs."""
-    return max(1, min(requested, tasks, os.cpu_count() or 1))
+    """Sweep pool size: never more processes than tasks or than CPUs this
+    process may run on (its affinity mask, where ``os`` can read one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(requested, tasks, cpus))
 
 
 def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:

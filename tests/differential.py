@@ -12,19 +12,18 @@ k_r >= 1 and at k_r <= 0 above all; some take one flag one past its cap,
 below its least value, or malformed.  It adds ``verify --all`` at orders
 0, 1, 5 and 16.
 
-Each tree runs every call through ``polybern.cli.main`` in one fresh
-``python -B`` interpreter, as ``tests/mutants.py`` runs its calls, and
-gives per call its exit code and the SHA-256 of its stdout and of its
-stderr.  The script prints per verb the calls run to the end (exit 0 or
-1), refused (exit 2) and any other, then every argv whose exit code,
-stdout or stderr hash differs between the trees, and a summary line.  It
-exits 1 when any call differs.
+Each tree runs every call through ``mutants.outcomes``, the one runner
+of ``tests/mutants.py``: in one fresh ``python -B`` interpreter, at 80
+columns, it gives per call its exit code and the SHA-256 of its stdout
+and of its stderr.  The script prints per verb the calls run to the end
+(exit 0 or 1), refused (exit 2) and any other, then every argv whose
+exit code, stdout or stderr hash differs between the trees, and a
+summary line.  It exits 1 when any call differs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import subprocess
 import sys
@@ -32,8 +31,9 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
+from mutants import SRC, outcomes
+
+ROOT = SRC.parent
 sys.path.insert(0, str(SRC))
 
 from polybern import cli  # noqa: E402
@@ -56,25 +56,6 @@ EDGES = {
     "max_n": (-1, cli.MAX_STIRLING_N + 1),
 }
 EDGES["x"] = EDGES["y"] = EDGES["lam"]
-
-# run in a fresh interpreter: import the package from the tree given as the
-# first argument, run each argv read from stdin and print, per call, its
-# exit code and the SHA-256 of its stdout and its stderr
-_CHILD = """
-import contextlib, hashlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-from polybern import cli
-if not cli.__file__.startswith(sys.argv[1]):
-    sys.exit(f"imported {cli.__file__}, not the tree")
-outcomes = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    outcomes.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))])
-print(json.dumps(outcomes))
-"""
-
 
 def _value(rng: random.Random, param: str, m_series: bool):
     """A well-formed value of ``param`` at a small size."""
@@ -112,15 +93,6 @@ def calls(seed: int, count: int) -> list[list[str]]:
     """``count`` seeded calls, then ``verify --all`` at each of ``ALL_ORDERS``."""
     rng = random.Random(seed)
     return [_draw(rng) for _ in range(count)] + [["verify", "--all", f"--order={n}"] for n in ALL_ORDERS]
-
-
-def outcomes(src: Path, argvs: list[list[str]]) -> list[tuple]:
-    """(exit code, stdout SHA-256, stderr SHA-256) of each call on the tree ``src``."""
-    done = subprocess.run([sys.executable, "-B", "-c", _CHILD, str(src.resolve())], input=json.dumps(argvs),
-                          capture_output=True, text=True, timeout=600)
-    if done.returncode:
-        raise RuntimeError(f"the calls did not run on {src}:\n{done.stderr}")
-    return [tuple(outcome) for outcome in json.loads(done.stdout)]
 
 
 def _tree(ref: str, temp: Path) -> Path:

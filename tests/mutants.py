@@ -1,14 +1,21 @@
-"""The fault matrix: which identity check catches which one-line fault.
+"""The fault matrix, and the one runner of the command line out of process.
+
+``outcomes(src, argvs)`` runs each argv through ``polybern.cli.main`` in
+one fresh ``python -B`` interpreter that imports the package from the
+tree ``src``, at 80 columns (argparse wraps its usage text to the
+terminal width), and gives per call its exit code and the SHA-256 of its
+stdout and of its stderr.  The fault matrix here, the byte-identity
+harness ``tests/differential.py`` and the caps-manifest writer
+``tests/write_caps_manifest.py`` all run their calls through it.
 
 Each fault is one edit of the package: a file under ``src/polybern``, an
 old text that occurs exactly once in the whole package, and the text that
-replaces it.  For each fault the runner copies ``src/`` to a temporary
-directory, applies the edit there, and runs the calls of ``CALLS`` one
-after another through ``polybern.cli.main`` in one fresh interpreter that
-imports the copy.  A call's verdict is ``"pass"`` (exit 0), ``"fail"``
-(exit 1, a failed verification) or any other exit code as an int (3 for an
-internal error such as a tripped valuation guard).  The row ``"none"`` runs
-the unmodified package, where every call passes.
+replaces it.  For each fault ``faulted_copy`` copies ``src/`` to a
+temporary directory and applies the edit there, and ``outcomes`` runs the
+calls of ``CALLS`` on the copy.  A call's verdict is ``"pass"`` (exit 0),
+``"fail"`` (exit 1, a failed verification) or any other exit code as an
+int (3 for an internal error such as a tripped valuation guard).  The row
+``"none"`` runs the unmodified package, where every call passes.
 
 Only verdicts are recorded, never output bytes: the matrix shows what the
 identities themselves catch, not what a golden file pins.
@@ -24,6 +31,7 @@ and names each changed verdict in CHANGES.md.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -73,50 +81,56 @@ FAULTS = {
     "li-ones-stirling-column-r-minus-1": ("verify.py", "table.value(l, r)", "table.value(l, r - 1)"),
 }
 
-# run in a fresh interpreter: import the package from the copy given as the
-# first argument, run each argv of the second one and print the exit codes
+# run in a fresh interpreter: import the package from the tree given as the
+# first argument, run each argv read from stdin and print, per call, its
+# exit code and the SHA-256 of its stdout and its stderr
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from polybern import cli
 if not cli.__file__.startswith(sys.argv[1]):
-    sys.exit(f"imported {cli.__file__}, not the copy")
-codes = []
-for argv in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
-print(json.dumps(codes))
+    sys.exit(f"imported {cli.__file__}, not the tree")
+outcomes = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    outcomes.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))])
+print(json.dumps(outcomes))
 """
 
 
-def _verdict(code: int) -> str | int:
-    return {0: "pass", 1: "fail"}.get(code, code)
+def outcomes(src: Path, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """(exit code, stdout SHA-256, stderr SHA-256) of each call on the tree ``src``."""
+    done = subprocess.run([sys.executable, "-B", "-c", _CHILD, str(src.resolve())], input=json.dumps(argvs),
+                          env=dict(os.environ, COLUMNS="80"), capture_output=True, text=True, timeout=600)
+    if done.returncode:
+        raise RuntimeError(f"the calls did not run on {src}:\n{done.stderr}")
+    return [tuple(outcome) for outcome in json.loads(done.stdout)]
 
 
-def _apply(package: Path, fault: tuple[str, str, str]):
-    """Make the one edit ``fault`` in the package copy ``package``; refuse
-    an old text that does not occur exactly once in the whole package."""
-    name, old, new = fault
-    counts = {path.name: path.read_text().count(old) for path in package.glob("*.py")}
-    if sum(counts.values()) != 1 or counts.get(name) != 1:
-        raise ValueError(f"{old!r} must occur exactly once in the package, in {name}: {counts}")
-    path = package / name
-    path.write_text(path.read_text().replace(old, new))
+def faulted_copy(dest: Path, fault: tuple[str, str, str] | None) -> Path:
+    """Copy ``src/`` to ``dest`` and make the one edit ``fault`` there (none
+    for an unmodified copy); refuse an old text that does not occur exactly
+    once in the whole package."""
+    shutil.copytree(SRC, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    if fault:
+        name, old, new = fault
+        package = dest / "polybern"
+        counts = {path.name: path.read_text().count(old) for path in package.glob("*.py")}
+        if sum(counts.values()) != 1 or counts.get(name) != 1:
+            raise ValueError(f"{old!r} must occur exactly once in the package, in {name}: {counts}")
+        path = package / name
+        path.write_text(path.read_text().replace(old, new))
+    return dest
 
 
 def verdicts(fault: tuple[str, str, str] | None) -> dict[str, str | int]:
     """The verdict of each call on a copy of ``src/`` with ``fault`` (none
     for the unmodified package)."""
     with tempfile.TemporaryDirectory() as temp:
-        copy = Path(temp) / "src"
-        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        if fault:
-            _apply(copy / "polybern", fault)
-        done = subprocess.run([sys.executable, "-B", "-c", _CHILD, str(copy), json.dumps(list(CALLS.values()))],
-                              capture_output=True, text=True, timeout=300)
-    if done.returncode:
-        raise RuntimeError(f"the calls did not run:\n{done.stderr}")
-    return dict(zip(CALLS, map(_verdict, json.loads(done.stdout))))
+        done = outcomes(faulted_copy(Path(temp) / "src", fault), list(CALLS.values()))
+    return {name: {0: "pass", 1: "fail"}.get(code, code) for name, (code, *_) in zip(CALLS, done)}
 
 
 def matrix() -> dict[str, dict[str, str | int]]:

@@ -373,9 +373,15 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch, error):
 def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
     import polybern.cli as cli
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # the CPUs of the affinity mask, not the machine's, where os reads a mask
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli._worker_count(500, 17) == 2
     assert cli._worker_count(0, 17) == 1
+    # else the machine's
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count(500, 17) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(500, 17) == 1
 
@@ -398,9 +404,23 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     code, _, _ = run(capsys, "verify", "--all", "--order", "3", "--truncate", "2", "--jobs", "500")
     assert code == 0
     assert requested == [len(cli._sweep_tasks(3, 2))]
+
+
+def test_a_one_cpu_mask_runs_the_sweep_without_a_pool(capsys, monkeypatch):
+    import polybern.cli as cli
+
+    # a machine of many CPUs, of which the affinity mask allows this process one
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    started = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    code, out, _ = run(capsys, "verify", "--all", "--order", "3", "--truncate", "2", "--jobs", "2")
+    assert code == 0 and started == []
+    assert out == run(capsys, "verify", "--all", "--order", "3", "--truncate", "2")[1]
 
 
 def test_pool_modules_load_only_on_first_access():

@@ -1,18 +1,12 @@
 """The byte-identity harness of ``tests/differential.py``, run on copies of
 this tree's ``src``."""
 
-import shutil
-
 import differential
 import mutants
 
 
 def _copy(tmp_path, fault=None):
-    copy = tmp_path / "src"
-    shutil.copytree(differential.SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    if fault:
-        mutants._apply(copy / "polybern", fault)
-    return copy
+    return mutants.faulted_copy(tmp_path / "src", fault)
 
 
 def test_a_copy_of_the_tree_differs_in_no_call(tmp_path, capsys):

@@ -250,11 +250,6 @@ def test_parse_rejects_malformed(bad):
         parse_rational(bad)
 
 
-def test_parse_rejects_zero_denominator():
-    with pytest.raises(ArgumentError):
-        parse_rational("1/0")
-
-
 def test_decimal_string_is_20_significant_digits_half_even():
     assert decimal_string(1, 3) == "0.33333333333333333333"
     assert decimal_string(2, 3) == "0.66666666666666666667"

@@ -4,22 +4,23 @@ Each entry is one ``polybern`` argv with its exit code and the SHA-256 of
 its stdout and of its stderr.  The calls run every family at the order
 cap, the named series, both large Stirling tables, ``verify --all`` and
 every exact identity at the caps, and each refused call one past a cap.
-``test_golden.test_caps_manifest`` replays them in one process.  A change
-that alters one of these outputs on purpose rewrites the manifest with
+The writer runs them on this tree's ``src`` through ``mutants.outcomes``,
+the one runner of ``tests/mutants.py`` (a fresh interpreter at 80
+columns), and ``test_golden.test_caps_manifest`` replays them in one
+process.  A change that alters one of these outputs on purpose rewrites
+the manifest with
 
-    PYTHONPATH=src python tests/write_caps_manifest.py
+    python tests/write_caps_manifest.py
 
 and names each changed argv in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
-import os
 from pathlib import Path
+
+from mutants import SRC, outcomes
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "caps.json"
 
@@ -72,23 +73,7 @@ ARGV = [
 ]
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def run(argv: list[str]) -> dict:
-    """One manifest entry: run ``argv`` through ``polybern.cli.main`` in
-    this process, at 80 columns (argparse wraps its usage text to the
-    terminal width)."""
-    from polybern.cli import main
-
-    os.environ["COLUMNS"] = "80"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return {"argv": argv, "exit": code, "stdout_sha256": _sha256(out.getvalue()),
-            "stderr_sha256": _sha256(err.getvalue())}
-
-
 if __name__ == "__main__":
-    MANIFEST.write_text(json.dumps([run(argv) for argv in ARGV], indent=1) + "\n")
+    entries = [{"argv": argv, "exit": code, "stdout_sha256": out, "stderr_sha256": err}
+               for argv, (code, out, err) in zip(ARGV, outcomes(SRC, ARGV))]
+    MANIFEST.write_text(json.dumps(entries, indent=1) + "\n")
