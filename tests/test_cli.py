@@ -147,35 +147,33 @@ def test_verify_each_identity(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    # malformed rational (zero denominator)
-    code, _, err = run(capsys, "numbers", "--family", "degen-multi-poly",
-                       "--ks", "1,2", "--lambda", "1/0", "--x", "0")
-    assert code == 2
-    # unknown flag
-    code, _, err = run(capsys, "numbers", "--family", "poly", "--k", "1", "--bogus", "3")
-    assert code == 2
-    # missing required per-identity flag
-    code, _, err = run(capsys, "verify", "--identity", "expansion", "--order", "4")
-    assert code == 2
-    assert "usage" in err
-    # identity precondition violation (depth < 2)
-    code, _, err = run(capsys, "verify", "--identity", "chain-stirling",
-                       "--ks", "2", "--lambda", "1/2", "--x", "0", "--order", "4")
-    assert code == 2
-    # csv requested for nested report output
-    code, _, err = run(capsys, "verify", "--identity", "li-ones", "--r", "2",
-                       "--order", "4", "--format", "csv")
-    assert code == 2
-    # malformed ks, an empty one included
-    for ks in ("1,a", "", ","):
-        code, _, err = run(capsys, "numbers", "--family", "multi-poly", f"--ks={ks}")
-        assert code == 2, ks
-        assert "ks must be comma-separated integers" in err
-    # negative m truncation on an infinite m-series
-    code, out, err = run(capsys, "verify", "--identity", "difference", "--ks=2,1",
-                         "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1")
-    assert code == 2
-    assert out == ""
+    # each refusal exits 2, prints nothing on stdout and names its cause on stderr
+    cases = [
+        # malformed rationals: a zero denominator and a decimal
+        (("numbers", "--family", "degen-multi-poly", "--ks", "1,2", "--lambda", "1/0", "--x", "0"),
+         "argument --lambda: zero denominator in '1/0'"),
+        (("numbers", "--family=poly", "--k=1", "--x=1/0", "--order=2"), "argument --x: zero denominator in '1/0'"),
+        (("numbers", "--family=poly", "--k=1", "--x=1.5", "--order=2"), "argument --x: not a rational literal: '1.5'"),
+        # unknown flag
+        (("numbers", "--family", "poly", "--k", "1", "--bogus", "3"), "unrecognized arguments: --bogus 3"),
+        # missing required per-identity flag
+        (("verify", "--identity", "expansion", "--order", "4"), "usage"),
+        # identity precondition violation (depth < 2)
+        (("verify", "--identity", "chain-stirling", "--ks", "2", "--lambda", "1/2", "--x", "0", "--order", "4"),
+         "needs depth r >= 2"),
+        # csv requested for nested report output
+        (("verify", "--identity", "li-ones", "--r", "2", "--order", "4", "--format", "csv"), "invalid choice: 'csv'"),
+        # malformed ks, an empty one included
+        *((("numbers", "--family", "multi-poly", f"--ks={ks}"), "ks must be comma-separated integers")
+          for ks in ("1,a", "", ",")),
+        # negative m truncation on an infinite m-series
+        (("verify", "--identity", "difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1"),
+         "m truncation must be non-negative"),
+    ]
+    for argv, fragment in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert fragment in err, argv
 
 
 def _mostly(usual, odd):

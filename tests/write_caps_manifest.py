@@ -3,11 +3,13 @@
 Each entry is one ``polybern`` argv with its exit code and the SHA-256 of
 its stdout and of its stderr.  The calls run every family at the order
 cap, the named series, both large Stirling tables, ``verify --all`` and
-every exact identity at the caps, and each refused call one past a cap.
-The writer runs them on this tree's ``src`` through ``mutants.outcomes``,
-the one runner of ``tests/mutants.py`` (a fresh interpreter at 80
-columns), and ``test_golden.test_caps_manifest`` replays them in one
-process.  A change that alters one of these outputs on purpose rewrites
+every exact identity at the caps, the large m-series diagnostics that
+had ``.sha256`` files (too long to keep as ``.out`` text), and each
+refused call one past a cap.  The writer runs them on this tree's
+``src`` through ``mutants.outcomes``, the one runner of
+``tests/mutants.py`` (a fresh interpreter at 80 columns), and
+``test_golden.test_caps_manifest`` replays each one as its own case in
+one process.  A change that alters one of these outputs on purpose rewrites
 the manifest with
 
     python tests/write_caps_manifest.py
@@ -60,6 +62,15 @@ ARGV = [
     ["verify", "--identity=addition", "--ks=2,1", *LX, "--y=1/3", CAP],
     ["verify", "--identity=resummation", "--ks=1,-48", *LX, CAP],
     ["verify", "--identity=difference", "--ks=2,-8", *LX, CAP],
+    # m-series diagnostics at real operand sizes, thousands of bits: a 32 in
+    # the tail polylog for both identities, M = 160 at order 16, depth 3, and
+    # a depth-4 tail where each m's factor, taken against li_den alone, is a
+    # proper divisor of the one against the whole denominator
+    ["verify", "--identity=resummation", "--ks=32,1", *LX, "--order=32", "--truncate=47"],
+    ["verify", "--identity=difference", "--ks=32,1", *LX, "--order=32", "--truncate=47"],
+    ["verify", "--identity=difference", "--ks=2,2,1", *LX, "--order=16", f"--truncate={TRUNCATE}"],
+    ["verify", "--identity=resummation", "--ks=24,8,1", *LX, "--order=24", "--truncate=64"],
+    ["verify", "--identity=resummation", "--ks=1,-1,-1,2", *LX, "--order=8", f"--truncate={TRUNCATE}"],
     # refused one past each cap
     ["numbers", "--family=degen-multi-poly", "--ks=2", *LX, f"--order={ORDER + 1}"],
     ["verify", "--identity=resummation", "--ks=2,1", *LX, "--order=4", f"--truncate={TRUNCATE + 1}"],
