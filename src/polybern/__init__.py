@@ -6,8 +6,8 @@ formal-power-series manipulation; no floating point enters any result.
 The package is organized bottom up:
 
 ``rationals``
-    the exact coefficient field ("p/q" wire format, chain-sum weights,
-    decimal rendering for diagnostics)
+    the exact coefficient field ("p/q" wire format, chain-sum weights, and
+    the private decimal rendering of the diagnostics' residuals)
 ``series``
     dense truncated power series (frozen values with no arithmetic) and
     the int kernels under the family pipeline (product, inversion, composition
@@ -32,7 +32,7 @@ from .families import (
     poly_bernoulli,
     type2_poly_bernoulli,
 )
-from .rationals import ArgumentError, decimal_string, format_rational, inv_pow, parse_rational
+from .rationals import ArgumentError, format_rational, inv_pow, parse_rational
 from .series import TruncatedSeries, ValuationError
 from .special import (
     StirlingTable,
@@ -67,7 +67,6 @@ __all__ = [
     "ValuationError",
     "VerificationReport",
     "carlitz_degenerate",
-    "decimal_string",
     "degenerate_exp",
     "degenerate_multi_poly_bernoulli",
     "format_rational",

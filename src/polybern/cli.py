@@ -338,7 +338,9 @@ def _worker_count(requested: int, tasks: int) -> int:
     return max(1, min(requested, tasks, cpus))
 
 
-def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:
+def _cmd_verify(args) -> tuple[dict | list[dict], int]:
+    """The JSON value of one report, or the sorted list of the sweep's, and
+    the exit code of both: a verification failure when any report fails."""
     m_truncation = _value(args, "m_truncation")
     _require(m_truncation <= MAX_M_TRUNCATION, f"truncate must be at most {MAX_M_TRUNCATION}")
     _require(_value(args, "jobs") >= 1, "jobs must be at least 1")
@@ -353,12 +355,12 @@ def _cmd_verify(args) -> tuple[VerificationReport | list[dict], int]:
                 reports = list(pool.map(_sweep_worker, tasks))
         else:
             reports = [_sweep_worker(t) for t in tasks]
-        reports.sort(key=lambda rep: (rep["identity"], json.dumps(rep["params"], sort_keys=True)))
-        return reports, EXIT_VERIFY_FAIL if any(rep["status"] == "fail" for rep in reports) else EXIT_OK
-
-    _require(args.identity is not None, "verify needs --identity or --all")
-    report = _call_from_flags(IDENTITIES, args.identity, args)
-    return report, EXIT_VERIFY_FAIL if report.status == "fail" else EXIT_OK
+        result = sorted(reports, key=lambda rep: (rep["identity"], json.dumps(rep["params"], sort_keys=True)))
+    else:
+        _require(args.identity is not None, "verify needs --identity or --all")
+        result = _json_value(_call_from_flags(IDENTITIES, args.identity, args))
+        reports = [result]
+    return result, EXIT_VERIFY_FAIL if any(rep["status"] == "fail" for rep in reports) else EXIT_OK
 
 
 class _Rows(NamedTuple):
@@ -379,7 +381,7 @@ def _json_value(result):
     with its rows and residuals each as a ``_Rows`` of value tuples, so that
     no row becomes a dict; a family table with its query's params; a
     Stirling table with its rows as they are; anything else (the series
-    head of ``_cmd_series``, the reports of ``verify --all``) as it is."""
+    head of ``_cmd_series``, the report values of ``_cmd_verify``) as it is."""
     if isinstance(result, VerificationReport):
         rows = [(r.check, r.n, format_rational(r.lhs), format_rational(r.rhs), r.equal) for r in result.rows]
         residuals = result.residuals.values() if result.residuals else []

@@ -8,9 +8,9 @@ denominator are coprime, and zero is stored as 0/1.  This module adds only
 what Fraction does not ship, namely the one coercion of caller-supplied
 parameters (:func:`as_rational`), the ``n**-k`` weights that appear in
 chain sums, the "p/q" wire format used by all serialization, and the
-rendering of exact values as rounded decimal strings for convergence
-diagnostics: one integer division shortens the exact value, and
-``decimal`` rounds and writes the result.
+private :func:`_decimal_string`, which renders the residuals of the
+convergence diagnostics as rounded decimal strings: one integer division
+shortens the exact value, and ``decimal`` rounds and writes the result.
 
 Floating point never enters: a float parameter is refused, not converted,
 and decimal strings are derived from exact rationals at output time only.
@@ -103,12 +103,14 @@ def _power_of_ten(exponent: int) -> int:
     return 10**exponent
 
 
-def decimal_string(num: int, den: int) -> str:
+def _decimal_string(num: int, den: int) -> str:
     """Render the exact rational num/den, for ints num >= 0 and den > 0
     (unreduced pairs allowed), as a decimal string with 20 significant
     digits, round half to even: the string ``Decimal(num) / Decimal(den)``
     gives at that precision.  Used only for residual reporting; never fed
-    back into computation.
+    back into computation.  Private: its one caller,
+    ``verify.ResidualTable.values``, passes such ints, so it checks
+    neither argument.
 
     One divmod cuts the long num and den down to Q = floor(num 10^s / den),
     at least 22 digits long, and Decimal rounds and writes Q / 10^s.  An

@@ -62,7 +62,7 @@ from .families import (
     degenerate_multi_poly_bernoulli,
     u_power_columns,
 )
-from .rationals import ArgumentError, as_rational, decimal_string, format_rational, inv_pow
+from .rationals import ArgumentError, _decimal_string, as_rational, format_rational, inv_pow
 from .series import _over_common, _product, _reduced
 from .special import _multi_polylog_ints, as_int, index_vector, multi_polylog, stirling_table
 
@@ -113,7 +113,7 @@ class ResidualTable:
         out = []
         for n, (lhs, column) in enumerate(zip(self.lhs, self.partials), self.first_n):
             ln, ld = lhs.numerator, lhs.denominator
-            out += [(n, m, decimal_string(abs(ln * den - partial * ld), ld * den))
+            out += [(n, m, _decimal_string(abs(ln * den - partial * ld), ld * den))
                     for m, (partial, den) in enumerate(zip(column, self.dens))]
         return out
 

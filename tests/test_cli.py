@@ -1,4 +1,12 @@
-"""Command-line contract: dispatch, formats, exit codes, round trips."""
+"""Command-line contract: dispatch, formats, exit codes, round trips.
+
+Two tables state the refusals.  ``REFUSED`` holds every call the command
+line refuses, each with its message and where it is refused (argparse,
+the CLI's caps and flag checks, the library's least values, or a
+``verify --all`` point); one test runs each row with the work it must not
+reach replaced.  ``ADMITTED`` holds every call admitted at a cap or least
+value, each asserted to exit 0.  A new id's refusals are rows of the first.
+"""
 
 import functools
 import inspect
@@ -146,36 +154,6 @@ def test_verify_each_identity(capsys):
         assert json.loads(out)["status"] == expected
 
 
-def test_usage_errors_exit_two(capsys):
-    # each refusal exits 2, prints nothing on stdout and names its cause on stderr
-    cases = [
-        # malformed rationals: a zero denominator and a decimal
-        (("numbers", "--family", "degen-multi-poly", "--ks", "1,2", "--lambda", "1/0", "--x", "0"),
-         "argument --lambda: zero denominator in '1/0'"),
-        (("numbers", "--family=poly", "--k=1", "--x=1/0", "--order=2"), "argument --x: zero denominator in '1/0'"),
-        (("numbers", "--family=poly", "--k=1", "--x=1.5", "--order=2"), "argument --x: not a rational literal: '1.5'"),
-        # unknown flag
-        (("numbers", "--family", "poly", "--k", "1", "--bogus", "3"), "unrecognized arguments: --bogus 3"),
-        # missing required per-identity flag
-        (("verify", "--identity", "expansion", "--order", "4"), "usage"),
-        # identity precondition violation (depth < 2)
-        (("verify", "--identity", "chain-stirling", "--ks", "2", "--lambda", "1/2", "--x", "0", "--order", "4"),
-         "needs depth r >= 2"),
-        # csv requested for nested report output
-        (("verify", "--identity", "li-ones", "--r", "2", "--order", "4", "--format", "csv"), "invalid choice: 'csv'"),
-        # malformed ks, an empty one included
-        *((("numbers", "--family", "multi-poly", f"--ks={ks}"), "ks must be comma-separated integers")
-          for ks in ("1,a", "", ",")),
-        # negative m truncation on an infinite m-series
-        (("verify", "--identity", "difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=2", "--truncate=-1"),
-         "m truncation must be non-negative"),
-    ]
-    for argv, fragment in cases:
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert fragment in err, argv
-
-
 def _mostly(usual, odd):
     """``usual`` nine times in ten, else one of the words ``odd``."""
     return st.integers(0, 9).flatmap(lambda i: usual if i else st.sampled_from(odd))
@@ -242,40 +220,6 @@ def test_no_invocation_exits_three(capsys, argv):
     assert code != 1 or '"status": "fail"' in out, argv
 
 
-def test_library_preconditions_are_refused_before_any_work(capsys, monkeypatch):
-    # the library refuses each value below its least where it enters, before
-    # its kernels run (a Stirling table is not made), and the CLI relays the
-    # refusal in the library's words
-    _fail_if_kernels_called(monkeypatch)
-    monkeypatch.setattr("polybern.special.StirlingTable", _fail_if_called)
-    cases = [(("numbers", "--family=carlitz", "--r=0", "--lambda=1/3"), "r must be at least 1"),
-             (("verify", "--identity=li-ones", "--r=-1"), "r must be at least 1"),
-             (("stirling", "--kind=second", "--max-n=-1"), "max_n must be non-negative")]
-    cases += [(("verify", f"--identity={identity}", "--ks=2", "--lambda=1/3", "--x=0", "--order=2"),
-               f"{identity} check needs depth r >= 2") for identity in ("chain-stirling", "resummation", "difference")]
-    for argv, message in cases:
-        _assert_refused(capsys, argv, message)
-
-
-@pytest.mark.parametrize("argv, flag, below, least, message", [
-    (("numbers", "--family=carlitz", "--lambda=1/3", "--x=0", "--order=2"), "--r", "0", "1", "r must be at least 1"),
-    (("verify", "--identity=li-ones", "--order=2"), "--r", "0", "1", "r must be at least 1"),
-    (("verify", "--identity=deriv", "--ks=2"), "--order", "0", "1", "order must be at least 1"),
-    (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0"), "--order", "0", "1",
-     "order must be at least 1"),
-    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=2"), "--ks", "2", "2,1",
-       f"{identity} check needs depth r >= 2") for identity in ("chain-stirling", "resummation", "difference")],
-], ids=["carlitz-r", "li-ones-r", "deriv-order", "difference-order",
-        "chain-stirling-depth", "resummation-depth", "difference-depth"])
-def test_entry_least_values_are_the_library_s(capsys, monkeypatch, argv, flag, below, least, message):
-    # the CLI keeps no least order or depth of its own: an entry runs at the
-    # library's least, and one below it the library refuses before its
-    # kernels run, which the CLI relays as a usage error in its words
-    assert run(capsys, *argv, f"{flag}={least}")[0] == 0
-    _fail_if_kernels_called(monkeypatch)
-    _assert_refused(capsys, (*argv, f"{flag}={below}"), message)
-
-
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, out, _ = run(capsys, "numbers", "--family", "poly", "--k", "1",
@@ -334,6 +278,18 @@ def test_verify_fail_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--identity", "li-ones", "--r", "2", "--order", "4")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_a_single_verify_call_reads_its_verdict_once(capsys, monkeypatch):
+    # the output's "status" and the exit code come from one read
+    from polybern.verify import VerificationReport
+
+    reads = []
+    status = VerificationReport.status
+    monkeypatch.setattr(VerificationReport, "status", property(lambda report: reads.append(1) or status.fget(report)))
+    code, out, _ = run(capsys, "verify", "--identity=expansion", "--ks=2,1", "--lambda=1/3", "--x=1/2", "--order=8")
+    assert (code, json.loads(out)["status"]) == (0, "pass")
+    assert len(reads) == 1
 
 
 def test_internal_invariant_violation_exits_three(capsys, monkeypatch):
@@ -467,7 +423,6 @@ def test_failed_output_rename_keeps_old_content(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["table.json"]
 
 
-
 POLY_TABLE = ("numbers", "--family=poly", "--k=1", "--order=3")
 
 
@@ -538,189 +493,6 @@ def test_negative_values_as_separate_words(capsys, separate, joined):
     assert (code, out, err) == run(capsys, *joined)
 
 
-def _refused(err):
-    first, *rest = err.splitlines()
-    return first.startswith("error: ") and not any("error" in line for line in rest)
-
-
-def _assert_refused(capsys, argv, message):
-    """``argv`` exits 2 with nothing on stdout, and its one ``error:``
-    line on stderr is ``error: <message>``."""
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, ""), argv
-    assert _refused(err) and f"error: {message}\n" in err, (argv, err)
-
-
-def test_order_cap(capsys):
-    code, out, _ = run(capsys, "series", "--name=one-minus-exp-neg", f"--order={cli.MAX_ORDER}")
-    assert code == 0
-    assert json.loads(out)["order"] == cli.MAX_ORDER
-    for argv in (("series", "--name=one-minus-exp-neg"), ("numbers", "--family=poly", "--k=1"),
-                 ("verify", "--identity=li-ones", "--r=2"), ("verify", "--all")):
-        code, out, err = run(capsys, *argv, f"--order={cli.MAX_ORDER + 1}")
-        assert (code, out) == (2, ""), argv
-        assert _refused(err) and f"order must be at most {cli.MAX_ORDER}" in err
-
-
-def test_least_order_is_refused_before_any_work(capsys, monkeypatch):
-    # deriv and difference need order >= 1, and --all runs deriv; --all
-    # checks no order ahead of its points, so its first deriv point refuses
-    # order 0, serially and from a pool worker
-    assert run(capsys, "verify", "--all", "--order=1")[0] == 0
-    for jobs in ("--jobs=1", "--jobs=2"):
-        _assert_refused(capsys, ("verify", "--all", "--order=0", jobs), "order must be at least 1")
-    _fail_if_kernels_called(monkeypatch)
-    for argv in (("verify", "--identity=deriv", "--ks=2", "--order=0"),
-                 ("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=0")):
-        _assert_refused(capsys, argv, "order must be at least 1")
-
-
-def test_verify_all_refuses_the_flags_it_would_ignore(capsys, monkeypatch):
-    # --all runs its own points: every per-identity flag but --truncate
-    for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
-    for flags, named in ((("--ks=1,2",), "--ks"), (("--r=2",), "--r"), (("--lambda=1/3",), "--lambda"),
-                         (("--x=0",), "--x"), (("--y=1/2", "--jobs=2"), "--y"),
-                         (("--x=0", "--ks=2,1"), "--ks or --x")):
-        code, out, err = run(capsys, "verify", "--all", *flags)
-        assert (code, out) == (2, ""), flags
-        assert _refused(err) and f"--all runs its own points and takes no {named}" in err
-
-
-def test_single_calls_refuse_the_flags_their_entry_does_not_take(capsys, monkeypatch):
-    # every flag of the verb that the named series, family or identity
-    # does not take is refused before any work, one at a time (numbers
-    # gives --x the default 0, and every family takes it)
-    values = {"ks": "2,1", "k": "2", "r": "2", "lambda": "1/3", "x": "1/2", "y": "1/3",
-              "truncate": "3", "jobs": "2"}
-    verbs = ((cli.SERIES, "series", "--name", ("ks", "k", "x", "lambda")),
-             (cli.FAMILIES, "numbers", "--family", ("ks", "k", "r", "lambda")),
-             (cli.IDENTITIES, "verify", "--identity", ("ks", "r", "lambda", "x", "y", "truncate", "jobs")))
-    for table, verb, selector, flags in verbs:
-        for name, entry in table.items():
-            monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
-            taken = [cli._flag(p) for p in entry.params]
-            argv = (verb, f"{selector}={name}", "--order=2", *(f"--{f}={values[f]}" for f in taken))
-            ignored = [f for f in flags if f not in taken]
-            assert ignored, name
-            for flag in ignored:
-                code, out, err = run(capsys, *argv, f"--{flag}={values[flag]}")
-                assert (code, out) == (2, ""), (name, flag)
-                assert _refused(err) and f"error: {name} takes no --{flag}\n" in err
-
-
-def test_depth_cap(capsys, monkeypatch):
-    d = cli.MAX_DEPTH
-    ones, more = ",".join(["1"] * d), ",".join(["1"] * (d + 1))
-    cases = [(("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"), f"--ks={ones}", f"--ks={more}"),
-             (("series", "--name=multi-polylog", "--order=2"), f"--ks={ones}", f"--ks={more}"),
-             (("verify", "--identity=deriv", "--order=2"), f"--ks={ones}", f"--ks={more}"),
-             (("numbers", "--family=carlitz", "--lambda=1/3", "--order=2"), f"--r={d}", f"--r={d + 1}"),
-             (("verify", "--identity=li-ones", "--order=2"), f"--r={d}", f"--r={d + 1}")]
-    for argv, admitted, _ in cases:
-        assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
-    for name in ("families.degenerate_multi_poly_bernoulli", "special.multi_polylog",
-                 "verify.verify_deriv_recurrences", "families.carlitz_degenerate", "verify.verify_li_ones"):
-        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
-    for argv, _, refused in cases:
-        code, out, err = run(capsys, *argv, refused)
-        assert (code, out) == (2, ""), (argv, refused)
-        assert _refused(err) and f"depth (--ks length or --r) must be at most {d}" in err
-
-
-def test_index_weight_cap(capsys, monkeypatch):
-    w = cli.MAX_INDEX_WEIGHT
-    half = w // 2
-    # the weight is the sum of |k_i| (or |k|), whatever the signs; the last
-    # index of the m-series identities has its own bound and is not counted
-    cases = [(("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"),
-              f"--ks={half},-{w - half}", f"--ks={half},-{w - half + 1}"),
-             (("series", "--name=polyexp", "--order=2"), f"--k={w}", f"--k={w + 1}"),
-             (("numbers", "--family=type2-poly", "--order=2"), f"--k=-{w}", f"--k=-{w + 1}"),
-             (("verify", "--identity=deriv", "--order=2"), f"--ks=1,{w - 1}", f"--ks=1,{w}"),
-             (("verify", "--identity=resummation", "--lambda=1/3", "--x=0", "--order=1"),
-              f"--ks={w},-{cli.MAX_M_TRUNCATION}", f"--ks={w + 1},-1")]
-    for argv, admitted, _ in cases:
-        assert run(capsys, *argv, admitted)[0] == 0, (argv, admitted)
-    for name in ("families.degenerate_multi_poly_bernoulli", "special.polyexp", "families.type2_poly_bernoulli",
-                 "verify.verify_deriv_recurrences", "verify.verify_resummation"):
-        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
-    for argv, _, refused in cases:
-        code, out, err = run(capsys, *argv, refused)
-        assert (code, out) == (2, ""), (argv, refused)
-        assert _refused(err) and f"index weight (sum of |k_i| or |k|) must be at most {w}" in err
-
-
-def test_truncate_cap(capsys, monkeypatch):
-    # k_r <= 0 ends the m-sum on its own, so the call at the cap is cheap
-    exact = ("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2")
-    code, out, _ = run(capsys, *exact, f"--truncate={cli.MAX_M_TRUNCATION}")
-    assert code == 0
-    assert json.loads(out)["status"] == "pass"
-    assert run(capsys, *exact, "--truncate=0")[0] == 0
-    for argv in (exact, ("verify", "--all")):
-        code, out, err = run(capsys, *argv, f"--truncate={cli.MAX_M_TRUNCATION + 1}")
-        assert (code, out) == (2, ""), argv
-        assert _refused(err) and f"truncate must be at most {cli.MAX_M_TRUNCATION}" in err
-    # a negative truncation is refused by the library before any work, also
-    # where k_r <= 0 would ignore it; --all meets it at its first
-    # resummation point, serially and from a pool worker
-    for jobs in ("--jobs=1", "--jobs=2"):
-        _assert_refused(capsys, ("verify", "--all", "--order=128", jobs, "--truncate=-1"),
-                        "m truncation must be non-negative")
-    _fail_if_kernels_called(monkeypatch)
-    for argv in (exact, ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2")):
-        _assert_refused(capsys, (*argv, "--truncate=-1"), "m truncation must be non-negative")
-
-
-def test_jobs_below_one_is_refused_before_any_work(capsys, monkeypatch):
-    for entry in cli.IDENTITIES.values():
-        monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
-    for jobs in ("--jobs=0", "--jobs=-3"):
-        code, out, err = run(capsys, "verify", "--all", "--order=2", jobs)
-        assert (code, out) == (2, ""), jobs
-        assert _refused(err) and "jobs must be at least 1" in err
-
-
-def test_rational_flag_bound(capsys, monkeypatch):
-    b = cli.MAX_RATIONAL_TERM
-    # (argv, flag): each flag at the bound is admitted, past it refused,
-    # whether its numerator or its denominator is too large
-    cases = [(("series", "--name=degenerate-exp", "--x=1/2", "--order=2"), "lambda"),
-             (("series", "--name=degenerate-exp", "--lambda=1/2", "--order=2"), "x"),
-             (("numbers", "--family=degen-multi-poly", "--ks=1,2", "--x=1/2", "--order=2"), "lambda"),
-             (("numbers", "--family=type2-poly", "--k=2", "--order=2"), "x"),
-             (("numbers", "--family=carlitz", "--r=2", "--lambda=1/3", "--order=2"), "x"),
-             (("verify", "--identity=expansion", "--ks=2,1", "--lambda=1/3", "--order=2"), "x"),
-             (("verify", "--identity=addition", "--ks=2,1", "--lambda=1/3", "--x=1/2", "--order=2"), "y"),
-             (("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--order=2"), "x"),
-             (("verify", "--identity=chain-stirling", "--ks=2,1", "--x=1/2", "--order=2"), "lambda")]
-    for argv, flag in cases:
-        for value in (b, -b, f"{b - 1}/{b}", f"-1/{b}"):
-            assert run(capsys, *argv, f"--{flag}={value}")[0] == 0, (argv, flag, value)
-    for name in ("special.degenerate_exp", "families.degenerate_multi_poly_bernoulli",
-                 "families.type2_poly_bernoulli", "families.carlitz_degenerate",
-                 "verify.verify_polynomial_expansion", "verify.verify_addition",
-                 "verify.verify_difference", "verify.verify_chain_stirling"):
-        monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
-    for argv, flag in cases:
-        for value in (b + 1, -b - 1, f"1/{b + 1}", f"-{b + 1}/{b}"):
-            code, out, err = run(capsys, *argv, f"--{flag}={value}")
-            assert (code, out) == (2, ""), (argv, flag, value)
-            assert _refused(err) and f"--{flag} needs |numerator| and denominator at most {b}" in err
-
-
-def test_max_n_cap(capsys):
-    code, out, _ = run(capsys, "stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N}")
-    assert code == 0
-    assert json.loads(out)["max_n"] == cli.MAX_STIRLING_N
-    code, out, err = run(capsys, "stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N + 1}")
-    assert (code, out) == (2, "")
-    assert _refused(err) and f"max-n must be at most {cli.MAX_STIRLING_N}" in err
-
-
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("a refused call must do no work")
 
@@ -734,32 +506,206 @@ def _fail_if_kernels_called(monkeypatch):
         monkeypatch.setattr(f"polybern.{name}", _fail_if_called)
 
 
-def test_csv_for_nested_output_is_refused_before_any_work(capsys, monkeypatch):
-    calls = [("series", "--name=log1p", "--order=4"),
-             ("verify", "--identity=li-ones", "--r=2", "--order=4"),
-             ("verify", "--all", f"--order={cli.MAX_ORDER}")]
-    monkeypatch.setattr(cli, "_cmd_series", _fail_if_called)
-    monkeypatch.setattr(cli, "_cmd_verify", _fail_if_called)
-    for argv in calls:
-        code, out, err = run(capsys, *argv, "--format=csv")
-        assert (code, out) == (2, ""), argv
-        assert f"polybern {argv[0]}: error: argument --format: invalid choice: 'csv'" in err
+# -- every refusal, and every call admitted at a cap or least value ---------------
 
+_ORDER, _TRUNCATE, _DEPTH = cli.MAX_ORDER, cli.MAX_M_TRUNCATION, cli.MAX_DEPTH
+_WEIGHT, _TERM = cli.MAX_INDEX_WEIGHT, cli.MAX_RATIONAL_TERM
+_ONES, _MORE_ONES = ",".join(["1"] * _DEPTH), ",".join(["1"] * (_DEPTH + 1))
+_M_SERIES = ("resummation", "difference")
+_AT_LEAST_DEPTH_2 = ("chain-stirling", *_M_SERIES)
+# calls that take one rational flag, named last: the flag at and past MAX_RATIONAL_TERM
+_RATIONAL_CALLS = [
+    (("series", "--name=degenerate-exp", "--x=1/2", "--order=2"), "lambda"),
+    (("series", "--name=degenerate-exp", "--lambda=1/2", "--order=2"), "x"),
+    (("numbers", "--family=degen-multi-poly", "--ks=1,2", "--x=1/2", "--order=2"), "lambda"),
+    (("numbers", "--family=type2-poly", "--k=2", "--order=2"), "x"),
+    (("numbers", "--family=carlitz", "--r=2", "--lambda=1/3", "--order=2"), "x"),
+    (("verify", "--identity=expansion", "--ks=2,1", "--lambda=1/3", "--order=2"), "x"),
+    (("verify", "--identity=addition", "--ks=2,1", "--lambda=1/3", "--x=1/2", "--order=2"), "y"),
+    (("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--order=2"), "x"),
+    (("verify", "--identity=chain-stirling", "--ks=2,1", "--x=1/2", "--order=2"), "lambda"),
+]
+# each verb's selector, table and per-entry flags (numbers gives --x the
+# default 0, and every family takes it), and a value for each flag
+_VERB_TABLES = (("series", "--name", cli.SERIES, ("ks", "k", "x", "lambda")),
+                ("numbers", "--family", cli.FAMILIES, ("ks", "k", "r", "lambda")),
+                ("verify", "--identity", cli.IDENTITIES, ("ks", "r", "lambda", "x", "y", "truncate", "jobs")))
+_FLAG_VALUES = {"ks": "2,1", "k": "2", "r": "2", "lambda": "1/3", "x": "1/2", "y": "1/3", "truncate": "3", "jobs": "2"}
 
-def test_m_series_exact_branch_cap(capsys, monkeypatch):
+# (argv, message, where the refusal happens): "argparse"; "cli", its caps
+# and flag checks; "library", a value below the library's least; "all", a
+# verify --all point, serially and from a two-worker pool
+REFUSED = [
+    (("numbers", "--family", "degen-multi-poly", "--ks", "1,2", "--lambda", "1/0", "--x", "0"),
+     "argument --lambda: zero denominator in '1/0'", "argparse"),
+    (("numbers", "--family=poly", "--k=1", "--x=1/0", "--order=2"), "argument --x: zero denominator in '1/0'",
+     "argparse"),
+    (("numbers", "--family=poly", "--k=1", "--x=1.5", "--order=2"), "argument --x: not a rational literal: '1.5'",
+     "argparse"),
+    *[(("numbers", "--family", "multi-poly", f"--ks={ks}"),
+       f"argument --ks: ks must be comma-separated integers, got {ks!r}", "argparse") for ks in ("1,a", "", ",")],
+    (("numbers", "--family", "poly", "--k", "1", "--bogus", "3"), "unrecognized arguments: --bogus 3", "argparse"),
+    *[((*argv, "--format=csv"), "argument --format: invalid choice: 'csv'", "argparse")
+      for argv in (("series", "--name=log1p", "--order=4"), ("verify", "--identity=li-ones", "--r=2", "--order=4"),
+                   ("verify", "--all", f"--order={_ORDER}"))],
+    (("verify",), "verify needs --identity or --all", "cli"),
+    (("verify", "--all", "--identity=li-ones"), "--all and --identity are mutually exclusive", "cli"),
+    (("verify", "--identity", "expansion", "--order", "4"), "expansion needs --ks and --lambda and --x", "cli"),
+    *[((*argv, f"--order={_ORDER + 1}"), f"order must be at most {_ORDER}", "cli")
+      for argv in (("series", "--name=one-minus-exp-neg"), ("numbers", "--family=poly", "--k=1"),
+                   ("verify", "--identity=li-ones", "--r=2"), ("verify", "--all"))],
+    # --all runs its own points: it takes every per-identity flag but --truncate
+    *[(("verify", "--all", *flags), f"--all runs its own points and takes no {named}", "cli")
+      for flags, named in ((("--ks=1,2",), "--ks"), (("--r=2",), "--r"), (("--lambda=1/3",), "--lambda"),
+                           (("--x=0",), "--x"), (("--y=1/2", "--jobs=2"), "--y"),
+                           (("--x=0", "--ks=2,1"), "--ks or --x"))],
+    # a single call, given every flag its entry takes and one flag more
+    *[((verb, f"{selector}={name}", "--order=2",
+        *(f"--{cli._flag(p)}={_FLAG_VALUES[cli._flag(p)]}" for p in entry.params), f"--{flag}={_FLAG_VALUES[flag]}"),
+       f"{name} takes no --{flag}", "cli")
+      for verb, selector, table, flags in _VERB_TABLES for name, entry in table.items()
+      for flag in flags if flag not in map(cli._flag, entry.params)],
+    *[((*argv, past), f"depth (--ks length or --r) must be at most {_DEPTH}", "cli") for argv, past in (
+        (("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"), f"--ks={_MORE_ONES}"),
+        (("series", "--name=multi-polylog", "--order=2"), f"--ks={_MORE_ONES}"),
+        (("verify", "--identity=deriv", "--order=2"), f"--ks={_MORE_ONES}"),
+        (("verify", "--identity=chain-stirling", "--lambda=1/3", "--x=0", "--order=0"), f"--ks={_MORE_ONES}"),
+        (("numbers", "--family=carlitz", "--lambda=1/3", "--order=2"), f"--r={_DEPTH + 1}"),
+        (("verify", "--identity=li-ones", "--order=2"), f"--r={_DEPTH + 1}"))],
+    # the weight is the sum of |k_i| (or |k|), whatever the signs; the last
+    # index of the m-series identities has its own bound and is not counted
+    *[((*argv, past), f"index weight (sum of |k_i| or |k|) must be at most {_WEIGHT}", "cli") for argv, past in (
+        (("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2"),
+         f"--ks={_WEIGHT // 2},-{_WEIGHT // 2 + 1}"),
+        (("series", "--name=polyexp", "--order=2"), f"--k={_WEIGHT + 1}"),
+        (("numbers", "--family=type2-poly", "--order=2"), f"--k=-{_WEIGHT + 1}"),
+        (("verify", "--identity=deriv", "--order=2"), f"--ks=1,{_WEIGHT}"),
+        (("verify", "--identity=resummation", "--lambda=1/3", "--x=0", "--order=1"), f"--ks={_WEIGHT + 1},-1"))],
+    *[((*argv, f"--truncate={_TRUNCATE + 1}"), f"truncate must be at most {_TRUNCATE}", "cli")
+      for argv in (("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2"),
+                   ("verify", "--all"))],
+    *[(("verify", "--all", "--order=2", jobs), "jobs must be at least 1", "cli")
+      for jobs in ("--jobs=0", "--jobs=-3")],
+    *[((*argv, f"--{flag}={value}"), f"--{flag} needs |numerator| and denominator at most {_TERM}", "cli")
+      for argv, flag in _RATIONAL_CALLS
+      for value in (_TERM + 1, -_TERM - 1, f"1/{_TERM + 1}", f"-{_TERM + 1}/{_TERM}")],
+    (("stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N + 1}"), f"max-n must be at most {cli.MAX_STIRLING_N}",
+     "cli"),
     # k_r <= 0 sums -k_r + 1 terms whatever --truncate says
-    for identity in ("resummation", "difference"):
-        exact = ("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=1")
-        code, out, _ = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION}")
-        assert code == 0
-        assert json.loads(out)["params"]["m_truncation"] == cli.MAX_M_TRUNCATION
-        monkeypatch.setattr(f"polybern.verify.verify_{identity}", _fail_if_called)
-        code, out, err = run(capsys, *exact, f"--ks=1,-{cli.MAX_M_TRUNCATION + 1}")
-        assert (code, out) == (2, ""), identity
-        assert _refused(err) and f"-k_r must be at most {cli.MAX_M_TRUNCATION}" in err
+    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=1", f"--ks=1,-{_TRUNCATE + 1}"),
+       f"{identity} with k_r <= 0 sums -k_r + 1 terms; -k_r must be at most {_TRUNCATE}", "cli")
+      for identity in _M_SERIES],
+    *[(("verify", f"--identity={identity}", "--ks=2,2,1", "--lambda=1/3", "--x=0", "--order=64",
+        f"--truncate={_TRUNCATE}"),
+       f"{identity} needs order * max(-k_r, k_r + truncate) at most {cli.MAX_M_SERIES_SIZE}", "cli")
+      for identity in _M_SERIES],
+    (("numbers", "--family=carlitz", "--lambda=1/3", "--x=0", "--order=2", "--r=0"), "r must be at least 1",
+     "library"),
+    (("verify", "--identity=li-ones", "--order=2", "--r=0"), "r must be at least 1", "library"),
+    (("verify", "--identity=deriv", "--ks=2", "--order=0"), "order must be at least 1", "library"),
+    (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=0"), "order must be at least 1",
+     "library"),
+    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=2", "--ks=2"),
+       f"{identity} check needs depth r >= 2", "library") for identity in _AT_LEAST_DEPTH_2],
+    (("stirling", "--kind=second", "--max-n=-1"), "max_n must be non-negative", "library"),
+    # also where k_r <= 0 would ignore the truncation
+    *[((*argv, "--truncate=-1"), "m truncation must be non-negative", "library")
+      for argv in (("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2"),
+                   ("verify", "--identity=difference", "--ks=2,-1", "--lambda=1/3", "--x=0", "--order=2"))],
+    # --all checks no least value ahead of its points: its first deriv point
+    # refuses order 0, and its first m-series point a negative truncation
+    *[(("verify", "--all", "--order=0", jobs), "order must be at least 1", "all")
+      for jobs in ("--jobs=1", "--jobs=2")],
+    *[(("verify", "--all", f"--order={_ORDER}", jobs, "--truncate=-1"), "m truncation must be non-negative", "all")
+      for jobs in ("--jobs=1", "--jobs=2")],
+]
+
+# (argv, the output fields it checks, each as its keys and value): every
+# call admitted at a least value or a cap, beside a refusal of REFUSED
+ADMITTED = [
+    (("numbers", "--family=carlitz", "--lambda=1/3", "--x=0", "--order=2", "--r=1"), ()),
+    (("verify", "--identity=li-ones", "--order=2", "--r=1"), ()),
+    (("verify", "--identity=deriv", "--ks=2", "--order=1"), ()),
+    (("verify", "--identity=difference", "--ks=2,1", "--lambda=1/3", "--x=0", "--order=1"), ()),
+    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=2", "--ks=2,1"), ())
+      for identity in _AT_LEAST_DEPTH_2],
+    (("verify", "--all", "--order=1"), ()),
+    (("series", "--name=one-minus-exp-neg", f"--order={_ORDER}"), (("order", _ORDER),)),
+    (("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2", f"--ks={_ONES}"), ()),
+    (("series", "--name=multi-polylog", "--order=2", f"--ks={_ONES}"), ()),
+    (("verify", "--identity=deriv", "--order=2", f"--ks={_ONES}"), ()),
+    (("numbers", "--family=carlitz", "--lambda=1/3", "--order=2", f"--r={_DEPTH}"), ()),
+    (("verify", "--identity=li-ones", "--order=2", f"--r={_DEPTH}"), ()),
+    (("numbers", "--family=degen-multi-poly", "--lambda=1/3", "--order=2",
+      f"--ks={_WEIGHT // 2},-{_WEIGHT // 2}"), ()),
+    (("series", "--name=polyexp", "--order=2", f"--k={_WEIGHT}"), ()),
+    (("numbers", "--family=type2-poly", "--order=2", f"--k=-{_WEIGHT}"), ()),
+    (("verify", "--identity=deriv", "--order=2", f"--ks=1,{_WEIGHT - 1}"), ()),
+    (("verify", "--identity=resummation", "--lambda=1/3", "--x=0", "--order=1", f"--ks={_WEIGHT},-{_TRUNCATE}"), ()),
+    *[(("verify", "--identity=resummation", "--ks=1,-2", "--lambda=1/3", "--x=0", "--order=2", f"--truncate={t}"), ())
+      for t in (_TRUNCATE, 0)],
+    *[((*argv, f"--{flag}={value}"), ())
+      for argv, flag in _RATIONAL_CALLS for value in (_TERM, -_TERM, f"{_TERM - 1}/{_TERM}", f"-1/{_TERM}")],
+    (("stirling", "--kind=second", f"--max-n={cli.MAX_STIRLING_N}"), (("max_n", cli.MAX_STIRLING_N),)),
+    *[(("verify", f"--identity={identity}", "--lambda=1/3", "--x=0", "--order=1", f"--ks=1,-{_TRUNCATE}"),
+       (("params", "m_truncation", _TRUNCATE),)) for identity in _M_SERIES],
+    # order * -k_r at MAX_M_SERIES_SIZE
+    (("verify", "--identity=difference", f"--ks=2,-{cli.MAX_M_SERIES_SIZE // 48}", "--lambda=1/3", "--x=0",
+      "--order=48"), ()),
+    # the chain weights cost one prefix sum per index, so the depth and the
+    # order caps bound the call, whatever the number of chains
+    (("verify", "--identity=chain-stirling", "--ks=3,2,1", "--lambda=-7/9", "--x=8/9", f"--order={_ORDER}"), ()),
+    (("verify", "--identity=chain-stirling", "--ks=" + ",".join(["2"] * _DEPTH), "--lambda=-7/9", "--x=8/9",
+      f"--order={_ORDER}"), (("status", "pass"),)),
+]
 
 
-def test_m_series_size_bound(capsys, monkeypatch):
+def _ids(rows):
+    return [" ".join(row[0]) for row in rows]
+
+
+def test_each_call_is_one_row():
+    argvs = [row[0] for row in REFUSED + ADMITTED]
+    assert len(set(argvs)) == len(argvs)
+
+
+@pytest.mark.parametrize("argv, message, where", REFUSED, ids=_ids(REFUSED))
+def test_each_refusal_exits_two_before_any_work(capsys, monkeypatch, argv, message, where):
+    # the work each place must refuse ahead of is replaced; a verify --all
+    # point is refused inside the sweep, where nothing is replaced
+    if where == "argparse":
+        for verb in ("series", "numbers", "stirling", "verify"):
+            monkeypatch.setattr(cli, f"_cmd_{verb}", _fail_if_called)
+    elif where == "cli":
+        for table in (cli.SERIES, cli.FAMILIES, cli.IDENTITIES):
+            for entry in table.values():
+                monkeypatch.setattr(f"polybern.{entry.function}", _fail_if_called)
+        monkeypatch.setattr(cli, "stirling_table", _fail_if_called)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _fail_if_called)
+    elif where == "library":
+        _fail_if_kernels_called(monkeypatch)
+        monkeypatch.setattr("polybern.special.StirlingTable", _fail_if_called)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    [line] = [line for line in err.splitlines() if "error" in line]
+    if where == "argparse":
+        # argparse's own line, after its usage; the list of choices it
+        # appends to an invalid one is worded by the Python version
+        assert line.startswith((f"polybern: error: {message}", f"polybern {argv[0]}: error: {message}")), err
+    else:
+        assert err.startswith(f"error: {message}\n"), err
+
+
+@pytest.mark.parametrize("argv, shown", ADMITTED, ids=_ids(ADMITTED))
+def test_each_call_at_a_cap_or_least_value_runs(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    for *keys, value in shown:
+        assert functools.reduce(lambda item, key: item[key], keys, data) == value, keys
+
+
+def test_m_series_size_bound():
     def check(identity, kwargs):
         cli._check_identity_size(cli.IDENTITIES[identity], kwargs, identity)
 
@@ -769,28 +715,6 @@ def test_m_series_size_bound(capsys, monkeypatch):
     for identity, ks, truncate in (("resummation", (2, 1), 128), ("difference", (2, -129), 0)):
         with pytest.raises(ArgumentError, match=str(cli.MAX_M_SERIES_SIZE)):
             check(identity, {"ks": ks, "order": 48, "m_truncation": truncate})
-    for identity in ("resummation", "difference"):
-        monkeypatch.setattr(f"polybern.verify.verify_{identity}", _fail_if_called)
-        code, out, err = run(capsys, "verify", f"--identity={identity}", "--ks=2,2,1", "--lambda=1/3",
-                             "--x=0", "--order=64", "--truncate=160")
-        assert (code, out) == (2, ""), identity
-        assert _refused(err) and f"at most {cli.MAX_M_SERIES_SIZE}" in err
-
-
-def test_chain_stirling_at_the_order_cap_is_bounded_by_the_depth(capsys, monkeypatch):
-    # the chain weights cost one prefix sum per index, so the depth and the
-    # order caps bound the call, whatever the number of chains
-    d = cli.MAX_DEPTH
-    for ks in ("3,2,1", ",".join(["2"] * d)):
-        code, out, err = run(capsys, "verify", "--identity=chain-stirling", f"--ks={ks}",
-                             "--lambda=-7/9", "--x=8/9", f"--order={cli.MAX_ORDER}")
-        assert (code, err) == (0, ""), ks
-        assert json.loads(out)["status"] == "pass", ks
-    monkeypatch.setattr("polybern.verify.verify_chain_stirling", _fail_if_called)
-    code, out, err = run(capsys, "verify", "--identity=chain-stirling", "--ks=" + ",".join(["1"] * (d + 1)),
-                         "--lambda=1/3", "--x=0", "--order=0")
-    assert (code, out) == (2, "")
-    assert _refused(err) and f"must be at most {d}" in err
 
 
 def test_size_bounds_admit_the_sweep_at_the_caps():

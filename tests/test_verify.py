@@ -20,7 +20,7 @@ from polybern.families import (
     degenerate_multi_poly_bernoulli,
     u_power_columns,
 )
-from polybern.rationals import decimal_string
+from polybern.rationals import _decimal_string
 from polybern.special import _multi_polylog_ints, one_minus_exp_neg
 from polybern.verify import (
     ReportRow,
@@ -231,11 +231,11 @@ def test_deep_residual_table_keeps_exact_rows():
     decimals = report.residuals.values()
     for m, value in n0:
         assert value == 2**m
-        assert decimals[m][2] == decimal_string(2**m, 1)
+        assert decimals[m][2] == _decimal_string(2**m, 1)
     for (n, m, residual), values in zip(triples, decimals, strict=True):
         assert type(residual) is Fraction and residual >= 0
         assert residual.denominator > 0 and gcd(residual.numerator, residual.denominator) == 1
-        assert values == (n, m, decimal_string(residual.numerator, residual.denominator))
+        assert values == (n, m, _decimal_string(residual.numerator, residual.denominator))
 
 
 def test_resummation_usage_errors():
@@ -365,7 +365,7 @@ def test_residual_rows_render_as_decimals():
     entry = rendered(report)["residuals"][0]
     assert set(entry) == {"n", "M", "residual_decimal"}
     first = oracles.residual_triples(report.residuals)[0][2]
-    assert entry["residual_decimal"] == decimal_string(first.numerator, first.denominator)
+    assert entry["residual_decimal"] == _decimal_string(first.numerator, first.denominator)
 
 # -- m-series summands against the per-m oracle ---------------------------------
 
@@ -589,7 +589,7 @@ def test_residual_table_reads_as_the_eager_rows(check, ks):
 ])
 def test_residual_decimals_match_decimal_at_full_size(check, ks, order, m_truncation):
     # residual pairs of thousands of bits, where the hypothesis test of
-    # decimal_string draws only up to about 200
+    # _decimal_string draws only up to about 200
     report = check(ks, Fraction(-7, 9), Fraction(8, 9), order, m_truncation=m_truncation)
     expected = [(n, m, oracles.decimal_text(value)) for n, m, value in oracles.residual_triples(report.residuals)]
     assert report.residuals.values() == expected
