@@ -62,9 +62,9 @@ from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
-from .rationals import as_rational, format_rational, inv_pow
+from .rationals import as_int, as_rational, format_rational, inv_pow
 from .series import ValuationError, _compose, _inverse, _over_common, _product, _reduced
-from .special import _degenerate_exp_ints, _multi_polylog_ints, as_int, index_vector, stirling_table
+from .special import _degenerate_exp_ints, _multi_polylog_ints, index_vector, stirling_table
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,17 @@ residuals) is an arbitrary-precision rational.  The standard library's
 ``fractions.Fraction`` already maintains the canonical form the rest of the
 package relies on: the denominator is always positive, numerator and
 denominator are coprime, and zero is stored as 0/1.  This module adds only
-what Fraction does not ship, namely the one coercion of caller-supplied
-parameters (:func:`as_rational`), the ``n**-k`` weights that appear in
+what Fraction does not ship, namely the two checks of caller-supplied
+parameters (:func:`as_rational` for the rationals lam, x and y, and
+:func:`as_int` for the int ones), the ``n**-k`` weights that appear in
 chain sums, the "p/q" wire format used by all serialization, and the
 private :func:`_decimal_string`, which renders the residuals of the
 convergence diagnostics as rounded decimal strings: one integer division
 shortens the exact value, and ``decimal`` rounds and writes the result.
 
-Floating point never enters: a float parameter is refused, not converted,
-and decimal strings are derived from exact rationals at output time only.
+Floating point never enters: a float parameter is refused, not converted
+(a bool too, as a flag and not a number), and decimal strings are derived
+from exact rationals at output time only.
 """
 
 from __future__ import annotations
@@ -54,14 +56,29 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"expected an exact rational (int, Fraction or 'p/q' string), got {type(value).__name__}")
 
 
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value``, checked where an int parameter enters the library.
+
+    A value that is not an int, a float and a bool included, raises
+    TypeError: int(2.7) would silently compute 2, and a bool is a flag, as
+    :func:`as_rational` refuses both for lam and x.  An int below
+    ``least``, when one is given, raises ArgumentError: "<what> must be
+    non-negative" for least 0 and "<what> must be at least <least>"
+    otherwise.  ``what`` names the value in the messages."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ArgumentError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
+    return value
+
+
 def inv_pow(base: int, k: int) -> Fraction:
     """base**(-k) as an exact rational: the 1/n^k weight of one chain-sum
     factor.  k may be negative, in which case the result is the integer
-    base**|k|.
+    base**|k|.  Both are ints (see :func:`as_int`), base at least 1.
     """
-    if base < 1:
-        raise ArgumentError("base must be a positive integer")
-    if k >= 0:
+    as_int(base, "base", 1)
+    if as_int(k, "k") >= 0:
         return Fraction(1, base**k)
     return Fraction(base ** (-k))
 
@@ -83,8 +100,11 @@ def parse_rational(text: str) -> Fraction:
 
     Malformed input and a zero denominator raise ArgumentError, which
     quotes the text without and with its surrounding whitespace
-    respectively.  Decimal notation is deliberately rejected.
+    respectively.  Decimal notation is deliberately rejected, and a text
+    that is not a str raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a 'p/q' string, got {type(text).__name__}")
     literal = text.strip()
     if not _RATIONAL_RE.fullmatch(literal):
         raise ArgumentError(f"not a rational literal: {literal!r}")

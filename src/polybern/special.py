@@ -20,32 +20,16 @@ from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from .rationals import ArgumentError, as_rational, inv_pow
+from .rationals import ArgumentError, as_int, as_rational, inv_pow
 from .series import TruncatedSeries, _reduced
 
 STIRLING_KINDS = ("second", "first_unsigned", "first_signed")
 
 
-def as_int(value, what: str, least: int | None = None) -> int:
-    """``value``, checked where an int parameter enters the library.
-
-    A value that is not an int, a float and a bool included, raises
-    TypeError: int(2.7) would silently compute 2, and a bool is a flag, as
-    :func:`~polybern.rationals.as_rational` refuses both for lam and x.
-    An int below ``least``, when one is given, raises ArgumentError:
-    "<what> must be non-negative" for least 0 and "<what> must be at least
-    <least>" otherwise.  ``what`` names the value in the messages."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
-    if least is not None and value < least:
-        raise ArgumentError(f"{what} must be " + (f"at least {least}" if least else "non-negative"))
-    return value
-
-
 def index_vector(ks: Sequence[int]) -> tuple[int, ...]:
     """Validate an index vector (k_1, ..., k_r), r >= 1, as a tuple; an
-    index that is not an int raises TypeError (see :func:`as_int`), an
-    empty vector ArgumentError."""
+    index that is not an int raises TypeError (see
+    :func:`~polybern.rationals.as_int`), an empty vector ArgumentError."""
     out = tuple(ks)
     for k in out:
         as_int(k, "an index")
@@ -60,10 +44,9 @@ def _degenerate_exp_ints(x, lam, order: int) -> tuple[list[int], int]:
 
     With x = p/q and lam = a/b, the falling product x(x-lam)...(x-(n-1)lam)
     is F_n / (qb)^n with F_n = prod_{j<n} (pb - jaq), and coefficient n is
-    F_n / ((qb)^n n!).  D is (qb)^order * order!, not reduced.
+    F_n / ((qb)^n n!).  D is (qb)^order * order!, not reduced.  Its
+    callers pass x and lam as ints or Fractions, checked; it checks neither.
     """
-    x = as_rational(x)
-    lam = as_rational(lam)
     p, q, a, b = x.numerator, x.denominator, lam.numerator, lam.denominator
     base, start, step = q * b, p * b, a * q
     ints = [1]  # F_n, then F_n * base^(order - n) * order!/n!
@@ -86,7 +69,7 @@ def degenerate_exp(x, lam, order: int) -> TruncatedSeries:
     come from the int form :func:`_degenerate_exp_ints`, which the family
     pipeline reads directly.
     """
-    ints, den = _degenerate_exp_ints(x, lam, as_int(order, "order", 0))
+    ints, den = _degenerate_exp_ints(as_rational(x), as_rational(lam), as_int(order, "order", 0))
     return TruncatedSeries(Fraction(e, den) for e in ints)
 
 

@@ -62,9 +62,9 @@ from .families import (
     degenerate_multi_poly_bernoulli,
     u_power_columns,
 )
-from .rationals import ArgumentError, _decimal_string, as_rational, format_rational, inv_pow
+from .rationals import ArgumentError, _decimal_string, as_int, as_rational, format_rational, inv_pow
 from .series import _over_common, _product, _reduced
-from .special import _multi_polylog_ints, as_int, index_vector, multi_polylog, stirling_table
+from .special import _multi_polylog_ints, index_vector, multi_polylog, stirling_table
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""Exact coefficient field: construction, arithmetic, weights, wire format."""
+"""Exact coefficient field: construction, arithmetic, weights, wire format;
+and the refusals of every public entry, derived from one table of calls."""
 
+import inspect
 import re
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polybern import families, special, verify
+import polybern
+from polybern import families, series, special, verify
 from polybern.rationals import (
     ArgumentError,
     _decimal_string,
@@ -17,7 +20,6 @@ from polybern.rationals import (
     inv_pow,
     parse_rational,
 )
-from polybern.series import TruncatedSeries
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -40,10 +42,6 @@ def test_inv_pow_values():
     assert inv_pow(2, 3) == Fraction(1, 8)
     assert inv_pow(3, -2) == Fraction(9)
     assert inv_pow(5, 0) == Fraction(1)
-    with pytest.raises(ValueError):
-        inv_pow(0, 2)
-    with pytest.raises(ValueError):
-        inv_pow(-3, 1)
 
 
 @given(a=rationals, b=rationals, c=rationals)
@@ -74,6 +72,7 @@ def test_wire_format_round_trip():
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(0)) == "0/1"
     assert format_rational(Fraction(5)) == "5/1"
+    assert format_rational(-4) == "-4/1"
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("7") == Fraction(7)
     assert parse_rational(" 3/9 ") == Fraction(1, 3)
@@ -90,153 +89,117 @@ def test_as_rational_takes_exact_values_only():
             as_rational(bad)
 
 
-def test_as_rational_refuses_a_bool():
-    # as series coefficients do: a bool is a flag, not a number
-    with pytest.raises(TypeError):
-        TruncatedSeries([True])
-    with pytest.raises(TypeError):
-        as_rational(True)
-    with pytest.raises(TypeError):
-        special.degenerate_exp(True, 1, 3)
+# One valid keyword call of each public callable but the result types and
+# exceptions, with the least value of each int parameter (order, r, max_n,
+# m_truncation, base) and of the depth of ks, where that is not 0; a label
+# after the name tells two rows of one callable apart.
+NOT_CALLED = {"ArgumentError", "ValuationError", "ReportRow", "SequenceResult", "StirlingTable", "VerificationReport"}
+ENTRIES = {
+    "FamilyQuery": (dict(ks=(2, 1), lam="1/3", x=0, order=2), {}),
+    "TruncatedSeries": (dict(coeffs=(1, Fraction(-1, 2))), {}),
+    "carlitz_degenerate": (dict(r=2, lam=Fraction(1, 3), x="1/2", order=2), {"r": 1}),
+    "degenerate_exp": (dict(x=Fraction(1, 2), lam="1/4", order=2), {}),
+    "degenerate_multi_poly_bernoulli": (dict(ks=(2, 1), lam=Fraction(1, 3), x="-1/2", order=2), {}),
+    "format_rational": (dict(value=Fraction(-1, 2)), {}),
+    "inv_pow": (dict(base=2, k=-2), {"base": 1}),
+    "log1p_series": (dict(order=2), {}),
+    "multi_poly_bernoulli": (dict(ks=(2, 1), x=Fraction(1, 2), order=2), {}),
+    "multi_polylog": (dict(ks=(2, 1), order=2), {"ks": 1}),
+    "one_minus_exp_neg": (dict(order=2), {}),
+    "parse_rational": (dict(text=" -2/4 "), {}),
+    "poly_bernoulli": (dict(k=2, x="1/2", order=2), {}),
+    "polyexp": (dict(k=-2, order=2), {}),
+    "stirling_table": (dict(kind="first_signed", max_n=2), {}),
+    "type2_poly_bernoulli": (dict(k=2, x=Fraction(1, 2), order=2), {}),
+    "verify_addition": (dict(ks=(2, 1), lam="1/3", x=Fraction(1, 2), y="1/5", order=2), {"ks": 1}),
+    "verify_chain_stirling": (dict(ks=(2, 1), lam=Fraction(1, 3), x="1/2", order=2), {"ks": 2}),
+    "verify_deriv_recurrences": (dict(ks=(2, 1), order=2), {"ks": 1, "order": 1}),
+    "verify_difference k_r>=1": (dict(ks=(2, 1), lam="1/3", x=0, order=2, m_truncation=2),
+                                 {"ks": 2, "order": 1}),
+    "verify_difference k_r<=0": (dict(ks=(2, -1), lam="1/3", x=0, order=2, m_truncation=2),
+                                 {"ks": 2, "order": 1}),
+    "verify_li_ones": (dict(r=2, order=2), {"r": 1}),
+    "verify_polynomial_expansion": (dict(ks=(2, 1), lam=Fraction(1, 3), x="1/2", order=2), {"ks": 1}),
+    "verify_resummation k_r>=1": (dict(ks=(2, 1), lam=Fraction(1, 3), x="1/2", order=2, m_truncation=2),
+                                  {"ks": 2}),
+    "verify_resummation k_r<=0": (dict(ks=(2, 0), lam=Fraction(1, 3), x="1/2", order=2, m_truncation=2),
+                                  {"ks": 2}),
+}
+INTS = {"order": "order", "r": "r", "max_n": "max_n", "m_truncation": "m truncation", "base": "base"}
+# the kernels a refusal must come before; stirling_table is one for every
+# entry but itself, which is looked up before they are replaced
+KERNELS = ("_gf_values", "_polylog_family", "_multi_polylog_ints", "_degenerate_exp_ints", "_compose",
+           "_product", "_inverse", "_m_series", "stirling_table")
+LITERALS = [("1.5", ArgumentError, "not a rational literal: '1.5'"),
+            ("1/0", ArgumentError, "zero denominator in '1/0'")]
 
 
-def test_format_rational_refuses_a_float():
-    # Fraction(0.1) would write 3602879701896397/36028797018963968
-    with pytest.raises(TypeError):
-        format_rational(0.1)
-    assert format_rational(-4) == "-4/1"
+def _callable(label):
+    return getattr(polybern, label.split()[0])
 
 
-@pytest.mark.parametrize("call", [
-    lambda f: families.FamilyQuery(ks=(1,), lam=f, x=0, order=2),
-    lambda f: families.FamilyQuery(ks=(1,), lam=0, x=f, order=2),
-    lambda f: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), f, 2),
-    lambda f: families.carlitz_degenerate(2, f, 0, 2),
-    lambda f: families.multi_poly_bernoulli((2, 1), f, 2),
-    lambda f: families.poly_bernoulli(2, f, 2),
-    lambda f: families.type2_poly_bernoulli(2, f, 2),
-    lambda f: families._u_power_values(2, f, 0, 2),
-    lambda f: families._u_power_values(2, 0, f, 2),
-    lambda f: special.degenerate_exp(f, Fraction(1, 4), 2),
-    lambda f: special.degenerate_exp(Fraction(1, 2), f, 2),
-    lambda f: verify.verify_chain_stirling((2, 1), f, 0, 2),
-    lambda f: verify.verify_resummation((2, 0), f, 0, 2),
-    lambda f: verify.verify_resummation((2, 0), 0, f, 2),
-    lambda f: verify.verify_difference((2, 0), f, 0, 2),
-    lambda f: verify.verify_polynomial_expansion((2, 1), 0, f, 2),
-    lambda f: verify.verify_addition((2, 1), 0, f, 0, 2),
-    lambda f: verify.verify_addition((2, 1), 0, 0, f, 2),
-])
-def test_public_entries_refuse_a_float(call):
-    with pytest.raises(TypeError):
-        call(0.5)
-    call(Fraction(1, 2))
-    call("1/2")
+def _refusals(name, good, least):
+    """(bad value, error, exact message or None) for each refusal that the
+    parameter ``name`` derives, given its valid value and least value."""
+    if name in ("lam", "x", "y"):
+        return [(0.5, TypeError, None), (True, TypeError, None), *LITERALS]
+    if name in INTS:
+        what = INTS[name]
+        below = f"at least {least}" if least else "non-negative"
+        return [(bad, TypeError, f"{what} must be an int, got {type(bad).__name__}") for bad in (True, False, 2.0)] + [
+            (least - 1, ArgumentError, f"{what} must be {below}")]
+    if name == "k":
+        return [(bad, TypeError, None) for bad in (2.5, -1.5, 2.0, True)]
+    if name == "ks":
+        short = [(good[len(good) - least + 1:], ArgumentError, None)] if least else []
+        return short + [(good[:i] + (bad,) + good[i + 1:], TypeError, None)
+                        for i in range(len(good)) for bad in (2.5, -1.5, 2.0, True)]
+    return {
+        "kind": [("first", ArgumentError, f"kind must be one of {special.STIRLING_KINDS}, got 'first'")],
+        "text": [(5, TypeError, None), *LITERALS],
+        "value": [(0.1, TypeError, None)],
+        "coeffs": [((), ArgumentError, "a series needs at least the constant coefficient"),
+                   ((True,), TypeError, None), ((0.5,), TypeError, None)],
+    }[name]
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, True])
-@pytest.mark.parametrize("call", [
-    lambda k: families.FamilyQuery(ks=(k, 1), lam=0, x=0, order=2),
-    lambda k: families.degenerate_multi_poly_bernoulli((k, 1), 0, 0, 3),
-    lambda k: families.multi_poly_bernoulli((1, k), 0, 3),
-    lambda k: families.poly_bernoulli(k, 0, 3),
-    lambda k: families.type2_poly_bernoulli(k, 0, 3),
-    lambda k: special.multi_polylog((k, 2), 3),
-    lambda k: special.polyexp(k, 3),
-    lambda k: verify.verify_deriv_recurrences((k, 2), 4),
-    lambda k: verify.verify_chain_stirling((2, k), 0, 0, 2),
-    lambda k: verify.verify_resummation((k, 0), 0, 0, 2),
-    lambda k: verify.verify_difference((k, 0), 0, 0, 2),
-    lambda k: verify.verify_polynomial_expansion((k, 1), 0, 0, 2),
-    lambda k: verify.verify_addition((k, 1), 0, 0, 0, 2),
-])
-def test_public_entries_refuse_an_index_that_is_not_an_int(call, bad):
-    # int(2.5) would compute k = 2 and int(True) k = 1, and echo them
-    with pytest.raises(TypeError):
-        call(bad)
-    call(2)
+CASES = [pytest.param(label, {**kwargs, name: bad}, error, message, id=f"{label}-{name}={bad!r}")
+         for label, (kwargs, least) in ENTRIES.items() for name, good in kwargs.items()
+         for bad, error, message in _refusals(name, good, least.get(name, 0))]
 
 
-@pytest.mark.parametrize("bad", [True, False, 2.0])
-@pytest.mark.parametrize("call", [
-    lambda n: families.FamilyQuery(ks=(2, 1), lam=0, x=0, order=n),
-    lambda n: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), 0, n),
-    lambda n: families.carlitz_degenerate(2, 0, 0, n),
-    lambda n: families.multi_poly_bernoulli((2, 1), 0, n),
-    lambda n: families.poly_bernoulli(2, 0, n),
-    lambda n: families.type2_poly_bernoulli(2, 0, n),
-    lambda n: special.degenerate_exp(1, Fraction(1, 4), n),
-    lambda n: special.one_minus_exp_neg(n),
-    lambda n: special.log1p_series(n),
-    lambda n: special.polyexp(2, n),
-    lambda n: special.multi_polylog((2, 1), n),
-    lambda n: special.stirling_table("second", n),
-    lambda n: verify.verify_li_ones(2, n),
-    lambda n: verify.verify_deriv_recurrences((2, 1), n),
-    lambda n: verify.verify_chain_stirling((2, 1), 0, 0, n),
-    lambda n: verify.verify_polynomial_expansion((2, 1), 0, 0, n),
-    lambda n: verify.verify_addition((2, 1), 0, 0, 0, n),
-    lambda n: verify.verify_resummation((2, 1), 0, 0, n),
-    lambda n: verify.verify_difference((2, 1), 0, 0, n),
-    lambda n: verify.verify_resummation((2, 1), 0, 0, 2, m_truncation=n),
-    lambda n: verify.verify_difference((2, 1), 0, 0, 2, m_truncation=n),
-    lambda n: verify.verify_resummation((2, -1), 0, 0, 2, m_truncation=n),
-])
-def test_public_entries_refuse_an_order_that_is_not_an_int(call, bad):
-    # an order, max_n or m truncation of True would run as 1 and be echoed
-    # as true, and 2.0 would fail deep inside on range()
-    with pytest.raises(TypeError, match="must be an int"):
-        call(bad)
-    call(2)
+@pytest.mark.parametrize("label, kwargs, error, message", CASES)
+def test_each_refusal_comes_before_any_work(monkeypatch, label, kwargs, error, message):
+    # every domain refusal is an ArgumentError, which the CLI relays as a
+    # usage error, and every refusal of a type a TypeError: int(2.5) would
+    # compute 2, True would run as 1, and Fraction(0.5) is a binary value
+    call = _callable(label)
+
+    def kernel(*args, **kw):
+        raise AssertionError("work began before the refusal")
+
+    for module in (polybern, series, special, families, verify):
+        for name in KERNELS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, kernel)
+    with pytest.raises(error, match=message and f"^{re.escape(message)}$"):
+        call(**kwargs)
 
 
-@pytest.mark.parametrize("call, least, message", [
-    (lambda n: families.FamilyQuery(ks=(2, 1), lam=0, x=0, order=n), 0, "order must be non-negative"),
-    (lambda n: families.degenerate_multi_poly_bernoulli((2, 1), Fraction(1, 3), 0, n), 0,
-     "order must be non-negative"),
-    (lambda n: families.carlitz_degenerate(2, 0, 0, n), 0, "order must be non-negative"),
-    (lambda r: families.carlitz_degenerate(r, 0, 0, 2), 1, "r must be at least 1"),
-    (lambda n: families.multi_poly_bernoulli((2, 1), 0, n), 0, "order must be non-negative"),
-    (lambda n: families.poly_bernoulli(2, 0, n), 0, "order must be non-negative"),
-    (lambda n: families.type2_poly_bernoulli(2, 0, n), 0, "order must be non-negative"),
-    (lambda n: special.degenerate_exp(1, Fraction(1, 4), n), 0, "order must be non-negative"),
-    (lambda n: special.one_minus_exp_neg(n), 0, "order must be non-negative"),
-    (lambda n: special.log1p_series(n), 0, "order must be non-negative"),
-    (lambda n: special.polyexp(2, n), 0, "order must be non-negative"),
-    (lambda n: special.multi_polylog((2, 1), n), 0, "order must be non-negative"),
-    (lambda n: special.stirling_table("second", n), 0, "max_n must be non-negative"),
-    (lambda n: verify.verify_li_ones(2, n), 0, "order must be non-negative"),
-    (lambda r: verify.verify_li_ones(r, 2), 1, "r must be at least 1"),
-    (lambda n: verify.verify_deriv_recurrences((2, 1), n), 1, "order must be at least 1"),
-    (lambda n: verify.verify_chain_stirling((2, 1), 0, 0, n), 0, "order must be non-negative"),
-    (lambda n: verify.verify_polynomial_expansion((2, 1), 0, 0, n), 0, "order must be non-negative"),
-    (lambda n: verify.verify_addition((2, 1), 0, 0, 0, n), 0, "order must be non-negative"),
-    (lambda n: verify.verify_resummation((2, 1), 0, 0, n), 0, "order must be non-negative"),
-    (lambda n: verify.verify_difference((2, 1), 0, 0, n), 1, "order must be at least 1"),
-    (lambda m: verify.verify_resummation((2, 1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
-    (lambda m: verify.verify_difference((2, 1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
-    (lambda m: verify.verify_resummation((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
-    (lambda m: verify.verify_difference((2, -1), 0, 0, 2, m_truncation=m), 0, "m truncation must be non-negative"),
-    (lambda r: special.multi_polylog((2,) * r, 2), 1, "index vector must be non-empty"),
-    (lambda base: inv_pow(base, 1), 1, "base must be a positive integer"),
-    # 0 gives the malformed "1.5" and the zero denominator "1/0", 1 the
-    # literals "3/2" and "1/1"
-    (lambda ok: families.degenerate_multi_poly_bernoulli((1,), ("1.5", "3/2")[ok], 0, 2), 1,
-     "not a rational literal: '1.5'"),
-    (lambda den: families.degenerate_multi_poly_bernoulli((1,), f"1/{den}", 0, 2), 1, "zero denominator in '1/0'"),
-    (lambda n: TruncatedSeries((1,) * n), 1, "a series needs at least the constant coefficient"),
-    # 0 names the unknown kind "first", 1 the kind "second"
-    (lambda known: special.stirling_table(("first", "second")[known], 2), 1,
-     f"kind must be one of {special.STIRLING_KINDS}, got 'first'"),
-])
-def test_public_entries_refuse_a_value_below_its_least(call, least, message):
-    # the int check of special.as_int refuses below the least as well: a
-    # negative order would give an order-0 series, and a negative m
-    # truncation an exact check that drops it; every domain refusal is an
-    # ArgumentError, which the CLI relays as a usage error
-    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
-        call(least - 1)
-    call(least)
+@pytest.mark.parametrize("label", ENTRIES)
+def test_each_entry_runs_at_its_row_and_at_its_least_values(label):
+    kwargs, least = ENTRIES[label]
+    least_kwargs = {name: least.get(name, 0) if name in INTS else value for name, value in kwargs.items()}
+    if "ks" in kwargs:
+        least_kwargs["ks"] = kwargs["ks"][len(kwargs["ks"]) - least.get("ks", 0):]
+    for call_kwargs in (kwargs, least_kwargs):
+        _callable(label)(**call_kwargs)
+
+
+def test_entries_name_every_public_callable_in_signature_order():
+    assert {label.split()[0] for label in ENTRIES} == set(polybern.__all__) - NOT_CALLED
+    for label, (kwargs, _) in ENTRIES.items():
+        assert list(kwargs) == list(inspect.signature(_callable(label)).parameters), label
 
 
 @given(a=rationals)

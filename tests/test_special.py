@@ -171,11 +171,6 @@ def test_stirling_second_generating_function():
         power = convolve(power, expm1, order)
 
 
-def test_stirling_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        stirling_table("third", 4)
-
-
 def test_stirling_csv_shape():
     # rendered by the command line from the table's rows
     text = cli._csv_text(stirling_table("second", 3))
@@ -244,7 +239,3 @@ def test_polylog_ints_of_the_empty_index_vector_are_the_constant_one():
 
 def test_index_vector_validation():
     assert index_vector([3, -1]) == (3, -1)
-    with pytest.raises(ValueError):
-        index_vector(())
-    with pytest.raises(ValueError):
-        multi_polylog((), 5)

@@ -80,19 +80,6 @@ def test_li_ones_depth_two_coefficient():
     row = next(r for r in rows_for(report, "log-power") if r.n == 3)
     assert row.lhs == HALF and row.rhs == HALF
 
-def test_li_ones_rejects_bad_r():
-    for r in (0, -1):
-        with pytest.raises(ValueError):
-            verify_li_ones(r, 5)
-
-@pytest.mark.parametrize("r", [True, False, 2.0])
-@pytest.mark.parametrize("entry", [lambda r: verify_li_ones(r, 3), lambda r: carlitz_degenerate(r, 0, 0, 3)],
-                         ids=["li-ones", "carlitz"])
-def test_depth_that_is_not_an_int_is_refused(entry, r):
-    # a bool is a flag and a float no depth, as for the indices of index_vector
-    with pytest.raises(TypeError, match="must be an int"):
-        entry(r)
-
 # -- derivative recurrences ------------------------------------------------------
 
 def test_deriv_single_index():
@@ -105,10 +92,6 @@ def test_deriv_depth_two():
         report = verify_deriv_recurrences(ks, 12)
         assert report.status == "pass"
         assert rows_for(report, "one-minus-x-derivative")
-
-def test_deriv_needs_order():
-    with pytest.raises(ValueError):
-        verify_deriv_recurrences((2,), 0)
 
 # -- chain-sum / Stirling route ---------------------------------------------------
 
@@ -124,10 +107,6 @@ def test_chain_stirling_base_row():
     row0 = report.rows[0]
     assert row0.n == 0
     assert row0.lhs == row0.rhs == HALF  # 2!/(1^1 * 2^2)
-
-def test_chain_stirling_needs_depth_two():
-    with pytest.raises(ValueError):
-        verify_chain_stirling((3,), HALF, 0, 6)
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -238,12 +217,6 @@ def test_deep_residual_table_keeps_exact_rows():
         assert values == (n, m, _decimal_string(residual.numerator, residual.denominator))
 
 
-def test_resummation_usage_errors():
-    with pytest.raises(ValueError):
-        verify_resummation((2,), HALF, 0, 4)
-    with pytest.raises(ValueError):
-        verify_resummation((1, 1), HALF, 0, 4, m_truncation=-1)
-
 # -- forward-difference formula ------------------------------------------------------
 
 def test_difference_finite_branch_exact():
@@ -263,26 +236,6 @@ def test_difference_diagnostic():
     assert {r.n for r in report.rows} == set(range(1, 7))
     assert len(report.residuals) == 6 * 41
 
-def test_difference_usage_errors():
-    with pytest.raises(ValueError):
-        verify_difference((2,), HALF, 0, 4)
-    with pytest.raises(ValueError):
-        verify_difference((1, 1), HALF, 0, 0)
-
-def test_m_series_rejects_negative_truncation(monkeypatch):
-    # k_r >= 1: the m-sum is infinite, so its truncation comes from the
-    # caller; k_r <= 0 sums -k_r + 1 terms whatever it is, and refuses it
-    # all the same.  Either way before any family or column is built.
-    def spy(*args, **kwargs):
-        raise AssertionError("work done before the truncation was checked")
-
-    for name in ("degenerate_multi_poly_bernoulli", "_polylog_family", "_u_power_values"):
-        monkeypatch.setattr(verify, name, spy)
-    for check in (verify_resummation, verify_difference):
-        for ks in ((2, 1), (1, 2), (1, -1), (1, -2)):
-            with pytest.raises(ValueError, match="^m truncation must be non-negative$"):
-                check(ks, THIRD, 0, 3, m_truncation=-5)
-
 # -- addition law -----------------------------------------------------------------
 
 def test_addition_examples():
@@ -299,12 +252,6 @@ def test_addition_at_x_zero_matches_expansion():
     add_rows = {r.n: r.lhs for r in addition.rows}
     exp_rows = {r.n: r.lhs for r in rows_for(expansion, "number-expansion")}
     assert add_rows == exp_rows
-
-def test_addition_and_expansion_refuse_a_negative_order():
-    with pytest.raises(ValueError, match="order must be non-negative"):
-        verify_addition((2, 1), THIRD, HALF, THIRD, -1)
-    with pytest.raises(ValueError, match="order must be non-negative"):
-        verify_polynomial_expansion((2, 1), THIRD, HALF, -1)
 
 # -- report contracts ----------------------------------------------------------------
 
